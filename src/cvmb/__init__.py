@@ -9,7 +9,7 @@ Subpackage map:
 * :mod:`cvmb.holevo` - the Holevo bound for pure probes: analytic KKT
   solution and an independent numeric minimizer
 * :mod:`cvmb.simulate` - seeded Monte Carlo of the dual homodyne
-  measurement (compiled kernel with NumPy fallback)
+  measurement
 * :mod:`cvmb.cli` - ``cvmb`` command-line harness
 """
 
@@ -60,6 +60,5 @@ from cvmb.simulate import (
     run,
     run_two_stage,
 )
-from cvmb._kernels import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"

@@ -18,7 +18,10 @@ Closed forms for squeezed thermal probes of squeezing r and thermal
 occupation N (``c = cosh 2r``):
 
 * single mode:  C_S = (2 + 4N) c,        C_R = 2 + (2 + 4N) c
-* two mode:     C_S = (2 + 4N) / c,      C_R = 8N(1 + N) / ((1 + 2N) c - 1)
+* two mode:     C_S = (2 + 4N) / c,      C_R = 8N(1 + N) / (2N c + 2 sinh^2 r)
+
+The two-mode RLD denominator equals ``(1 + 2N) c - 1``; written as a sum of
+non-negative terms it keeps full precision as N -> 0 at small r.
 
 At N = 0 the two-mode RLD bound is vacuous (zero for every r, taking the
 r -> 0 limit along the pure-probe curve at the origin).
@@ -174,6 +177,10 @@ def closed_form_bounds(r: float, mean_photons: float, probe_kind: str) -> tuple[
         tuple: (SLD bound, RLD bound)
     """
     n = mean_photons
+    if not np.isfinite(r):
+        raise ValueError("r must be finite")
+    if not np.isfinite(n):
+        raise ValueError("mean_photons must be finite")
     if n < 0:
         raise ValueError("mean photon number must be non-negative")
     c = np.cosh(2.0 * r)
@@ -186,7 +193,7 @@ def closed_form_bounds(r: float, mean_photons: float, probe_kind: str) -> tuple[
             # numerator 8N(1+N) vanishes; value 0 for every r, extended
             # to r = 0 by continuity along the N = 0 curve
             return float(c_s), 0.0
-        c_r = 8.0 * n * (1.0 + n) / ((1.0 + 2.0 * n) * c - 1.0)
+        c_r = 8.0 * n * (1.0 + n) / (2.0 * n * c + 2.0 * np.sinh(r) ** 2)
         return float(c_s), float(c_r)
     raise ValueError(f"unknown probe kind {probe_kind!r}")
 

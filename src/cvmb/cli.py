@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 usage error, 2 statistical gate failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -53,6 +54,9 @@ class SweepSpec:
     out: str | None = None
 
     def validate(self):
+        for name in ("r_min", "r_max", "photons"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name.replace('_', '-')} must be finite")
         if self.r_min > self.r_max:
             raise ValueError("r-min must not exceed r-max")
         if self.r_steps < 1:

@@ -31,13 +31,13 @@ from numpy.random import Generator, Philox, SeedSequence
 from scipy.special import ndtri
 
 from cvmb.gaussian import GaussianState, apply, beam_splitter, displace, make_thermal, two_mode_squeezer
-from cvmb._kernels import accumulate_affine_moments
 
 __all__ = [
     "SimConfig",
     "SimResult",
     "OutcomeModel",
     "outcome_distribution",
+    "accumulate_affine_moments",
     "estimate",
     "run",
     "run_two_stage",
@@ -59,6 +59,9 @@ class SimConfig:
     mode: str = "direct"
 
     def __post_init__(self):
+        for name in ("r", "photons"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         if self.photons < 0:
@@ -67,7 +70,10 @@ class SimConfig:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.mode not in {"direct", "two_stage"}:
             raise ValueError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "theta_true", tuple(float(t) for t in self.theta_true))
+        theta = tuple(float(t) for t in self.theta_true)
+        if not all(math.isfinite(t) for t in theta):
+            raise ValueError("theta_true must be finite")
+        object.__setattr__(self, "theta_true", theta)
 
 
 @dataclass(frozen=True)
@@ -165,6 +171,40 @@ def _shot_normals(key: int, start: int, count: int, words_per_shot: int) -> np.n
     return ndtri(np.maximum(u, _MIN_UNIFORM))
 
 
+def accumulate_affine_moments(z, a, c):
+    """Accumulate error moments for shots ``e_i = a @ z_i + c``.
+
+    Reductions use NumPy's pairwise summation; batches are combined with
+    compensated sums by the caller.
+
+    Args:
+        z: (n, k) standard-normal draws
+        a: (2, k) affine transform rows
+        c: (2,) affine offset
+
+    Returns:
+        tuple: (sum e1, sum e2, sum e1^2, sum e2^2, sum e1*e2,
+                sum (e1^2 + e2^2)^2)
+    """
+    z = np.asarray(z, dtype=float)
+    a = np.asarray(a, dtype=float)
+    c = np.asarray(c, dtype=float)
+    if a.shape != (2, z.shape[1]) or c.shape != (2,):
+        raise ValueError("transform shape must be (2, k) with offset length 2")
+    e = z @ a.T + c
+    e1 = e[:, 0]
+    e2 = e[:, 1]
+    sq = e1 * e1 + e2 * e2
+    return (
+        float(e1.sum()),
+        float(e2.sum()),
+        float((e1 * e1).sum()),
+        float((e2 * e2).sum()),
+        float((e1 * e2).sum()),
+        float((sq * sq).sum()),
+    )
+
+
 class _KahanSums:
     """Compensated accumulation of a fixed-length tuple of partial sums."""
 
@@ -184,8 +224,6 @@ def _accumulate(key: int, start_shot: int, count: int, transform: np.ndarray,
                 offset: np.ndarray, batch_size: int) -> list[float]:
     """Stream ``count`` shots through the kernel, Kahan-combining batches."""
     words = transform.shape[1]
-    transform = np.ascontiguousarray(transform, dtype=float)
-    offset = np.ascontiguousarray(offset, dtype=float)
     agg = _KahanSums(6)
     done = 0
     while done < count:

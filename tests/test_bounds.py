@@ -76,10 +76,21 @@ class TestClosedForms:
         assert np.isclose(c_r, 0.88 / (1.2 * np.cosh(1.0) - 1.0), atol=1e-12)
         assert np.isclose(c_r, 1.03323, atol=5e-6)
         assert closed_form_bounds(0.0, 0.1, "two_mode") == (pytest.approx(2.4), pytest.approx(4.4))
+        # near-pure probe at r = 0: the denominator must not cancel
+        for n in (1e-13, 1e-8):
+            assert closed_form_bounds(0.0, n, "two_mode")[1] == pytest.approx(4.0 * (1.0 + n), rel=1e-12)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             closed_form_bounds(0.1, 0.0, "three_mode")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        for kind in ("single", "two_mode"):
+            with pytest.raises(ValueError, match="r must be finite"):
+                closed_form_bounds(bad, 0.1, kind)
+            with pytest.raises(ValueError, match="mean_photons must be finite"):
+                closed_form_bounds(0.5, bad, kind)
 
     @pytest.mark.parametrize("kind", ["single", "two_mode"])
     def test_moment_formulas_match_closed_forms(self, kind):

@@ -168,8 +168,12 @@ class TestFigure1Command:
 
 
 class TestConfigResolution:
-    def test_usage_error_on_bad_grid(self):
+    def test_usage_error_on_bad_grid(self, capsys):
         assert cli.main(["bounds", "--r-min", "2.0", "--r-max", "1.0"]) == cli.USAGE_ERROR
+        for flag in ("--r-min", "--r-max", "--photons"):
+            for bad in ("nan", "inf", "-inf"):
+                assert cli.main(["bounds", f"{flag}={bad}"]) == cli.USAGE_ERROR
+                assert f"{flag[2:]} must be finite" in capsys.readouterr().err
 
     def test_usage_error_on_negative_steps(self):
         assert cli.main(["bounds", "--r-steps", "0"]) == cli.USAGE_ERROR

@@ -3,16 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvmb import _kernels
-from cvmb._accumulators_py import accumulate_affine_moments as numpy_kernel
-
-try:
-    from cvmb._accumulators import accumulate_affine_moments as compiled_kernel
-except ImportError:
-    compiled_kernel = None
-
-needs_compiled = pytest.mark.skipif(compiled_kernel is None,
-                                    reason="compiled kernel not built")
+from cvmb.simulate import accumulate_affine_moments
 
 
 def reference_sums(z, a, c):
@@ -41,64 +32,17 @@ def random_case(seed, n=20_000, k=2):
 class TestNumpyKernel:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_fsum_reference(self, seed):
-        z, a, c = random_case(seed)
-        got = numpy_kernel(z, a, c)
-        ref = reference_sums(z, a, c)
-        for g, r in zip(got, ref):
-            assert math.isclose(g, r, rel_tol=1e-12, abs_tol=1e-9)
+        # k = 2 is the outcome-marginal path, k = 4 the full phase-space one
+        for k in (2, 4):
+            z, a, c = random_case(seed, k=k)
+            got = accumulate_affine_moments(z, a, c)
+            ref = reference_sums(z, a, c)
+            for g, r in zip(got, ref):
+                assert math.isclose(g, r, rel_tol=1e-12, abs_tol=1e-9), (k, g, r)
 
     def test_shape_validation(self):
         z, a, c = random_case(3)
         with pytest.raises(ValueError):
-            numpy_kernel(z, a[:1], c)
+            accumulate_affine_moments(z, a[:1], c)
         with pytest.raises(ValueError):
-            numpy_kernel(z, a, c[:1])
-
-
-@needs_compiled
-class TestCompiledKernel:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_fsum_reference(self, seed):
-        z, a, c = random_case(seed)
-        got = compiled_kernel(z, a, c)
-        ref = reference_sums(z, a, c)
-        for g, r in zip(got, ref):
-            assert math.isclose(g, r, rel_tol=1e-12, abs_tol=1e-9)
-
-    def test_agrees_with_numpy_backend(self):
-        z, a, c = random_case(9, n=100_000)
-        got = compiled_kernel(z, a, c)
-        ref = numpy_kernel(z, a, c)
-        for g, r in zip(got, ref):
-            assert math.isclose(g, r, rel_tol=1e-12, abs_tol=1e-9)
-
-    def test_four_column_transform(self):
-        z, a, c = random_case(10, k=4)
-        got = compiled_kernel(z, a, c)
-        ref = reference_sums(z, a, c)
-        for g, r in zip(got, ref):
-            assert math.isclose(g, r, rel_tol=1e-12, abs_tol=1e-9)
-
-    def test_compensation_beats_cancellation(self):
-        # alternating large/small values: the Kahan loop must track the
-        # fsum reference despite heavy cancellation
-        n = 100_000
-        z = np.empty((n, 1))
-        z[0::2, 0] = 1e8
-        z[1::2, 0] = -1e8
-        z[-1, 0] = 1.0
-        a = np.ascontiguousarray([[1.0], [0.0]])
-        c = np.ascontiguousarray([1e-6, 0.0])
-        got = compiled_kernel(z, a, c)
-        ref = reference_sums(z, a, c)
-        assert math.isclose(got[0], ref[0], rel_tol=1e-12, abs_tol=1e-12)
-
-    def test_shape_validation(self):
-        z, a, c = random_case(4)
-        with pytest.raises(ValueError):
-            compiled_kernel(z, np.ascontiguousarray(a[:1]), c)
-
-
-def test_backend_selected():
-    assert _kernels.BACKEND in {"compiled", "numpy"}
-    assert callable(_kernels.accumulate_affine_moments)
+            accumulate_affine_moments(z, a, c[:1])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,13 @@ class TestRun:
             SimConfig(r=0.1, photons=0.0, seed=-1)
         with pytest.raises(ValueError):
             SimConfig(r=0.1, photons=0.0, mode="triple")
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="r must be finite"):
+                SimConfig(r=bad, photons=0.0)
+            with pytest.raises(ValueError, match="photons must be finite"):
+                SimConfig(r=0.1, photons=bad)
+            with pytest.raises(ValueError, match="theta_true must be finite"):
+                SimConfig(r=0.1, photons=0.0, theta_true=(0.0, bad))
 
 
 class TestTwoStage:
