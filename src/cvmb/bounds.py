@@ -25,10 +25,15 @@ non-negative terms it keeps full precision as N -> 0 at small r.
 
 At N = 0 the two-mode RLD bound is vacuous (zero for every r, taking the
 r -> 0 limit along the pure-probe curve at the origin).
+
+The closed forms accept ``|r| <= MAX_SQUEEZING`` (about 354.9): beyond it
+``exp(2|r|)``, and with it ``cosh 2r``, overflows a double.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +47,10 @@ from cvmb.gaussian import (
     two_mode_squeezer,
 )
 
+MAX_SQUEEZING = 0.5 * math.log(sys.float_info.max)
+
 __all__ = [
+    "MAX_SQUEEZING",
     "BoundResult",
     "DisplacementModel",
     "DegenerateModelError",
@@ -179,6 +187,9 @@ def closed_form_bounds(r: float, mean_photons: float, probe_kind: str) -> tuple[
     n = mean_photons
     if not np.isfinite(r):
         raise ValueError("r must be finite")
+    if abs(r) > MAX_SQUEEZING:
+        raise ValueError(f"r = {r:g} is outside |r| <= {MAX_SQUEEZING:g}, "
+                         "where exp 2r and cosh 2r stay finite")
     if not np.isfinite(n):
         raise ValueError("mean_photons must be finite")
     if n < 0:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from cvmb.bounds import closed_form_bounds, dual_homodyne_mse_analytic
+from cvmb.bounds import MAX_SQUEEZING, closed_form_bounds, dual_homodyne_mse_analytic
 from cvmb.holevo import solve_analytic
 from cvmb.simulate import SimConfig, run
 
@@ -57,6 +57,11 @@ class SweepSpec:
         for name in ("r_min", "r_max", "photons"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name.replace('_', '-')} must be finite")
+        for name in ("r_min", "r_max"):
+            r = getattr(self, name)
+            if abs(r) > MAX_SQUEEZING:
+                raise ValueError(f"{name.replace('_', '-')} = {r:g} is outside "
+                                 f"|r| <= {MAX_SQUEEZING:g}, where exp 2r and cosh 2r stay finite")
         if self.r_min > self.r_max:
             raise ValueError("r-min must not exceed r-max")
         if self.r_steps < 1:

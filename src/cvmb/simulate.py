@@ -15,15 +15,19 @@ Reproducibility
 ---------------
 Shots are numbered and each consumes a fixed number of 64-bit words from
 a counter-based Philox stream, with normals produced by inverse-CDF.
-The draw for shot i therefore depends only on (seed, i): batches can be
-generated independently and in parallel, and changing ``batch_size``
-changes nothing but the grouping of the compensated sums, i.e. results
-move at most at the level of floating-point rounding.
+The draw for shot i therefore depends only on (seed, i), so batches are
+generated independently: they run on threads across the usable CPUs and
+their sums are combined in batch-index order.  Results do not depend on
+the worker count; changing ``batch_size`` changes nothing but the
+grouping of the compensated sums, i.e. results move at most at the level
+of floating-point rounding.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,7 @@ from scipy.special import ndtri
 from cvmb.gaussian import GaussianState, apply, beam_splitter, displace, make_thermal, two_mode_squeezer
 
 __all__ = [
+    "SIMULATE_MAX_SQUEEZING",
     "SimConfig",
     "SimResult",
     "OutcomeModel",
@@ -46,10 +51,15 @@ __all__ = [
 _WORDS_PER_TICK = 4  # Philox advances its counter in 4-word blocks
 _MIN_UNIFORM = 2.0 ** -53  # guard against ndtri(0) = -inf
 
+# Squeezing accepted by SimConfig (34.7 dB).  From |r| of about 4.86 the
+# squeezer matrix fails the symplectic check of cvmb.gaussian on rounding
+# alone; the limit keeps a margin below that.
+SIMULATE_MAX_SQUEEZING = 4.0
+
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Settings for one simulation run."""
+    """Settings for one simulation run; ``|r|`` is at most ``SIMULATE_MAX_SQUEEZING``."""
 
     r: float
     photons: float
@@ -62,6 +72,9 @@ class SimConfig:
         for name in ("r", "photons"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if abs(self.r) > SIMULATE_MAX_SQUEEZING:
+            raise ValueError(f"r = {self.r:g} is outside the simulate limit "
+                             f"|r| <= {SIMULATE_MAX_SQUEEZING:g}")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         if self.photons < 0:
@@ -168,14 +181,16 @@ def _shot_normals(key: int, start: int, count: int, words_per_shot: int) -> np.n
         raise ValueError("batch start is not aligned to the Philox counter")
     gen = Generator(Philox(key=key).advance(offset // _WORDS_PER_TICK))
     u = gen.random((count, words_per_shot))
-    return ndtri(np.maximum(u, _MIN_UNIFORM))
+    np.maximum(u, _MIN_UNIFORM, out=u)
+    return ndtri(u, out=u)
 
 
 def accumulate_affine_moments(z, a, c):
     """Accumulate error moments for shots ``e_i = a @ z_i + c``.
 
     Reductions use NumPy's pairwise summation; batches are combined with
-    compensated sums by the caller.
+    compensated sums by the caller.  ``z`` is only read, and besides the
+    (n, 2) errors the kernel allocates one length-n temporary.
 
     Args:
         z: (n, k) standard-normal draws
@@ -191,18 +206,18 @@ def accumulate_affine_moments(z, a, c):
     c = np.asarray(c, dtype=float)
     if a.shape != (2, z.shape[1]) or c.shape != (2,):
         raise ValueError("transform shape must be (2, k) with offset length 2")
-    e = z @ a.T + c
+    e = z @ a.T
+    e += c
     e1 = e[:, 0]
     e2 = e[:, 1]
-    sq = e1 * e1 + e2 * e2
-    return (
-        float(e1.sum()),
-        float(e2.sum()),
-        float((e1 * e1).sum()),
-        float((e2 * e2).sum()),
-        float((e1 * e2).sum()),
-        float((sq * sq).sum()),
-    )
+    s1, s2 = float(e1.sum()), float(e2.sum())
+    tmp = e1 * e2
+    s12 = float(tmp.sum())
+    e *= e  # the columns now hold e1^2 and e2^2
+    q11, q22 = float(e1.sum()), float(e2.sum())
+    np.add(e1, e2, out=tmp)
+    tmp *= tmp
+    return s1, s2, q11, q22, s12, float(tmp.sum())
 
 
 class _KahanSums:
@@ -220,17 +235,41 @@ class _KahanSums:
             self.total[m] = t
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _accumulate(key: int, start_shot: int, count: int, transform: np.ndarray,
                 offset: np.ndarray, batch_size: int) -> list[float]:
-    """Stream ``count`` shots through the kernel, Kahan-combining batches."""
+    """Stream ``count`` shots through the kernel, Kahan-combining batches.
+
+    Batch j runs on worker ``j mod W`` (worker 0 is the calling thread);
+    the per-batch sums are combined in batch-index order, so the result
+    does not depend on W.
+    """
     words = transform.shape[1]
+    end = start_shot + count
+    starts = range(start_shot, end, batch_size)
+    workers = min(_usable_cpus(), len(starts))
+
+    def share(w: int) -> list[tuple]:
+        return [accumulate_affine_moments(_shot_normals(key, s, min(batch_size, end - s), words),
+                                          transform, offset)
+                for s in starts[w::workers]]
+
+    if workers == 1:
+        shares = [share(0)]
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(share, w) for w in range(1, workers)]
+            shares = [share(0)] + [f.result() for f in futures]
     agg = _KahanSums(6)
-    done = 0
-    while done < count:
-        nb = min(batch_size, count - done)
-        z = _shot_normals(key, start_shot + done, nb, words)
-        agg.add(accumulate_affine_moments(z, transform, offset))
-        done += nb
+    for j in range(len(starts)):
+        agg.add(shares[j % workers][j // workers])
     return agg.total
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cvmb.bounds import (
+    MAX_SQUEEZING,
     BoundResult,
     DegenerateModelError,
     DisplacementModel,
@@ -91,6 +92,11 @@ class TestClosedForms:
                 closed_form_bounds(bad, 0.1, kind)
             with pytest.raises(ValueError, match="mean_photons must be finite"):
                 closed_form_bounds(0.5, bad, kind)
+            # finite r just past the edge of the domain, on the side of ``bad``
+            edge = np.copysign(MAX_SQUEEZING, bad)
+            assert np.all(np.isfinite(closed_form_bounds(edge, 0.0, kind)))
+            with pytest.raises(ValueError, match="is outside"):
+                closed_form_bounds(np.nextafter(edge, 2 * edge), 0.0, kind)
 
     @pytest.mark.parametrize("kind", ["single", "two_mode"])
     def test_moment_formulas_match_closed_forms(self, kind):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,17 @@ class TestSimulateCommand:
         assert cli.main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_output_pinned_across_versions(self, tmp_path):
+        # digest of the single-threaded sampler's output, so a change in
+        # how batches are split or combined shows; four batches per row, the
+        # last one partial.  NumPy 2.4 / SciPy 1.17 on x86-64 Linux; another
+        # libm may round ndtri differently.
+        out = tmp_path / "pin.csv"
+        assert cli.main(["simulate", "--samples", "200000", "--r-steps", "4",
+                         "--seed", "7", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "1f86d9d2ad993181e3102c5045c06996dda514254d6d3f39a3361288fd0caacb"
+
     def test_requires_samples(self):
         assert cli.main(["simulate", "--samples", "0"]) == cli.USAGE_ERROR
 
@@ -174,6 +187,13 @@ class TestConfigResolution:
             for bad in ("nan", "inf", "-inf"):
                 assert cli.main(["bounds", f"{flag}={bad}"]) == cli.USAGE_ERROR
                 assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+        for flag in ("--r-min", "--r-max"):
+            for bad in ("400", "-400"):
+                assert cli.main(["bounds", f"{flag}={bad}"]) == cli.USAGE_ERROR
+                assert f"{flag[2:]} = {bad} is outside |r| <= 354.891" in capsys.readouterr().err
+        assert cli.main(["simulate", "--samples", "1000", "--r-min", "5", "--r-max", "5",
+                         "--r-steps", "1"]) == cli.USAGE_ERROR
+        assert "r = 5 is outside the simulate limit |r| <= 4" in capsys.readouterr().err
 
     def test_usage_error_on_negative_steps(self):
         assert cli.main(["bounds", "--r-steps", "0"]) == cli.USAGE_ERROR

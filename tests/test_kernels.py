@@ -21,6 +21,22 @@ def reference_sums(z, a, c):
     )
 
 
+def allocating_kernel(z, a, c):
+    """The kernel as first written, one temporary per term: the in-place
+    kernel must reproduce its sums bit for bit."""
+    e = z @ a.T + c
+    e1, e2 = e[:, 0], e[:, 1]
+    sq = e1 * e1 + e2 * e2
+    return (
+        float(e1.sum()),
+        float(e2.sum()),
+        float((e1 * e1).sum()),
+        float((e2 * e2).sum()),
+        float((e1 * e2).sum()),
+        float((sq * sq).sum()),
+    )
+
+
 def random_case(seed, n=20_000, k=2):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, k))
@@ -39,6 +55,14 @@ class TestNumpyKernel:
             ref = reference_sums(z, a, c)
             for g, r in zip(got, ref):
                 assert math.isclose(g, r, rel_tol=1e-12, abs_tol=1e-9), (k, g, r)
+
+    @pytest.mark.parametrize("n", [1, 8_191, 65_537])
+    def test_bitwise_equal_to_allocating_kernel(self, n):
+        for k in (2, 4):
+            z, a, c = random_case(n, n=n, k=k)
+            before = z.copy()
+            assert accumulate_affine_moments(z, a, c) == allocating_kernel(z, a, c), k
+            assert np.array_equal(z, before), "the kernel must not write into z"
 
     def test_shape_validation(self):
         z, a, c = random_case(3)

@@ -1,11 +1,17 @@
+import dataclasses
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from cvmb.bounds import classical_fisher_gaussian, dual_homodyne_mse_analytic
 from cvmb.gaussian import apply, beam_splitter, displace, make_thermal, two_mode_squeezer
+import cvmb.simulate
 from cvmb.simulate import (
+    SIMULATE_MAX_SQUEEZING,
     SimConfig,
     estimate,
     outcome_distribution,
@@ -159,6 +165,10 @@ class TestRun:
                 SimConfig(r=0.1, photons=bad)
             with pytest.raises(ValueError, match="theta_true must be finite"):
                 SimConfig(r=0.1, photons=0.0, theta_true=(0.0, bad))
+        for r in (SIMULATE_MAX_SQUEEZING, -SIMULATE_MAX_SQUEEZING):
+            SimConfig(r=r, photons=0.0)
+            with pytest.raises(ValueError, match="outside the simulate limit"):
+                SimConfig(r=np.nextafter(r, 2 * r), photons=0.0)
 
 
 class TestTwoStage:
@@ -204,3 +214,69 @@ class TestTwoStage:
     def test_minimum_budget(self):
         with pytest.raises(ValueError):
             run_two_stage(SimConfig(r=0.1, photons=0.0, samples=16, seed=1), n_total=3)
+
+
+class TestWorkerCount:
+    """Results must not depend on how many threads share the batches."""
+
+    CONFIG = SimConfig(r=0.3, photons=0.2, theta_true=(0.5, -1.0), samples=100_003, seed=99)
+    BATCH = 4096  # 25 batches, the last one partial
+
+    @staticmethod
+    def force_workers(monkeypatch, n):
+        monkeypatch.setattr(cvmb.simulate, "_usable_cpus", lambda: n)
+
+    @staticmethod
+    def fields(res):
+        return [np.asarray(getattr(res, f.name)) for f in dataclasses.fields(res)
+                if getattr(res, f.name) is not None]
+
+    @pytest.mark.parametrize("case", ["direct", "full_phase_space", "two_stage"])
+    def test_bitwise_equal_for_any_worker_count(self, monkeypatch, case):
+        config = dataclasses.replace(self.CONFIG, mode="two_stage") \
+            if case == "two_stage" else self.CONFIG
+        pools = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cvmb.simulate, "ThreadPoolExecutor", CountingPool)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for n in (1, 2, 8):  # 8 is more workers than most hosts have cores
+                self.force_workers(monkeypatch, n)
+                results.append(self.fields(run(config, batch_size=self.BATCH,
+                                               full_phase_space=case == "full_phase_space")))
+        finally:
+            sys.setswitchinterval(interval)
+        # stage 1 of two-stage (316 shots) is one batch and stays on the caller
+        assert pools == [1, 7]
+        for other in results[1:]:
+            assert len(other) == len(results[0])
+            for a, b in zip(results[0], other):
+                assert a.tobytes() == b.tobytes()
+
+    def test_single_batch_starts_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single batch must not start a thread")
+
+        monkeypatch.setattr(cvmb.simulate, "ThreadPoolExecutor", no_pool)
+        self.force_workers(monkeypatch, 8)
+        before = threading.active_count()
+        run(dataclasses.replace(self.CONFIG, samples=self.BATCH), batch_size=self.BATCH)
+        assert threading.active_count() == before
+
+    def test_worker_error_propagates(self, monkeypatch):
+        def failing_kernel(z, a, c):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("worker failed")
+            return (0.0,) * 6
+
+        monkeypatch.setattr(cvmb.simulate, "accumulate_affine_moments", failing_kernel)
+        self.force_workers(monkeypatch, 2)
+        with pytest.raises(FloatingPointError, match="worker failed"):
+            run(self.CONFIG, batch_size=self.BATCH)
