@@ -26,8 +26,15 @@ non-negative terms it keeps full precision as N -> 0 at small r.
 At N = 0 the two-mode RLD bound is vacuous (zero for every r, taking the
 r -> 0 limit along the pure-probe curve at the origin).
 
-The closed forms accept ``|r| <= MAX_SQUEEZING`` (about 354.9): beyond it
-``exp(2|r|)``, and with it ``cosh 2r``, overflows a double.
+Domain.  The thermal occupation is at most ``MAX_PHOTONS`` (1e100), far
+beyond any physical probe; below it ``8N(1 + N)`` and the simulator's fourth
+moments stay finite (the simulator overflows from about N = 1e150).  The
+closed forms accept ``|r| <= squeezing_limit(N)``: the largest of them,
+``(2 + 4N) cosh 2r``, is about ``(1 + 2N) exp(2|r|)`` and overflows a double
+beyond it.  At N = 0 the limit is ``MAX_SQUEEZING`` (about 354.9).  The
+two-mode dual-homodyne MSE ``(8N + 4) exp(-2r)``, at N = 0 also the Holevo
+bound, is four times larger at negative r and needs
+``r >= two_mode_min_r(N)`` (about -354.2 at N = 0).
 """
 
 from __future__ import annotations
@@ -47,10 +54,34 @@ from cvmb.gaussian import (
     two_mode_squeezer,
 )
 
-MAX_SQUEEZING = 0.5 * math.log(sys.float_info.max)
+MAX_PHOTONS = 1e100
+
+_LN_DBL_MAX = math.log(sys.float_info.max)
+# keeps the rounding of r, 2r and cosh 2r from overflowing at the very edge
+_EDGE_MARGIN = 1e-12
+
+
+def squeezing_limit(mean_photons: float = 0.0) -> float:
+    """Largest |r| at which the closed forms stay finite at occupation N.
+
+    ``(ln DBL_MAX - ln(1 + 2N)) / 2``, less a margin of 1e-12 for rounding;
+    see the module docstring.
+    """
+    return 0.5 * (_LN_DBL_MAX - math.log1p(2.0 * mean_photons)) - _EDGE_MARGIN
+
+
+def two_mode_min_r(mean_photons: float = 0.0) -> float:
+    """Most negative r at which ``(8N + 4) exp(-2r)`` stays finite."""
+    return math.log(2.0) - squeezing_limit(mean_photons)
+
+
+MAX_SQUEEZING = squeezing_limit(0.0)
 
 __all__ = [
+    "MAX_PHOTONS",
     "MAX_SQUEEZING",
+    "squeezing_limit",
+    "two_mode_min_r",
     "BoundResult",
     "DisplacementModel",
     "DegenerateModelError",
@@ -178,7 +209,7 @@ def closed_form_bounds(r: float, mean_photons: float, probe_kind: str) -> tuple[
 
     Args:
         r (float): squeezing parameter
-        mean_photons (float): thermal occupation N >= 0
+        mean_photons (float): thermal occupation 0 <= N <= MAX_PHOTONS
         probe_kind (str): "single" or "two_mode"
 
     Returns:
@@ -187,13 +218,16 @@ def closed_form_bounds(r: float, mean_photons: float, probe_kind: str) -> tuple[
     n = mean_photons
     if not np.isfinite(r):
         raise ValueError("r must be finite")
-    if abs(r) > MAX_SQUEEZING:
-        raise ValueError(f"r = {r:g} is outside |r| <= {MAX_SQUEEZING:g}, "
-                         "where exp 2r and cosh 2r stay finite")
     if not np.isfinite(n):
         raise ValueError("mean_photons must be finite")
     if n < 0:
         raise ValueError("mean photon number must be non-negative")
+    if n > MAX_PHOTONS:
+        raise ValueError(f"mean_photons = {n:g} is above the limit {MAX_PHOTONS:g}")
+    limit = squeezing_limit(n)
+    if abs(r) > limit:
+        raise ValueError(f"r = {r:g} is outside |r| <= {limit:g}, "
+                         f"where the closed forms at N = {n:g} stay finite")
     c = np.cosh(2.0 * r)
     if probe_kind == "single":
         c_s = (2.0 + 4.0 * n) * c
@@ -235,9 +269,14 @@ def dual_homodyne_mse_analytic(r: float, mean_photons: float = 0.0) -> BoundResu
 
     Equals ``(8N + 4) exp(-2r)``: both quadrature readouts see the
     squeezed variance ``(2N + 1) e^-2r`` and the inversion to (q, p)
-    doubles it.
+    doubles it.  N above ``MAX_PHOTONS`` or r below ``two_mode_min_r(N)``
+    raises ``ValueError``.
     """
-    if mean_photons < 0:
-        raise ValueError("mean photon number must be non-negative")
+    if not 0 <= mean_photons <= MAX_PHOTONS:
+        raise ValueError(f"mean photon number must be in [0, {MAX_PHOTONS:g}]")
+    limit = two_mode_min_r(mean_photons)
+    if r < limit:
+        raise ValueError(f"r = {r:g} is below the limit {limit:g}, past which "
+                         f"(8N + 4) exp(-2r) at N = {mean_photons:g} overflows")
     value = (8.0 * mean_photons + 4.0) * np.exp(-2.0 * r)
     return BoundResult(float(value), "dual-homodyne-analytic")

@@ -26,7 +26,13 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from cvmb.bounds import MAX_SQUEEZING, closed_form_bounds, dual_homodyne_mse_analytic
+from cvmb.bounds import (
+    MAX_PHOTONS,
+    closed_form_bounds,
+    dual_homodyne_mse_analytic,
+    squeezing_limit,
+    two_mode_min_r,
+)
 from cvmb.holevo import solve_analytic
 from cvmb.simulate import SimConfig, run
 
@@ -57,17 +63,24 @@ class SweepSpec:
         for name in ("r_min", "r_max", "photons"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name.replace('_', '-')} must be finite")
+        if self.photons < 0:
+            raise ValueError("photons must be non-negative")
+        if self.photons > MAX_PHOTONS:
+            raise ValueError(f"photons = {self.photons:g} is above the limit {MAX_PHOTONS:g}")
+        limit = squeezing_limit(self.photons)
         for name in ("r_min", "r_max"):
             r = getattr(self, name)
-            if abs(r) > MAX_SQUEEZING:
-                raise ValueError(f"{name.replace('_', '-')} = {r:g} is outside "
-                                 f"|r| <= {MAX_SQUEEZING:g}, where exp 2r and cosh 2r stay finite")
+            if abs(r) > limit:
+                raise ValueError(f"{name.replace('_', '-')} = {r:g} is outside |r| <= {limit:g}, "
+                                 f"where the closed forms at N = {self.photons:g} stay finite")
+        r_lowest = two_mode_min_r(self.photons)
+        if self.probe == "two_mode" and self.r_min < r_lowest:
+            raise ValueError(f"r-min = {self.r_min:g} is below the limit {r_lowest:g}, past which "
+                             f"(8N + 4) exp(-2r) at N = {self.photons:g} overflows")
         if self.r_min > self.r_max:
             raise ValueError("r-min must not exceed r-max")
         if self.r_steps < 1:
             raise ValueError("r-steps must be at least 1")
-        if self.photons < 0:
-            raise ValueError("photons must be non-negative")
         if self.samples < 0:
             raise ValueError("samples must be non-negative")
         if not 0 <= self.seed < 2 ** 64:
@@ -131,15 +144,20 @@ def sweep_rows(spec: SweepSpec) -> list[BoundSweepRow]:
     emitted in grid order.
     """
     spec.validate()
+    grid = spec.r_grid()
+    # every row's config is built, and so checked, before the first row is sampled
+    configs = [None] * len(grid)
+    if spec.samples > 0:
+        configs = [SimConfig(r=float(r), photons=spec.photons, samples=spec.samples,
+                             seed=_row_seed(spec.seed, i)) for i, r in enumerate(grid)]
     rows = []
-    for i, r in enumerate(spec.r_grid()):
+    for r, config in zip(grid, configs):
         c_s, c_r = closed_form_bounds(r, spec.photons, spec.probe)
         c_h = _holevo_entry(spec.probe, r, spec.photons)
         v_dh = _dual_homodyne_entry(spec.probe, r, spec.photons)
         emp = se = None
-        if spec.samples > 0:
-            result = run(SimConfig(r=float(r), photons=spec.photons,
-                                   samples=spec.samples, seed=_row_seed(spec.seed, i)))
+        if config is not None:
+            result = run(config)
             emp, se = result.mse_sum, result.std_error
         rows.append(BoundSweepRow(float(r), spec.photons, c_s, c_r, c_h, v_dh, emp, se))
     return rows

@@ -28,6 +28,12 @@ Karush-Kuhn-Tucker case analysis of this non-smooth problem; the numeric
 solver cross-checks it by multi-start constrained minimization of the two
 smooth branches.
 
+On the reduced parametrization SLSQP evaluates f, g and their gradients
+in plain floats (the elimination written out), not through the generic
+NumPy helpers that the "full" and "span" parametrizations use.  SciPy's
+optimizer is imported on the first :func:`solve_numeric` call, through the
+module-level :func:`minimize`, so importing the package does not load it.
+
 Both solvers evaluate at reference point zero only: for displacement
 models the covariance and mean Jacobian are parameter independent, and a
 two-stage measurement (rough estimate, then re-centering displacement)
@@ -37,12 +43,12 @@ two-stage mode demonstrates this; it is not re-proved here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
-from cvmb.bounds import trabs
+from cvmb.bounds import trabs, two_mode_min_r
 
 __all__ = [
     "PureModelGram",
@@ -370,6 +376,8 @@ def solve_analytic(probe_kind: str, r: float) -> HolevoSolution:
       ``s1 = k2 = e^-r``, ``k1 = s2 = 0``; bound ``4 exp(-2r)`` with
       ``Z = 2 e^-2r I``.  At r = 0 the problem degenerates to the
       single-mode (coherent-probe) case and the same expression applies.
+      r below ``cvmb.bounds.two_mode_min_r(0)`` (about -354.2), where
+      ``4 exp(-2r)`` overflows, raises ``ValueError``.
     """
     if probe_kind == "single":
         x, w = _pinned_single_solution(r)
@@ -379,6 +387,9 @@ def solve_analytic(probe_kind: str, r: float) -> HolevoSolution:
         bound = 2.0 + 2.0 * np.cosh(2.0 * r)
         return HolevoSolution(float(bound), x, z, "analytic-KKT")
     if probe_kind == "two_mode":
+        limit = two_mode_min_r(0.0)
+        if r < limit:
+            raise ValueError(f"r = {r:g} is below the limit {limit:g}, past which 4 exp(-2r) overflows")
         u = np.exp(-r)
         free = np.array([u, u, 0.0, 0.0])
         z = 2.0 * np.exp(-2.0 * r) * np.eye(2, dtype=complex)
@@ -409,6 +420,47 @@ def _branch_gradients(x: np.ndarray, basis_dim: int) -> tuple[np.ndarray, np.nda
     grad_g[2 * n :: 2] = -b
     grad_g[2 * n + 1 :: 2] = a
     return grad_f, grad_g
+
+
+def _reduced_components(free: np.ndarray, th: float, sc: float) -> tuple[float, ...]:
+    """:func:`eliminate_two_mode` in plain floats, ``th = tanh r``, ``sc = sech r``.
+
+    Returns (s1, k2, k1, s2, t1, j1, t2, j2).  SLSQP evaluates the reduced
+    objective and constraint on every iterate, where NumPy's per-call
+    overhead on 8-element arrays would dominate.
+    """
+    s1, k2, k1, s2 = free.tolist()
+    return s1, k2, k1, s2, sc - s1 * th, k1 * th, -s2 * th, -sc + k2 * th
+
+
+def _reduced_values(free: np.ndarray, th: float, sc: float) -> tuple[float, float]:
+    """(f, g) of the two-mode problem at free variables (s1, k2, k1, s2)."""
+    s1, k2, k1, s2, t1, j1, t2, j2 = _reduced_components(free, th, sc)
+    f = (t1 * t1 + j1 * j1 + s1 * s1 + k1 * k1
+         + t2 * t2 + j2 * j2 + s2 * s2 + k2 * k2)
+    g = (j2 * t1 - t2 * j1) + (k2 * s1 - s2 * k1)
+    return f, g
+
+
+def _reduced_gradients(free: np.ndarray, th: float, sc: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of (f, g) in (s1, k2, k1, s2), by the chain rule through the elimination."""
+    s1, k2, k1, s2, t1, j1, t2, j2 = _reduced_components(free, th, sc)
+    grad_f = np.array([2.0 * s1 - 2.0 * t1 * th, 2.0 * k2 + 2.0 * j2 * th,
+                       2.0 * k1 + 2.0 * j1 * th, 2.0 * s2 - 2.0 * t2 * th])
+    grad_g = np.array([k2 - j2 * th, s1 + t1 * th, -s2 - t2 * th, j1 * th - k1])
+    return grad_f, grad_g
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    Only :func:`solve_numeric` needs the optimizer, and importing
+    ``scipy.optimize`` takes a large share of the package's import time and
+    memory, so ``import cvmb`` leaves it out.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def solve_numeric(
@@ -461,29 +513,17 @@ def solve_numeric(
     if parametrization == "reduced":
         r = problem.r
         dim = 4
+        th = math.tanh(r)
+        sc = 1.0 / math.cosh(r)
 
         def value_split(x):
-            full = eliminate_two_mode(x, r)
-            return _branch_values(full, bd)
+            return _reduced_values(x, th, sc)
 
         def full_components(x):
             return eliminate_two_mode(x, r)
 
-        th = np.tanh(r)
-        elim = np.zeros((8, 4))
-        # d(full)/d(free) for (s1, k2, k1, s2); constants drop out
-        elim[2, 0] = 1.0
-        elim[0, 0] = -th
-        elim[7, 1] = 1.0
-        elim[5, 1] = th
-        elim[3, 2] = 1.0
-        elim[1, 2] = th
-        elim[6, 3] = 1.0
-        elim[4, 3] = -th
-
         def gradients(x):
-            gf, gg = _branch_gradients(eliminate_two_mode(x, r), bd)
-            return gf @ elim, gg @ elim
+            return _reduced_gradients(x, th, sc)
 
         eq_constraints: list[dict] = []
     else:

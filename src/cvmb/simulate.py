@@ -34,6 +34,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 from scipy.special import ndtri
 
+from cvmb.bounds import MAX_PHOTONS
 from cvmb.gaussian import GaussianState, apply, beam_splitter, displace, make_thermal, two_mode_squeezer
 
 __all__ = [
@@ -59,7 +60,11 @@ SIMULATE_MAX_SQUEEZING = 4.0
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Settings for one simulation run; ``|r|`` is at most ``SIMULATE_MAX_SQUEEZING``."""
+    """Settings for one simulation run.
+
+    ``|r|`` is at most ``SIMULATE_MAX_SQUEEZING`` and ``photons`` at most
+    ``cvmb.bounds.MAX_PHOTONS``.
+    """
 
     r: float
     photons: float
@@ -79,6 +84,8 @@ class SimConfig:
             raise ValueError("samples must be at least 1")
         if self.photons < 0:
             raise ValueError("mean photon number must be non-negative")
+        if self.photons > MAX_PHOTONS:
+            raise ValueError(f"photons = {self.photons:g} is above the limit {MAX_PHOTONS:g}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.mode not in {"direct", "two_stage"}:

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from cvmb.bounds import (
+    MAX_PHOTONS,
     MAX_SQUEEZING,
     BoundResult,
     DegenerateModelError,
@@ -12,7 +15,9 @@ from cvmb.bounds import (
     rld_bound,
     single_mode_probe,
     sld_bound,
+    squeezing_limit,
     trabs,
+    two_mode_min_r,
     two_mode_probe,
 )
 from cvmb.gaussian import GaussianState
@@ -97,6 +102,20 @@ class TestClosedForms:
             assert np.all(np.isfinite(closed_form_bounds(edge, 0.0, kind)))
             with pytest.raises(ValueError, match="is outside"):
                 closed_form_bounds(np.nextafter(edge, 2 * edge), 0.0, kind)
+            # the r limit narrows with N; up to MAX_PHOTONS, past which N is rejected
+            for n in (1e-8, 2.0, 1e50, MAX_PHOTONS):
+                edge = np.copysign(squeezing_limit(n), bad)
+                assert np.all(np.isfinite(closed_form_bounds(edge, n, kind)))
+                with pytest.raises(ValueError, match=f"is outside .* at N = {re.escape(f'{n:g}')} "):
+                    closed_form_bounds(np.nextafter(edge, 2 * edge), n, kind)
+            with pytest.raises(ValueError, match="is above the limit 1e\\+100"):
+                closed_form_bounds(0.5, np.nextafter(MAX_PHOTONS, np.inf), kind)
+        # the dual-homodyne MSE (8N + 4) exp(-2r) overflows first at negative r
+        for n in (0.0, 2.0, MAX_PHOTONS):
+            edge = two_mode_min_r(n)
+            assert np.isfinite(dual_homodyne_mse_analytic(edge, n).value)
+            with pytest.raises(ValueError, match="is below the limit"):
+                dual_homodyne_mse_analytic(np.nextafter(edge, -np.inf), n)
 
     @pytest.mark.parametrize("kind", ["single", "two_mode"])
     def test_moment_formulas_match_closed_forms(self, kind):

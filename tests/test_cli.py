@@ -194,6 +194,21 @@ class TestConfigResolution:
         assert cli.main(["simulate", "--samples", "1000", "--r-min", "5", "--r-max", "5",
                          "--r-steps", "1"]) == cli.USAGE_ERROR
         assert "r = 5 is outside the simulate limit |r| <= 4" in capsys.readouterr().err
+        assert cli.main(["bounds", "--photons", "1e307", "--r-steps", "2"]) == cli.USAGE_ERROR
+        assert "photons = 1e+307 is above the limit 1e+100" in capsys.readouterr().err
+        # (8N + 4) exp(-2r) overflows at negative r first; RuntimeWarnings are errors here
+        assert cli.main(["bounds", "--r-min", "-354.8", "--r-max", "0",
+                         "--r-steps", "2"]) == cli.USAGE_ERROR
+        assert ("r-min = -354.8 is below the limit -354.198, past which (8N + 4) exp(-2r) "
+                "at N = 0 overflows") in capsys.readouterr().err
+
+    def test_simulate_limit_checked_before_sampling(self, monkeypatch, capsys):
+        def no_run(config):
+            raise AssertionError(f"row at r = {config.r} sampled")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        assert cli.main(["simulate", "--samples", "1000000", "--r-max", "5"]) == cli.USAGE_ERROR
+        assert "r = 4.33333 is outside the simulate limit" in capsys.readouterr().err
 
     def test_usage_error_on_negative_steps(self):
         assert cli.main(["bounds", "--r-steps", "0"]) == cli.USAGE_ERROR

@@ -1,12 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvmb
 from cvmb.bounds import closed_form_bounds
 from cvmb.gaussian import apply, single_mode_squeezer, vacuum
 from cvmb.holevo import (
     HolevoProblem,
+    _branch_gradients,
+    _branch_values,
+    _reduced_gradients,
+    _reduced_values,
     assemble_constraints,
     assemble_x_operators,
     build_problem,
@@ -318,6 +328,60 @@ class TestNumericSolver:
             solve_numeric(build_problem("two_mode", 0.5), restarts=0)
         with pytest.raises(ValueError):
             solve_numeric(build_problem("two_mode", 0.5), parametrization="magic")
+
+
+def elimination_jacobian(r):
+    """d(full 8-vector)/d(s1, k2, k1, s2) of eliminate_two_mode; constants drop out."""
+    th = np.tanh(r)
+    elim = np.zeros((8, 4))
+    elim[2, 0], elim[0, 0] = 1.0, -th
+    elim[7, 1], elim[5, 1] = 1.0, th
+    elim[3, 2], elim[1, 2] = 1.0, th
+    elim[6, 3], elim[4, 3] = 1.0, -th
+    return elim
+
+
+class TestReducedTerms:
+    """The scalar reduced-path terms against the generic composition they replace."""
+
+    def test_match_elimination_composition(self):
+        rng = np.random.default_rng(2024)
+        rs = np.concatenate([[0.0, -0.0, 1e-9, -1e-9, 20.0, -20.0],
+                             rng.uniform(-3.0, 3.0, 40)])
+        for r in rs:
+            th, sc = np.tanh(r), 1.0 / np.cosh(r)
+            elim = elimination_jacobian(r)
+            for free in rng.uniform(-3.0, 3.0, size=(25, 4)):
+                x = eliminate_two_mode(free, r)
+                t1, j1, s1, k1, t2, j2, s2, k2 = x
+                ref_f, ref_g = _branch_values(x, 3)
+                gf, gg = _branch_gradients(x, 3)
+                f, g = _reduced_values(free, th, sc)
+                grad_f, grad_g = _reduced_gradients(free, th, sc)
+                # tolerances relative to the sum of the absolute terms
+                g_scale = abs(j2 * t1) + abs(j1 * t2) + abs(k2 * s1) + abs(k1 * s2)
+                assert abs(f - ref_f) <= 1e-14 * ref_f
+                assert abs(g - ref_g) <= 1e-14 * g_scale
+                assert np.all(np.abs(grad_f - gf @ elim) <= 1e-14 * (np.abs(gf) @ np.abs(elim)))
+                assert np.all(np.abs(grad_g - gg @ elim) <= 1e-14 * (np.abs(gg) @ np.abs(elim)))
+
+
+class TestLazyOptimizerImport:
+    def test_scipy_optimize_loaded_on_first_solve(self):
+        code = (
+            "import sys\n"
+            "import cvmb, cvmb.cli\n"
+            "assert 'scipy.optimize' not in sys.modules, 'loaded at import'\n"
+            "from cvmb.holevo import build_problem, solve_numeric\n"
+            "solve_numeric(build_problem('two_mode', 0.5), restarts=1)\n"
+            "assert 'scipy.optimize' in sys.modules, 'not loaded by solve_numeric'\n"
+        )
+        src = str(Path(cvmb.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestKKTAudit:

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from cvmb.bounds import classical_fisher_gaussian, dual_homodyne_mse_analytic
+from cvmb.bounds import MAX_PHOTONS, classical_fisher_gaussian, dual_homodyne_mse_analytic
 from cvmb.gaussian import apply, beam_splitter, displace, make_thermal, two_mode_squeezer
 import cvmb.simulate
 from cvmb.simulate import (
@@ -169,6 +169,9 @@ class TestRun:
             SimConfig(r=r, photons=0.0)
             with pytest.raises(ValueError, match="outside the simulate limit"):
                 SimConfig(r=np.nextafter(r, 2 * r), photons=0.0)
+        SimConfig(r=0.1, photons=MAX_PHOTONS)
+        with pytest.raises(ValueError, match="is above the limit 1e\\+100"):
+            SimConfig(r=0.1, photons=np.nextafter(MAX_PHOTONS, np.inf))
 
 
 class TestTwoStage:
