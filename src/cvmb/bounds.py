@@ -269,9 +269,11 @@ def dual_homodyne_mse_analytic(r: float, mean_photons: float = 0.0) -> BoundResu
 
     Equals ``(8N + 4) exp(-2r)``: both quadrature readouts see the
     squeezed variance ``(2N + 1) e^-2r`` and the inversion to (q, p)
-    doubles it.  N above ``MAX_PHOTONS`` or r below ``two_mode_min_r(N)``
-    raises ``ValueError``.
+    doubles it.  Non-finite r, N above ``MAX_PHOTONS`` or r below
+    ``two_mode_min_r(N)`` raises ``ValueError``.
     """
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
     if not 0 <= mean_photons <= MAX_PHOTONS:
         raise ValueError(f"mean photon number must be in [0, {MAX_PHOTONS:g}]")
     limit = two_mode_min_r(mean_photons)

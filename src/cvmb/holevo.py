@@ -44,11 +44,12 @@ two-stage mode demonstrates this; it is not re-proved here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from cvmb.bounds import trabs, two_mode_min_r
+from cvmb.bounds import MAX_SQUEEZING, trabs, two_mode_min_r
 
 __all__ = [
     "PureModelGram",
@@ -81,6 +82,21 @@ _TWO_MODE_NAMES = ("t1", "j1", "s1", "k1", "t2", "j2", "s2", "k2")
 _FREE_NAMES = ("s1", "k2", "k1", "s2")
 # positions of the free variables inside the 8-component vector
 _FREE_IDX = (2, 7, 3, 6)
+
+# kkt_case_audit evaluates the spurious stationary point, whose stationarity
+# terms grow like 2 exp(3|r|), and the case-2 point, where g = csch^2 r:
+# both stay finite for _KKT_MIN_R <= |r| <= _KKT_MAX_R (the upper limit is
+# (ln DBL_MAX - ln 2) / 3, less 1e-12 for rounding).
+_KKT_MAX_R = (math.log(sys.float_info.max) - math.log(2.0)) / 3.0 - 1e-12
+_KKT_MIN_R = 1.0 / math.sqrt(sys.float_info.max)
+
+
+def _check_r(r: float, low: float, high: float, reason: str) -> None:
+    """Raise ``ValueError`` naming r and the limits unless r is in [low, high]."""
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
+    if not low <= r <= high:
+        raise ValueError(f"r = {r:g} is outside [{low:g}, {high:g}], {reason}")
 
 
 class ConvergenceError(RuntimeError):
@@ -219,8 +235,10 @@ def build_problem(probe_kind: str, r: float) -> HolevoProblem:
       ``psi_2 = i (cosh r) e_1 / 2 - i (sinh r) e_2 / 2``
 
     The reconstructed Gram is verified against the probe's Gram data to
-    within 1e-12.
+    within 1e-12.  Non-finite r and ``|r| > cvmb.bounds.MAX_SQUEEZING``
+    raise ``ValueError``.
     """
+    _check_r(r, -MAX_SQUEEZING, MAX_SQUEEZING, "where cosh 2r stays finite")
     if probe_kind == "single":
         gram = gram_single_mode(r)
         coords = np.array([[np.exp(r) / 2.0], [1j * np.exp(-r) / 2.0]])
@@ -376,10 +394,14 @@ def solve_analytic(probe_kind: str, r: float) -> HolevoSolution:
       ``s1 = k2 = e^-r``, ``k1 = s2 = 0``; bound ``4 exp(-2r)`` with
       ``Z = 2 e^-2r I``.  At r = 0 the problem degenerates to the
       single-mode (coherent-probe) case and the same expression applies.
-      r below ``cvmb.bounds.two_mode_min_r(0)`` (about -354.2), where
-      ``4 exp(-2r)`` overflows, raises ``ValueError``.
+
+    r must be finite with ``|r| <= cvmb.bounds.MAX_SQUEEZING`` (about
+    354.9), where ``cosh 2r`` stays finite; the two-mode bound also needs
+    ``r >= cvmb.bounds.two_mode_min_r(0)`` (about -354.2), where
+    ``4 exp(-2r)`` does.  Other r raise ``ValueError``.
     """
     if probe_kind == "single":
+        _check_r(r, -MAX_SQUEEZING, MAX_SQUEEZING, "where cosh 2r stays finite")
         x, w = _pinned_single_solution(r)
         z = np.array(
             [[np.exp(-2.0 * r), 1.0j], [-1.0j, np.exp(2.0 * r)]], dtype=complex
@@ -387,9 +409,7 @@ def solve_analytic(probe_kind: str, r: float) -> HolevoSolution:
         bound = 2.0 + 2.0 * np.cosh(2.0 * r)
         return HolevoSolution(float(bound), x, z, "analytic-KKT")
     if probe_kind == "two_mode":
-        limit = two_mode_min_r(0.0)
-        if r < limit:
-            raise ValueError(f"r = {r:g} is below the limit {limit:g}, past which 4 exp(-2r) overflows")
+        _check_r(r, two_mode_min_r(0.0), MAX_SQUEEZING, "where 4 exp(-2r) and cosh 2r stay finite")
         u = np.exp(-r)
         free = np.array([u, u, 0.0, 0.0])
         z = 2.0 * np.exp(-2.0 * r) * np.eye(2, dtype=complex)
@@ -665,10 +685,17 @@ def kkt_case_audit(r: float) -> KKTCaseAudit:
       (stationary but larger).
     * case 2 (g < 0 forces lam = 0): the candidate s1 = k2 = csch r gives
       g = csch^2 r > 0, contradicting its own branch.
+
+    Non-finite r and ``|r| > 236.36``, where the spurious point's terms of
+    order ``exp(3|r|)`` overflow, raise ``ValueError``, as do r = 0 and
+    ``0 < |r| < 7.5e-155``, where ``csch^2 r`` overflows.
     """
     if r == 0:
         raise ValueError("the case analysis assumes r != 0; at r = 0 the problem "
                          "reduces to the coherent single-mode case")
+    _check_r(r, -_KKT_MAX_R, _KKT_MAX_R, "where the spurious point's exp(3|r|) terms stay finite")
+    if abs(r) < _KKT_MIN_R:
+        raise ValueError(f"r = {r:g} is inside |r| < {_KKT_MIN_R:g}, where csch^2 r overflows")
     zeros = np.zeros(4)
     case_1a_g = two_mode_g(zeros, r)
 

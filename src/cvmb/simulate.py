@@ -16,17 +16,19 @@ Reproducibility
 Shots are numbered and each consumes a fixed number of 64-bit words from
 a counter-based Philox stream, with normals produced by inverse-CDF.
 The draw for shot i therefore depends only on (seed, i), so batches are
-generated independently: they run on threads across the usable CPUs and
-their sums are combined in batch-index order.  Results do not depend on
-the worker count; changing ``batch_size`` changes nothing but the
-grouping of the compensated sums, i.e. results move at most at the level
-of floating-point rounding.
+generated independently: threads across the usable CPUs take them one at
+a time as they come free, each reusing its own kernel scratch, and the
+batch sums are combined in batch-index order.  Results do not depend on
+the worker count or on which thread ran which batch; changing
+``batch_size`` changes nothing but the grouping of the compensated sums,
+i.e. results move at most at the level of floating-point rounding.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -192,17 +194,21 @@ def _shot_normals(key: int, start: int, count: int, words_per_shot: int) -> np.n
     return ndtri(u, out=u)
 
 
-def accumulate_affine_moments(z, a, c):
+def accumulate_affine_moments(z, a, c, *, scratch=None):
     """Accumulate error moments for shots ``e_i = a @ z_i + c``.
 
     Reductions use NumPy's pairwise summation; batches are combined with
-    compensated sums by the caller.  ``z`` is only read, and besides the
-    (n, 2) errors the kernel allocates one length-n temporary.
+    compensated sums by the caller.  ``z`` is only read.  The kernel needs
+    the (n, 2) errors and one length-n temporary: with ``scratch`` it
+    overwrites the first n rows of those arrays, without it allocates
+    them.  The sums are the same either way.
 
     Args:
         z: (n, k) standard-normal draws
         a: (2, k) affine transform rows
         c: (2,) affine offset
+        scratch: optional pair of float arrays, shapes (m, 2) and (m,)
+            with m >= n
 
     Returns:
         tuple: (sum e1, sum e2, sum e1^2, sum e2^2, sum e1*e2,
@@ -213,12 +219,17 @@ def accumulate_affine_moments(z, a, c):
     c = np.asarray(c, dtype=float)
     if a.shape != (2, z.shape[1]) or c.shape != (2,):
         raise ValueError("transform shape must be (2, k) with offset length 2")
-    e = z @ a.T
+    n = z.shape[0]
+    if scratch is None:
+        e, tmp = np.empty((n, 2)), np.empty(n)
+    else:
+        e, tmp = scratch[0][:n], scratch[1][:n]
+    np.matmul(z, a.T, out=e)
     e += c
     e1 = e[:, 0]
     e2 = e[:, 1]
     s1, s2 = float(e1.sum()), float(e2.sum())
-    tmp = e1 * e2
+    np.multiply(e1, e2, out=tmp)
     s12 = float(tmp.sum())
     e *= e  # the columns now hold e1^2 and e2^2
     q11, q22 = float(e1.sum()), float(e2.sum())
@@ -254,29 +265,45 @@ def _accumulate(key: int, start_shot: int, count: int, transform: np.ndarray,
                 offset: np.ndarray, batch_size: int) -> list[float]:
     """Stream ``count`` shots through the kernel, Kahan-combining batches.
 
-    Batch j runs on worker ``j mod W`` (worker 0 is the calling thread);
-    the per-batch sums are combined in batch-index order, so the result
-    does not depend on W.
+    W workers (the calling thread and W - 1 pool threads) take batches one
+    at a time, under a lock, from one shared iterator, each with one kernel
+    scratch for the whole call; the per-batch sums are combined in
+    batch-index order, so the result depends neither on W nor on which
+    worker ran which batch.  Every batch draws into a fresh array, so a
+    wrapped kernel may keep its ``z``.
     """
     words = transform.shape[1]
     end = start_shot + count
     starts = range(start_shot, end, batch_size)
     workers = min(_usable_cpus(), len(starts))
+    size = min(batch_size, count)
+    batches = iter(enumerate(starts))
+    lock = threading.Lock()
+    sums: list[tuple | None] = [None] * len(starts)
 
-    def share(w: int) -> list[tuple]:
-        return [accumulate_affine_moments(_shot_normals(key, s, min(batch_size, end - s), words),
-                                          transform, offset)
-                for s in starts[w::workers]]
+    def work():
+        scratch = (np.empty((size, 2)), np.empty(size))
+        while True:
+            with lock:
+                j, s = next(batches, (None, None))
+            if j is None:
+                return
+            # no reference to the draws outlives the call, so the next
+            # batch's draws can take their freed memory
+            sums[j] = accumulate_affine_moments(_shot_normals(key, s, min(batch_size, end - s), words),
+                                                transform, offset, scratch=scratch)
 
     if workers == 1:
-        shares = [share(0)]
+        work()
     else:
         with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(share, w) for w in range(1, workers)]
-            shares = [share(0)] + [f.result() for f in futures]
+            futures = [pool.submit(work) for _ in range(workers - 1)]
+            work()
+            for f in futures:
+                f.result()
     agg = _KahanSums(6)
-    for j in range(len(starts)):
-        agg.add(shares[j % workers][j // workers])
+    for batch_sums in sums:
+        agg.add(batch_sums)
     return agg.total
 
 

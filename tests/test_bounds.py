@@ -110,6 +110,8 @@ class TestClosedForms:
                     closed_form_bounds(np.nextafter(edge, 2 * edge), n, kind)
             with pytest.raises(ValueError, match="is above the limit 1e\\+100"):
                 closed_form_bounds(0.5, np.nextafter(MAX_PHOTONS, np.inf), kind)
+        with pytest.raises(ValueError, match="r must be finite"):
+            dual_homodyne_mse_analytic(bad, 0.0)
         # the dual-homodyne MSE (8N + 4) exp(-2r) overflows first at negative r
         for n in (0.0, 2.0, MAX_PHOTONS):
             edge = two_mode_min_r(n)

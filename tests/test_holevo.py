@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvmb
-from cvmb.bounds import closed_form_bounds
+from cvmb.bounds import MAX_SQUEEZING, closed_form_bounds, two_mode_min_r
 from cvmb.gaussian import apply, single_mode_squeezer, vacuum
 from cvmb.holevo import (
+    _KKT_MAX_R,
+    _KKT_MIN_R,
     HolevoProblem,
     _branch_gradients,
     _branch_values,
@@ -405,3 +409,56 @@ class TestKKTAudit:
     def test_rejected_at_r_zero(self):
         with pytest.raises(ValueError):
             kkt_case_audit(0.0)
+
+
+def outside(r, low, high):
+    """Pattern of the domain error for r outside [low, high]."""
+    return re.escape(f"r = {r:g} is outside [{low:g}, {high:g}]")
+
+
+class TestDomain:
+    """r outside the domain raises a ValueError naming r and the limit,
+    never a RuntimeWarning or a nan result."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ("single", "two_mode"):
+                with pytest.raises(ValueError, match="r must be finite"):
+                    solve_analytic(kind, bad)
+                with pytest.raises(ValueError, match="r must be finite"):
+                    build_problem(kind, bad)
+            with pytest.raises(ValueError, match="r must be finite"):
+                kkt_case_audit(bad)
+
+    def test_limits(self):
+        low2 = two_mode_min_r(0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for edge in (MAX_SQUEEZING, -MAX_SQUEEZING):
+                past = np.nextafter(edge, 2 * edge)
+                assert np.isfinite(solve_analytic("single", edge).bound)
+                with pytest.raises(ValueError, match=outside(past, -MAX_SQUEEZING, MAX_SQUEEZING)):
+                    solve_analytic("single", past)
+                for kind in ("single", "two_mode"):
+                    with pytest.raises(ValueError, match=outside(past, -MAX_SQUEEZING, MAX_SQUEEZING)):
+                        build_problem(kind, past)
+            for edge in (low2, MAX_SQUEEZING):
+                assert np.isfinite(solve_analytic("two_mode", edge).bound)
+                past = np.nextafter(edge, 2 * edge)
+                with pytest.raises(ValueError, match=outside(past, low2, MAX_SQUEEZING)):
+                    solve_analytic("two_mode", past)
+            for edge in (_KKT_MAX_R, -_KKT_MAX_R):
+                assert np.isfinite(kkt_case_audit(edge).spurious_residual)
+                past = np.nextafter(edge, 2 * edge)
+                with pytest.raises(ValueError, match=outside(past, -_KKT_MAX_R, _KKT_MAX_R)):
+                    kkt_case_audit(past)
+            for edge in (_KKT_MIN_R, -_KKT_MIN_R):
+                assert np.isfinite(kkt_case_audit(edge).case_2_g)
+                with pytest.raises(ValueError, match="csch\\^2 r overflows"):
+                    kkt_case_audit(np.nextafter(edge, 0.0))
+            with pytest.raises(ValueError, match=outside(400, -MAX_SQUEEZING, MAX_SQUEEZING)):
+                solve_analytic("single", 400.0)
+            with pytest.raises(ValueError, match=outside(400, -MAX_SQUEEZING, MAX_SQUEEZING)):
+                build_problem("two_mode", 400.0)

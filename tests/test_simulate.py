@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -273,10 +274,59 @@ class TestWorkerCount:
         run(dataclasses.replace(self.CONFIG, samples=self.BATCH), batch_size=self.BATCH)
         assert threading.active_count() == before
 
+    def test_out_of_order_completion(self, monkeypatch):
+        # batch 0 finishes last: its sums must still be combined first
+        first = cvmb.simulate._shot_normals(self.CONFIG.seed, 0, self.BATCH, 2)
+        kernel = cvmb.simulate.accumulate_affine_moments
+        finished = []
+
+        def slow_first_batch(z, a, c, **kwargs):
+            is_first = np.array_equal(z, first)
+            if is_first:
+                time.sleep(0.05)
+            result = kernel(z, a, c, **kwargs)
+            finished.append(is_first)
+            return result
+
+        monkeypatch.setattr(cvmb.simulate, "accumulate_affine_moments", slow_first_batch)
+        results = []
+        for n in (1, 2, 8):
+            self.force_workers(monkeypatch, n)
+            finished.clear()
+            results.append(self.fields(run(self.CONFIG, batch_size=self.BATCH)))
+            assert finished.count(True) == 1
+            assert finished[0] == (n == 1), "batch 0 should finish first only on one worker"
+        for other in results[1:]:
+            for a, b in zip(results[0], other):
+                assert a.tobytes() == b.tobytes()
+
+    def test_draws_are_not_recycled(self, monkeypatch):
+        # a traced run keeps the first batch's draws to re-check the kernel
+        # after the pass, so no later batch may overwrite them
+        kernel = cvmb.simulate.accumulate_affine_moments
+        seen = []
+
+        def recording_kernel(z, a, c, **kwargs):
+            seen.append((z, z.copy()))
+            return kernel(z, a, c, **kwargs)
+
+        monkeypatch.setattr(cvmb.simulate, "accumulate_affine_moments", recording_kernel)
+        self.force_workers(monkeypatch, 2)
+        run(self.CONFIG, batch_size=self.BATCH)
+        assert len(seen) == 25
+        for z, copy in seen:
+            assert np.array_equal(z, copy)
+
     def test_worker_error_propagates(self, monkeypatch):
-        def failing_kernel(z, a, c):
+        raised = threading.Event()
+
+        def failing_kernel(z, a, c, scratch=None):
             if threading.current_thread() is not threading.main_thread():
+                raised.set()
                 raise FloatingPointError("worker failed")
+            # batches are handed out on demand, so the calling thread could
+            # take them all: it waits until a pool thread has raised
+            raised.wait(timeout=10)
             return (0.0,) * 6
 
         monkeypatch.setattr(cvmb.simulate, "accumulate_affine_moments", failing_kernel)
