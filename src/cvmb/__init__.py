@@ -7,7 +7,7 @@ Subpackage map:
   symplectic operations (hbar = 2 convention)
 * :mod:`cvmb.bounds` - classical, SLD and RLD Cramér-Rao bounds
 * :mod:`cvmb.holevo` - the Holevo bound for pure probes: analytic KKT
-  solution and an independent numeric minimizer
+  solution and an independent numeric solver
 * :mod:`cvmb.simulate` - seeded Monte Carlo of the dual homodyne
   measurement
 * :mod:`cvmb.cli` - ``cvmb`` command-line harness

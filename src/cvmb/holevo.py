@@ -24,15 +24,21 @@ leaving free variables ordered ``(s1, k2, k1, s2)``, and the objective
 splits as ``h = f + 2 |g|`` with ``f`` the sum of the eight squared
 components and ``g = j2 t1 - j1 t2 + k2 s1 - k1 s2`` the imaginary part
 of the off-diagonal Z entry.  The analytic solver resolves the
-Karush-Kuhn-Tucker case analysis of this non-smooth problem; the numeric
-solver cross-checks it by multi-start constrained minimization of the two
-smooth branches.
+Karush-Kuhn-Tucker case analysis of this non-smooth problem, which gives
+``4 exp(-2|r|)``.
 
-On the reduced parametrization SLSQP evaluates f, g and their gradients
-in plain floats (the elimination written out), not through the generic
-NumPy helpers that the "full" and "span" parametrizations use.  SciPy's
-optimizer is imported on the first :func:`solve_numeric` call, through the
-module-level :func:`minimize`, so importing the package does not load it.
+The numeric solver checks that result independently.  On the reduced
+parametrization it solves the Lagrangian dual exactly: with
+``g = (1/2) y^T S y`` over the eight components y,
+``f + 2|g| = max_{|t| <= 1} y^T (I + t S) y`` is convex in y for each t,
+so the bound is ``max_t phi(t)`` with ``phi(t)`` one 4 x 4 linear solve
+(Holevo 1982, ch. 6; Suzuki, J. Math. Phys. 57, 042201 (2016)).  A
+bisection on t finds the maximum, and the duality gap between the
+recovered primal point and the best ``phi`` certifies it.  The "full" and
+"span" parametrizations keep multi-start SLSQP on the two smooth branches
+as a reference; SciPy's optimizer is imported on their first call,
+through the module-level :func:`minimize`, so importing the package or a
+reduced solve does not load it.
 
 Both solvers evaluate at reference point zero only: for displacement
 models the covariance and mean Jacobian are parameter independent, and a
@@ -46,6 +52,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -223,6 +230,20 @@ def gram_two_mode(r: float) -> PureModelGram:
     return PureModelGram(2, overlaps)
 
 
+def _check_basis(coords: np.ndarray, gram: PureModelGram) -> None:
+    """Raise ``AssertionError`` unless the coordinates reproduce the derivative Gram block.
+
+    Entry (j, k) is compared to within ``GRAM_TOL`` of its Cauchy-Schwarz
+    scale ``sqrt(G_jj G_kk)``, the size of the rounding in the rebuilt
+    entry: the entries grow like ``exp(2|r|)``, so an absolute tolerance
+    fails from |r| of about 5 on rounding alone.
+    """
+    target = gram.overlaps[1:, 1:]
+    root = np.sqrt(np.diag(target).real)
+    if np.any(np.abs(coords.conj() @ coords.T - target) > GRAM_TOL * np.outer(root, root)):
+        raise AssertionError("basis coordinates do not reproduce the Gram matrix")
+
+
 def build_problem(probe_kind: str, r: float) -> HolevoProblem:
     """Construct the HolevoProblem with the explicit orthonormal basis.
 
@@ -235,8 +256,9 @@ def build_problem(probe_kind: str, r: float) -> HolevoProblem:
       ``psi_2 = i (cosh r) e_1 / 2 - i (sinh r) e_2 / 2``
 
     The reconstructed Gram is verified against the probe's Gram data to
-    within 1e-12.  Non-finite r and ``|r| > cvmb.bounds.MAX_SQUEEZING``
-    raise ``ValueError``.
+    within 1e-12 of each entry's scale (see :func:`_check_basis`).
+    Non-finite r and ``|r| > cvmb.bounds.MAX_SQUEEZING`` raise
+    ``ValueError``.
     """
     _check_r(r, -MAX_SQUEEZING, MAX_SQUEEZING, "where cosh 2r stays finite")
     if probe_kind == "single":
@@ -255,9 +277,7 @@ def build_problem(probe_kind: str, r: float) -> HolevoProblem:
         free = _FREE_NAMES
     else:
         raise ValueError(f"unknown probe kind {probe_kind!r}")
-    rebuilt = coords.conj() @ coords.T
-    if np.max(np.abs(rebuilt - gram.overlaps[1:, 1:])) > GRAM_TOL:
-        raise AssertionError("basis coordinates do not reproduce the Gram matrix")
+    _check_basis(coords, gram)
     return HolevoProblem(probe_kind, float(r), coords.shape[1] + 1, coords, free)
 
 
@@ -391,14 +411,17 @@ def solve_analytic(probe_kind: str, r: float) -> HolevoSolution:
       ``Z = [[e^-2r, i], [-i, e^2r]]``.
     * two_mode: the only KKT point that survives the case analysis (see
       :func:`kkt_case_audit`) sits on the g = 0 boundary at
-      ``s1 = k2 = e^-r``, ``k1 = s2 = 0``; bound ``4 exp(-2r)`` with
-      ``Z = 2 e^-2r I``.  At r = 0 the problem degenerates to the
-      single-mode (coherent-probe) case and the same expression applies.
+      ``s1 = k2 = sign(r) e^-|r|``, ``k1 = s2 = 0``; bound ``4 exp(-2|r|)``
+      with ``Z = 2 e^-2|r| I``.  At r < 0 the two g = 0 stationary points
+      trade places: ``s1 = k2 = e^-r`` gives ``4 exp(-2r)``, the larger
+      value.  At r = 0 the problem degenerates to the single-mode
+      (coherent-probe) case and the same expression applies.
 
     r must be finite with ``|r| <= cvmb.bounds.MAX_SQUEEZING`` (about
     354.9), where ``cosh 2r`` stays finite; the two-mode bound also needs
-    ``r >= cvmb.bounds.two_mode_min_r(0)`` (about -354.2), where
-    ``4 exp(-2r)`` does.  Other r raise ``ValueError``.
+    ``r >= cvmb.bounds.two_mode_min_r(0)`` (about -354.2), the range of the
+    dual-homodyne MSE ``4 exp(-2r)`` that ``cvmb bounds`` prints beside it.
+    Other r raise ``ValueError``.
     """
     if probe_kind == "single":
         _check_r(r, -MAX_SQUEEZING, MAX_SQUEEZING, "where cosh 2r stays finite")
@@ -409,11 +432,12 @@ def solve_analytic(probe_kind: str, r: float) -> HolevoSolution:
         bound = 2.0 + 2.0 * np.cosh(2.0 * r)
         return HolevoSolution(float(bound), x, z, "analytic-KKT")
     if probe_kind == "two_mode":
-        _check_r(r, two_mode_min_r(0.0), MAX_SQUEEZING, "where 4 exp(-2r) and cosh 2r stay finite")
-        u = np.exp(-r)
+        _check_r(r, two_mode_min_r(0.0), MAX_SQUEEZING,
+                 "where cosh 2r and the dual-homodyne MSE 4 exp(-2r) stay finite")
+        u = np.exp(-r) if r >= 0 else -np.exp(r)
         free = np.array([u, u, 0.0, 0.0])
-        z = 2.0 * np.exp(-2.0 * r) * np.eye(2, dtype=complex)
-        bound = 4.0 * np.exp(-2.0 * r)
+        z = 2.0 * np.exp(-2.0 * abs(r)) * np.eye(2, dtype=complex)
+        bound = 4.0 * np.exp(-2.0 * abs(r))
         return HolevoSolution(float(bound), free, z, "analytic-KKT")
     raise ValueError(f"unknown probe kind {probe_kind!r}")
 
@@ -442,45 +466,108 @@ def _branch_gradients(x: np.ndarray, basis_dim: int) -> tuple[np.ndarray, np.nda
     return grad_f, grad_g
 
 
-def _reduced_components(free: np.ndarray, th: float, sc: float) -> tuple[float, ...]:
-    """:func:`eliminate_two_mode` in plain floats, ``th = tanh r``, ``sc = sech r``.
-
-    Returns (s1, k2, k1, s2, t1, j1, t2, j2).  SLSQP evaluates the reduced
-    objective and constraint on every iterate, where NumPy's per-call
-    overhead on 8-element arrays would dominate.
-    """
-    s1, k2, k1, s2 = free.tolist()
-    return s1, k2, k1, s2, sc - s1 * th, k1 * th, -s2 * th, -sc + k2 * th
-
-
-def _reduced_values(free: np.ndarray, th: float, sc: float) -> tuple[float, float]:
-    """(f, g) of the two-mode problem at free variables (s1, k2, k1, s2)."""
-    s1, k2, k1, s2, t1, j1, t2, j2 = _reduced_components(free, th, sc)
-    f = (t1 * t1 + j1 * j1 + s1 * s1 + k1 * k1
-         + t2 * t2 + j2 * j2 + s2 * s2 + k2 * k2)
-    g = (j2 * t1 - t2 * j1) + (k2 * s1 - s2 * k1)
-    return f, g
-
-
-def _reduced_gradients(free: np.ndarray, th: float, sc: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of (f, g) in (s1, k2, k1, s2), by the chain rule through the elimination."""
-    s1, k2, k1, s2, t1, j1, t2, j2 = _reduced_components(free, th, sc)
-    grad_f = np.array([2.0 * s1 - 2.0 * t1 * th, 2.0 * k2 + 2.0 * j2 * th,
-                       2.0 * k1 + 2.0 * j1 * th, 2.0 * s2 - 2.0 * t2 * th])
-    grad_g = np.array([k2 - j2 * th, s1 + t1 * th, -s2 - t2 * th, j1 * th - k1])
-    return grad_f, grad_g
-
-
 def minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on the first call.
 
-    Only :func:`solve_numeric` needs the optimizer, and importing
-    ``scipy.optimize`` takes a large share of the package's import time and
-    memory, so ``import cvmb`` leaves it out.
+    Only the "full" and "span" parametrizations of :func:`solve_numeric`
+    need the optimizer, and importing ``scipy.optimize`` takes a large share
+    of the package's import time and memory, so ``import cvmb`` leaves it
+    out.
     """
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)
+
+
+# g = j2 t1 - j1 t2 + k2 s1 - k1 s2 written as (1/2) y^T S y over the eight
+# components y = (t1, j1, s1, k1, t2, j2, s2, k2).  S has eigenvalues +-1, so
+# f + 2 t g = y^T (I + t S) y is convex in y for |t| <= 1.
+_G_FORM = np.zeros((8, 8))
+_G_FORM[[0, 5, 1, 4, 2, 7, 3, 6], [5, 0, 4, 1, 7, 2, 6, 3]] = [1, 1, -1, -1, 1, 1, -1, -1]
+
+# the dual bisection stops once its bracket on t is this narrow
+_T_RESOLUTION = 2.0 ** -52
+# largest duality gap, relative to the bound, that certifies a dual solve;
+# relative so that the certificate keeps its meaning where C_H is tiny
+_GAP_RTOL = 1e-12
+
+
+class _DualPoint(NamedTuple):
+    """The minimizer x of ``y^T (I + t S) y`` at one t, with y, g and phi there."""
+
+    t: float
+    x: np.ndarray
+    y: np.ndarray
+    g: float
+    phi: float
+
+
+def _two_mode_dual(problem: HolevoProblem) -> HolevoSolution:
+    """Solve the reduced two-mode problem through its Lagrangian dual.
+
+    The elimination is affine, ``y = E x + d``, so for each t
+    ``phi(t) = min_x y^T (I + t S) y`` is one 4 x 4 linear solve,
+    ``x(t) = -M(t)^-1 b(t)``.  As ``f + 2|g| = max_{|t| <= 1} (f + 2 t g)``
+    and ``f + 2 t g`` is convex in x for each such t,
+    ``C_H = max_t phi(t)`` (Sion's minimax theorem).  phi is concave with
+    ``phi'(t) = 2 g(x(t))``, so its maximum is found by bisection on the
+    sign of g.  The ends t = +-1 are never evaluated: ``M(+-1)`` is
+    singular.
+
+    The primal point is the zero of g on the segment between the
+    minimizers at the final bracket ends (g is quadratic along it), or the
+    minimizer at the one evaluated end when the bracket collapses onto
+    t = +-1, as it does at r = 0.  Its value exceeds the best phi seen by
+    the duality gap, which certifies the bound.
+    """
+    r = problem.r
+    d = eliminate_two_mode(np.zeros(4), r)
+    e = np.column_stack([eliminate_two_mode(col, r) for col in np.eye(4)]) - d[:, None]
+    m0, m1 = e.T @ e, e.T @ _G_FORM @ e
+    b0, b1 = e.T @ d, e.T @ _G_FORM @ d
+
+    def point(t):
+        x = np.linalg.solve(m0 + t * m1, -(b0 + t * b1))
+        y = e @ x + d
+        g = 0.5 * float(y @ _G_FORM @ y)
+        return _DualPoint(t, x, y, g, float(y @ y) + 2.0 * t * g)
+
+    t_lo, t_hi = -1.0, 1.0
+    lo = hi = None  # point() at the evaluated bracket ends
+    while t_hi - t_lo > _T_RESOLUTION:
+        mid = point(0.5 * (t_lo + t_hi))
+        if mid.g >= 0:  # phi does not decrease at t: its maximum is not below
+            lo, t_lo = mid, mid.t
+        if mid.g <= 0:
+            hi, t_hi = mid, mid.t
+
+    if lo is None or hi is None or lo is hi:
+        x = (hi if lo is None else lo).x
+    else:
+        # g(x_lo + s (x_hi - x_lo)) = c0 + c1 s + c2 s^2 with c0 > 0 > c0 + c1 + c2,
+        # so this is its one root in (0, 1); scaling the coefficients to O(1)
+        # keeps them from underflowing at large |r|
+        dy = hi.y - lo.y
+        c = np.array([lo.g, float(lo.y @ _G_FORM @ dy), 0.5 * float(dy @ _G_FORM @ dy)])
+        c0, c1, c2 = c / np.max(np.abs(c))
+        root = -c1 + math.sqrt(max(c1 * c1 - 4.0 * c0 * c2, 0.0))
+        s = min(2.0 * c0 / root, 1.0) if root > 0 else 1.0
+        x = lo.x + s * (hi.x - lo.x)
+
+    w = components_to_w(eliminate_two_mode(x, r), problem.basis_dim)
+    z = z_matrix(w)
+    bound = holevo_value(z)
+    best = max((end for end in (lo, hi) if end is not None), key=lambda end: end.phi)
+    gap = bound - best.phi
+    solution = HolevoSolution(
+        bound, x, z, "numeric",
+        {"parametrization": "reduced", "t": best.t, "g": float(z[1, 0].imag),
+         "duality_gap": gap, "constraint_residual": constraint_residual(problem, w)},
+    )
+    if not gap <= _GAP_RTOL * bound:
+        raise ConvergenceError(f"duality gap {gap:.3e} exceeds {_GAP_RTOL:g} of the "
+                               f"bound {bound:.6e} at r = {r:g}", best=solution)
+    return solution
 
 
 def solve_numeric(
@@ -490,88 +577,73 @@ def solve_numeric(
     parametrization: str = "reduced",
     init_range: float = 2.0,
 ) -> HolevoSolution:
-    """Minimize the Holevo objective by multi-start local descent.
-
-    The absolute value is handled by solving the two smooth branches
-    (g >= 0 with objective f + 2g, g <= 0 with f - 2g) and keeping the
-    best feasible result.  Each branch is attacked with SLSQP from
-    ``restarts`` uniformly random starting points in
-    ``[-init_range, init_range]``; results are deterministic for a fixed
-    (seed, restarts).
+    """Minimize the Holevo objective numerically, independently of the KKT analysis.
 
     Parametrizations:
 
-    * "reduced": free variables after constraint elimination (two-mode:
-      (s1, k2, k1, s2); single-mode: none, the solution is pinned),
+    * "reduced" (default): free variables after constraint elimination.
+      Single-mode probes have none: the constraints pin the solution.  The
+      two-mode problem is solved exactly through its Lagrangian dual, by
+      bisection on the multiplier t in (-1, 1); the diagnostics report
+      ``t``, ``g`` (``Im Z[1, 0]`` at the minimizer), ``duality_gap`` and
+      ``constraint_residual``.  A duality gap above 1e-12 of the bound
+      raises ``ConvergenceError``.
     * "full": all W components with the unbiasedness constraints imposed
       as explicit linear equalities,
     * "span": "full" plus the Hermitian components of the X operators on
       the derivative subspace, which provably do not enter Z; included to
       confirm that truncating them is loss-free.
 
+    "full" and "span" minimize the two smooth branches (g >= 0 with
+    objective f + 2g, g <= 0 with f - 2g) with SLSQP and keep the best
+    feasible result.  Each branch starts from ``restarts`` uniformly random
+    points in ``[-init_range, init_range]``; results are deterministic for
+    a fixed (seed, restarts).  ``seed``, ``restarts`` and ``init_range``
+    act on these two parametrizations only; ``restarts < 1`` is rejected
+    for every parametrization.
+
     Raises:
-        ConvergenceError: no restart converged on any branch; the error's
-            ``best`` attribute carries the best iterate seen, if any.
+        ConvergenceError: the dual solve left a duality gap above its
+            tolerance, or no SLSQP restart converged on any branch; the
+            error's ``best`` attribute carries the best point found, if any.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if parametrization not in {"reduced", "full", "span"}:
         raise ValueError(f"unknown parametrization {parametrization!r}")
 
-    if parametrization == "reduced" and problem.kind == "single":
+    if parametrization == "reduced":
+        if problem.kind == "two_mode":
+            return _two_mode_dual(problem)
         x, w = _pinned_single_solution(problem.r)
         z = z_matrix(w)
         return HolevoSolution(
             holevo_value(z), np.array([]), z, "numeric",
-            {"parametrization": "reduced", "restarts": restarts, "converged": restarts,
+            {"parametrization": "reduced",
              "note": "constraints pin the solution; no free variables"},
         )
 
     bd = problem.basis_dim
     n_w = 4 * (bd - 1)
+    dim = n_w + (0 if parametrization == "full" else (bd - 1) ** 2 * 2)
+    a_mat, b_vec = assemble_constraints(problem)
 
-    if parametrization == "reduced":
-        r = problem.r
-        dim = 4
-        th = math.tanh(r)
-        sc = 1.0 / math.cosh(r)
+    def value_split(x):
+        return _branch_values(x[:n_w], bd)
 
-        def value_split(x):
-            return _reduced_values(x, th, sc)
+    def gradients(x):
+        gf, gg = _branch_gradients(x[:n_w], bd)
+        out_f = np.zeros(dim)
+        out_g = np.zeros(dim)
+        out_f[:n_w] = gf
+        out_g[:n_w] = gg
+        return out_f, out_g
 
-        def full_components(x):
-            return eliminate_two_mode(x, r)
-
-        def gradients(x):
-            return _reduced_gradients(x, th, sc)
-
-        eq_constraints: list[dict] = []
-    else:
-        extra = 0 if parametrization == "full" else (bd - 1) ** 2 * 2
-        dim = n_w + extra
-        a_mat, b_vec = assemble_constraints(problem)
-
-        def value_split(x):
-            return _branch_values(x[:n_w], bd)
-
-        def full_components(x):
-            return np.asarray(x[:n_w], dtype=float)
-
-        def gradients(x):
-            gf, gg = _branch_gradients(x[:n_w], bd)
-            out_f = np.zeros(dim)
-            out_g = np.zeros(dim)
-            out_f[:n_w] = gf
-            out_g[:n_w] = gg
-            return out_f, out_g
-
-        eq_constraints = [
-            {
-                "type": "eq",
-                "fun": lambda x: a_mat @ x[:n_w] - b_vec,
-                "jac": lambda x: np.hstack([a_mat, np.zeros((4, dim - n_w))]),
-            }
-        ]
+    eq_constraint = {
+        "type": "eq",
+        "fun": lambda x: a_mat @ x[:n_w] - b_vec,
+        "jac": lambda x: np.hstack([a_mat, np.zeros((4, dim - n_w))]),
+    }
 
     rng = np.random.default_rng(seed)
     starts = rng.uniform(-init_range, init_range, size=(restarts, dim))
@@ -591,12 +663,13 @@ def solve_numeric(
             gf, gg = gradients(x)
             return gf + 2.0 * s * gg
 
-        cons = list(eq_constraints) + [
+        cons = [
+            eq_constraint,
             {
                 "type": "ineq",
                 "fun": lambda x, s=sign: s * value_split(x)[1],
                 "jac": lambda x, s=sign: s * gradients(x)[1],
-            }
+            },
         ]
         for x0 in starts:
             res = minimize(
@@ -619,7 +692,7 @@ def solve_numeric(
                 best_x = res.x
 
     def _pack(x):
-        w = components_to_w(full_components(x), bd)
+        w = components_to_w(x[:n_w], bd)
         z = z_matrix(w)
         diagnostics = {
             "parametrization": parametrization,
@@ -651,10 +724,10 @@ class KKTCaseAudit:
     r: float
     case_1a_g: float            # g at the lam = 0 candidate (negative: infeasible)
     case_2_g: float             # g at the case-2 candidate (positive: contradiction)
-    bound: float                # h on the surviving branch, 4 exp(-2r)
-    spurious_value: float       # h on the other g = 0 branch, 4 exp(+2r)
-    optimal_multiplier: float   # lam = 4 e^-r cosh r
-    spurious_multiplier: float  # lam = 4 e^+r cosh r
+    bound: float                # h on the surviving branch, 4 exp(-2|r|)
+    spurious_value: float       # h on the other g = 0 branch, 4 exp(+2|r|)
+    optimal_multiplier: float   # lam = 4 e^-|r| cosh r
+    spurious_multiplier: float  # lam = 4 e^+|r| cosh r
     optimal_residual: float
     spurious_residual: float
 
@@ -681,8 +754,10 @@ def kkt_case_audit(r: float) -> KKTCaseAudit:
     * case 1a (lam = 0, all free variables zero): g = -sech^2 r < 0,
       infeasible for the g >= 0 branch.
     * case 1b (g = 0): two stationary points, s1 = k2 = e^-r with
-      h = 4 e^-2r (the minimum) and s1 = k2 = -e^r with h = 4 e^+2r
-      (stationary but larger).
+      h = 4 e^-2r and s1 = k2 = -e^r with h = 4 e^+2r.  The first is the
+      minimum for r > 0 and the second for r < 0; the audit reports the
+      minimum as ``bound`` and the other, stationary but larger, as
+      ``spurious_value``, each with its multiplier and residual.
     * case 2 (g < 0 forces lam = 0): the candidate s1 = k2 = csch r gives
       g = csch^2 r > 0, contradicting its own branch.
 
@@ -703,13 +778,13 @@ def kkt_case_audit(r: float) -> KKTCaseAudit:
     case_2_point = np.array([csch, csch, 0.0, 0.0])
     case_2_g = two_mode_g(case_2_point, r)
 
-    u_opt = np.exp(-r)
+    # the two g = 0 stationary points; at r < 0 they swap roles
+    u_opt, u_sp = np.exp(-r), -np.exp(r)
+    lam_opt, lam_sp = 4.0 * np.exp(-r) * np.cosh(r), 4.0 * np.exp(r) * np.cosh(r)
+    if r < 0:
+        u_opt, u_sp, lam_opt, lam_sp = u_sp, u_opt, lam_sp, lam_opt
     opt_point = np.array([u_opt, u_opt, 0.0, 0.0])
-    lam_opt = 4.0 * np.exp(-r) * np.cosh(r)
-
-    u_sp = -np.exp(r)
     sp_point = np.array([u_sp, u_sp, 0.0, 0.0])
-    lam_sp = 4.0 * np.exp(r) * np.cosh(r)
 
     return KKTCaseAudit(
         r=float(r),

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import ndtri
 
 from cvmb.bounds import MAX_PHOTONS
 from cvmb.gaussian import GaussianState, apply, beam_splitter, displace, make_thermal, two_mode_squeezer
@@ -179,6 +178,17 @@ def estimate(outcomes: np.ndarray, jacobian: np.ndarray | None = None) -> np.nda
     return np.linalg.solve(jacobian, outcomes.T).T
 
 
+def ndtri(*args, **kwargs):
+    """``scipy.special.ndtri``, imported on the first call.
+
+    Only sampling needs SciPy, and importing ``scipy.special`` takes most of
+    the package's import time, so ``import cvmb`` leaves it out.
+    """
+    from scipy.special import ndtri as scipy_ndtri
+
+    return scipy_ndtri(*args, **kwargs)
+
+
 def _shot_normals(key: int, start: int, count: int, words_per_shot: int) -> np.ndarray:
     """Standard normals for shots [start, start + count), shot-indexed.
 
@@ -272,6 +282,10 @@ def _accumulate(key: int, start_shot: int, count: int, transform: np.ndarray,
     worker ran which batch.  Every batch draws into a fresh array, so a
     wrapped kernel may keep its ``z``.
     """
+    # load SciPy's ndtri here, before any worker starts, so no pool thread
+    # imports it inside a draw
+    import scipy.special  # noqa: F401
+
     words = transform.shape[1]
     end = start_shot + count
     starts = range(start_shot, end, batch_size)

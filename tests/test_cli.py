@@ -40,6 +40,20 @@ class TestBoundsCommand:
         assert abs(c_h - v_dh) < 1e-9
         assert abs(c_h - 4 * np.exp(-1.0)) < 1e-12
 
+    def test_pure_two_mode_holevo_at_negative_r(self, tmp_path):
+        out = tmp_path / "negative.csv"
+        assert cli.main(["bounds", "--r-min", "-1", "--r-max", "0", "--r-steps", "3",
+                         "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        for row, r in zip(rows, (-1.0, -0.5, 0.0)):
+            c_s, c_r, c_h, v_dh = (float(v) for v in row[2:6])
+            assert float(row[0]) == r
+            assert c_h == pytest.approx(4 * np.exp(2 * r), rel=1e-12)
+            assert c_h >= max(c_s, c_r)
+            # the Q/P dual homodyne is not optimal at r < 0
+            assert v_dh == pytest.approx(4 * np.exp(-2 * r), rel=1e-12)
+        assert rows[0][4] == f"{4 * np.exp(-2.0):.12e}"
+
     def test_single_probe_column_values(self, tmp_path):
         out = tmp_path / "single.csv"
         assert cli.main(["bounds", "--probe", "single", "--photons", "0.2",

@@ -11,16 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvmb
+from cvmb import holevo
 from cvmb.bounds import MAX_SQUEEZING, closed_form_bounds, two_mode_min_r
 from cvmb.gaussian import apply, single_mode_squeezer, vacuum
 from cvmb.holevo import (
     _KKT_MAX_R,
     _KKT_MIN_R,
+    ConvergenceError,
     HolevoProblem,
-    _branch_gradients,
-    _branch_values,
-    _reduced_gradients,
-    _reduced_values,
+    _check_basis,
     assemble_constraints,
     assemble_x_operators,
     build_problem,
@@ -123,6 +122,30 @@ class TestProblem:
         with pytest.raises(ValueError):
             HolevoProblem("single", 0.1, 2, np.zeros((3, 1), dtype=complex), ())
 
+    @pytest.mark.parametrize("kind", ["single", "two_mode"])
+    @pytest.mark.parametrize("r", [5.2, 5.6, 20.0, MAX_SQUEEZING])
+    def test_gram_check_at_large_r(self, kind, r):
+        # the Gram entries grow like exp(2|r|): an absolute tolerance fails
+        # on rounding alone from |r| of about 5.1 (single) and 5.5 (two-mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for signed in (r, -r):
+                problem = build_problem(kind, signed)
+                assert problem.r == signed
+                assert np.all(np.isfinite(problem.psi_coords))
+
+    @pytest.mark.parametrize("kind", ["single", "two_mode"])
+    @pytest.mark.parametrize("r", [-5.6, 0.4, 20.0])
+    def test_gram_check_catches_a_perturbed_coordinate(self, kind, r):
+        gram = gram_single_mode(r) if kind == "single" else gram_two_mode(r)
+        coords = np.array(build_problem(kind, r).psi_coords)
+        _check_basis(coords, gram)
+        for index in np.ndindex(coords.shape):
+            bad = coords.copy()
+            bad[index] *= 1.0 + 1e-9
+            with pytest.raises(AssertionError, match="do not reproduce the Gram matrix"):
+                _check_basis(bad, gram)
+
 
 class TestConstraints:
     def test_two_mode_system_shape(self):
@@ -208,6 +231,15 @@ class TestObjective:
         swapped = two_mode_objective(np.array([k2, s1, s2, k1]), r)
         assert np.isclose(original, swapped, rtol=1e-12, atol=1e-12)
 
+    def test_g_form(self):
+        # the dual solver writes g as (1/2) y^T S y over the eight components
+        rng = np.random.default_rng(31)
+        for r in (-0.9, 0.0, 0.4, 2.0):
+            for free in rng.uniform(-2, 2, size=(10, 4)):
+                y = eliminate_two_mode(free, r)
+                assert np.isclose(0.5 * y @ holevo._G_FORM @ y, two_mode_g(free, r),
+                                  rtol=1e-12, atol=1e-12)
+
     def test_matches_z_matrix_route(self):
         r, free = 0.8, np.array([0.4, -0.2, 0.9, 0.1])
         x = eliminate_two_mode(free, r)
@@ -283,10 +315,39 @@ class TestAnalyticSolver:
         assert constraint_residual(problem, w) < 1e-10
         assert np.isclose(two_mode_objective(sol.minimizer, r), sol.bound, atol=1e-12)
 
+    @pytest.mark.parametrize("r", [-1.0, -0.3, -1e-3])
+    def test_two_mode_negative_r(self, r):
+        # at r < 0 the g = 0 point s1 = k2 = -e^r is the minimum, 4 exp(2r);
+        # s1 = k2 = e^-r is feasible too but reaches only 4 exp(-2r)
+        sol = solve_analytic("two_mode", r)
+        assert sol.bound == 4.0 * np.exp(2.0 * r)
+        u = -np.exp(r)
+        assert np.array_equal(sol.minimizer, [u, u, 0.0, 0.0])
+        problem = build_problem("two_mode", r)
+        w = components_to_w(eliminate_two_mode(sol.minimizer, r), 3)
+        assert constraint_residual(problem, w) < 1e-12
+        assert abs(two_mode_g(sol.minimizer, r)) < 1e-12
+        assert np.isclose(two_mode_objective(sol.minimizer, r), sol.bound, rtol=1e-12)
+        assert np.max(np.abs(z_matrix(w) - sol.z_matrix)) < 1e-12
+        other = np.array([np.exp(-r), np.exp(-r), 0.0, 0.0])
+        assert np.isclose(two_mode_objective(other, r), 4.0 * np.exp(-2.0 * r), rtol=1e-12)
+
+    def test_two_mode_dual_agrees(self):
+        for r in np.round(np.linspace(-3.0, 3.0, 121), 12):
+            want = solve_analytic("two_mode", r)
+            got = solve_numeric(build_problem("two_mode", r))
+            assert abs(got.bound - want.bound) <= 1e-12 * want.bound
+            if r != 0:  # at r = 0 every s1 = k2 in [-1, 1] is a minimizer
+                error = np.max(np.abs(got.minimizer - want.minimizer))
+                assert error <= 1e-12 * abs(want.minimizer[0])
+
     def test_single_mode_matches_pure_rld(self):
         for r in np.round(np.arange(0.0, 1.51, 0.1), 10):
             _, c_r = closed_form_bounds(r, 0.0, "single")
             assert abs(solve_analytic("single", r).bound - c_r) < 1e-9
+
+
+DUAL_GRID = [0.0, 1e-14, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0, 1.5, 5.2, 20.0, 340.0, MAX_SQUEEZING]
 
 
 class TestNumericSolver:
@@ -333,63 +394,88 @@ class TestNumericSolver:
         with pytest.raises(ValueError):
             solve_numeric(build_problem("two_mode", 0.5), parametrization="magic")
 
+    @pytest.mark.parametrize("r", sorted({v for r in DUAL_GRID for v in (r, -r)}))
+    def test_dual_certified_on_grid(self, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_numeric(build_problem("two_mode", r))
+        want = 4.0 * np.exp(-2.0 * abs(r))
+        diagnostics = sol.diagnostics
+        assert abs(sol.bound - want) <= 1e-12 * want
+        assert abs(diagnostics["duality_gap"]) <= 1e-12 * want
+        assert diagnostics["constraint_residual"] <= 1e-12
+        assert -1.0 < diagnostics["t"] < 1.0
 
-def elimination_jacobian(r):
-    """d(full 8-vector)/d(s1, k2, k1, s2) of eliminate_two_mode; constants drop out."""
-    th = np.tanh(r)
-    elim = np.zeros((8, 4))
-    elim[2, 0], elim[0, 0] = 1.0, -th
-    elim[7, 1], elim[5, 1] = 1.0, th
-    elim[3, 2], elim[1, 2] = 1.0, th
-    elim[6, 3], elim[4, 3] = 1.0, -th
-    return elim
+    @given(st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))
+    @settings(max_examples=200, deadline=None)
+    def test_dual_matches_analytic(self, r):
+        bound = solve_numeric(build_problem("two_mode", r)).bound
+        want = solve_analytic("two_mode", r).bound
+        assert abs(bound - want) <= 1e-12 * want
+        # C_H / C_S = 1 + exp(-4|r|), which rounds to 1 from |r| of about 9
+        assert bound >= max(closed_form_bounds(r, 0.0, "two_mode")) * (1.0 - 1e-15)
+
+    @pytest.mark.parametrize("r", [-0.7, 0.3, 1.2])
+    def test_dual_agrees_with_slsqp_full(self, r):
+        problem = build_problem("two_mode", r)
+        dual = solve_numeric(problem)
+        full = solve_numeric(problem, seed=3, parametrization="full")
+        assert abs(dual.bound - full.bound) <= 1e-8
+
+    def test_uncertified_dual_raises(self, monkeypatch):
+        # a bracket on t this wide leaves a duality gap far above the tolerance
+        monkeypatch.setattr(holevo, "_T_RESOLUTION", 0.1)
+        with pytest.raises(ConvergenceError, match="duality gap") as info:
+            solve_numeric(build_problem("two_mode", 0.5))
+        best = info.value.best
+        assert best.diagnostics["duality_gap"] > 1e-12 * best.bound
+        assert best.diagnostics["constraint_residual"] <= 1e-12
 
 
-class TestReducedTerms:
-    """The scalar reduced-path terms against the generic composition they replace."""
-
-    def test_match_elimination_composition(self):
-        rng = np.random.default_rng(2024)
-        rs = np.concatenate([[0.0, -0.0, 1e-9, -1e-9, 20.0, -20.0],
-                             rng.uniform(-3.0, 3.0, 40)])
-        for r in rs:
-            th, sc = np.tanh(r), 1.0 / np.cosh(r)
-            elim = elimination_jacobian(r)
-            for free in rng.uniform(-3.0, 3.0, size=(25, 4)):
-                x = eliminate_two_mode(free, r)
-                t1, j1, s1, k1, t2, j2, s2, k2 = x
-                ref_f, ref_g = _branch_values(x, 3)
-                gf, gg = _branch_gradients(x, 3)
-                f, g = _reduced_values(free, th, sc)
-                grad_f, grad_g = _reduced_gradients(free, th, sc)
-                # tolerances relative to the sum of the absolute terms
-                g_scale = abs(j2 * t1) + abs(j1 * t2) + abs(k2 * s1) + abs(k1 * s2)
-                assert abs(f - ref_f) <= 1e-14 * ref_f
-                assert abs(g - ref_g) <= 1e-14 * g_scale
-                assert np.all(np.abs(grad_f - gf @ elim) <= 1e-14 * (np.abs(gf) @ np.abs(elim)))
-                assert np.all(np.abs(grad_g - gg @ elim) <= 1e-14 * (np.abs(gg) @ np.abs(elim)))
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    src = str(Path(cvmb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    preamble = ("import sys\n"
+                "def scipy_loaded():\n"
+                "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", preamble + code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestLazyOptimizerImport:
-    def test_scipy_optimize_loaded_on_first_solve(self):
-        code = (
-            "import sys\n"
+    """SciPy is loaded only where it is used: its optimizer by the SLSQP
+    parametrizations of solve_numeric, scipy.special by sampling."""
+
+    def test_scipy_optimize_loaded_on_first_solve(self, tmp_path):
+        out = str(tmp_path / "out.csv")
+        run_fresh(
             "import cvmb, cvmb.cli\n"
-            "assert 'scipy.optimize' not in sys.modules, 'loaded at import'\n"
+            "assert not scipy_loaded(), ('loaded at import', scipy_loaded())\n"
+            f"assert cvmb.cli.main(['bounds', '--out', {out!r}]) == 0\n"
+            f"assert cvmb.cli.main(['figure1', '--out', {out!r}]) == 0\n"
             "from cvmb.holevo import build_problem, solve_numeric\n"
-            "solve_numeric(build_problem('two_mode', 0.5), restarts=1)\n"
-            "assert 'scipy.optimize' in sys.modules, 'not loaded by solve_numeric'\n"
+            "solve_numeric(build_problem('two_mode', 0.5))\n"
+            "solve_numeric(build_problem('single', 0.5))\n"
+            "assert not scipy_loaded(), ('loaded without sampling', scipy_loaded())\n"
+            "solve_numeric(build_problem('two_mode', 0.5), restarts=1, parametrization='full')\n"
+            "assert 'scipy.optimize' in sys.modules, 'not loaded by an SLSQP solve'\n"
         )
-        src = str(Path(cvmb.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+
+    def test_scipy_special_loaded_on_first_run(self):
+        run_fresh(
+            "from cvmb.simulate import SimConfig, run\n"
+            "assert not scipy_loaded(), ('loaded at import', scipy_loaded())\n"
+            "run(SimConfig(r=0.5, photons=0.0, samples=1000))\n"
+            "assert 'scipy.special' in sys.modules, 'not loaded by run'\n"
+            "assert 'scipy.optimize' not in sys.modules, 'loaded by run'\n"
+        )
 
 
 class TestKKTAudit:
-    @pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("r", [0.25, 0.5, 1.0, -0.25, -0.5, -1.0])
     def test_case_analysis(self, r):
         audit = kkt_case_audit(r)
         # case 1a candidate violates its own feasibility
@@ -399,8 +485,9 @@ class TestKKTAudit:
         assert np.isclose(audit.case_2_g, 1 / np.sinh(r) ** 2, atol=1e-12)
         assert audit.case_2_g > 0
         # surviving branch and the spurious stationary point
-        assert np.isclose(audit.bound, 4 * np.exp(-2 * r), atol=1e-12)
-        assert np.isclose(audit.spurious_value, 4 * np.exp(2 * r), atol=1e-10)
+        assert np.isclose(audit.bound, 4 * np.exp(-2 * abs(r)), atol=1e-12)
+        assert np.isclose(audit.spurious_value, 4 * np.exp(2 * abs(r)), atol=1e-10)
+        assert np.isclose(audit.optimal_multiplier, 4 * np.exp(-abs(r)) * np.cosh(r), atol=1e-12)
         assert audit.spurious_value > audit.bound
         assert audit.optimal_residual < 1e-12
         assert audit.spurious_residual < 1e-10
