@@ -58,7 +58,6 @@ from cvmb.simulate import (
     estimate,
     outcome_distribution,
     run,
-    run_two_stage,
 )
 
 __version__ = "0.1.0"

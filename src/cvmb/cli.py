@@ -45,6 +45,9 @@ GATE_ERROR = 2
 
 _DEFAULT_SEED = 12345
 
+# a simulated row fails its gate when |emp - analytic| exceeds this many SEs
+GATE_SIGMAS = 4.0
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -108,8 +111,8 @@ class BoundSweepRow:
     v_dh_se: float | None = None
 
 
-def _holevo_entry(probe: str, r: float, photons: float) -> float | None:
-    """C_H column policy.
+def _holevo_entry(probe: str, r: float, photons: float, c_r: float) -> float | None:
+    """C_H column policy, given the row's RLD bound ``c_r``.
 
     Pure probes take the analytic bound.  The mixed single-mode probe
     takes the RLD value: the dual homodyne attains it, and the Holevo
@@ -119,15 +122,16 @@ def _holevo_entry(probe: str, r: float, photons: float) -> float | None:
     if photons == 0:
         return solve_analytic(probe, r).bound
     if probe == "single":
-        return closed_form_bounds(r, photons, "single")[1]
+        return c_r
     return None
 
 
-def _dual_homodyne_entry(probe: str, r: float, photons: float) -> float:
+def _dual_homodyne_entry(probe: str, r: float, photons: float, c_r: float) -> float:
     if probe == "two_mode":
         return dual_homodyne_mse_analytic(r, photons).value
-    # single-mode probe: both quadratures read the same mode
-    return 2.0 + (2.0 + 4.0 * photons) * np.cosh(2.0 * r)
+    # single-mode probe: both quadratures read the same mode, and the MSE
+    # 2 + (2 + 4N) cosh 2r is the RLD bound
+    return c_r
 
 
 def _row_seed(seed: int, index: int) -> int:
@@ -153,8 +157,8 @@ def sweep_rows(spec: SweepSpec) -> list[BoundSweepRow]:
     rows = []
     for r, config in zip(grid, configs):
         c_s, c_r = closed_form_bounds(r, spec.photons, spec.probe)
-        c_h = _holevo_entry(spec.probe, r, spec.photons)
-        v_dh = _dual_homodyne_entry(spec.probe, r, spec.photons)
+        c_h = _holevo_entry(spec.probe, r, spec.photons, c_r)
+        v_dh = _dual_homodyne_entry(spec.probe, r, spec.photons, c_r)
         emp = se = None
         if config is not None:
             result = run(config)
@@ -177,25 +181,27 @@ def rows_to_csv(rows: list[BoundSweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def gate_failures(rows: list[BoundSweepRow], n_sigma: float = 4.0) -> list[BoundSweepRow]:
-    """Rows whose empirical MSE misses the analytic value by > n_sigma SEs."""
+def gate_failures(rows: list[BoundSweepRow]) -> list[BoundSweepRow]:
+    """Rows whose empirical MSE misses the analytic value by > GATE_SIGMAS SEs."""
     bad = []
     for row in rows:
         if row.v_dh_emp is None or row.v_dh_se is None:
             continue
-        if abs(row.v_dh_emp - row.v_dh) > n_sigma * row.v_dh_se:
+        if abs(row.v_dh_emp - row.v_dh) > GATE_SIGMAS * row.v_dh_se:
             bad.append(row)
     return bad
 
 
-def figure_series(photons: float = 0.1, r_min: float = 0.0, r_max: float = 1.5,
-                  r_steps: int = 61) -> np.ndarray:
-    """Columns (r, C_S, C_R, max(C_S, C_R), V_DH) of the comparison figure."""
-    rs = np.linspace(r_min, r_max, r_steps) if r_steps > 1 else np.array([r_min])
+def figure_series(spec: SweepSpec) -> np.ndarray:
+    """Columns (r, C_S, C_R, max(C_S, C_R), V_DH) of the comparison figure.
+
+    The two-mode series over ``spec.r_grid()`` at ``spec.photons``.
+    """
+    rs = spec.r_grid()
     out = np.empty((rs.size, 5))
     for i, r in enumerate(rs):
-        c_s, c_r = closed_form_bounds(r, photons, "two_mode")
-        v_dh = dual_homodyne_mse_analytic(r, photons).value
+        c_s, c_r = closed_form_bounds(r, spec.photons, "two_mode")
+        v_dh = dual_homodyne_mse_analytic(r, spec.photons).value
         out[i] = (r, c_s, c_r, max(c_s, c_r), v_dh)
     return out
 
@@ -318,9 +324,11 @@ def cmd_simulate(spec: SweepSpec) -> int:
     bad = gate_failures(rows)
     if bad:
         for row in bad:
+            z = (row.v_dh_emp - row.v_dh) / row.v_dh_se
             print(
                 f"gate failure at r={row.r:.6g}: empirical {row.v_dh_emp:.6e} vs "
-                f"analytic {row.v_dh:.6e} (se {row.v_dh_se:.3e})",
+                f"analytic {row.v_dh:.6e} (se {row.v_dh_se:.3e}, "
+                f"z = {z:+.2f}, gate |z| <= {GATE_SIGMAS:g})",
                 file=sys.stderr,
             )
         return GATE_ERROR
@@ -328,7 +336,7 @@ def cmd_simulate(spec: SweepSpec) -> int:
 
 
 def cmd_figure1(spec: SweepSpec) -> int:
-    data = figure_series(spec.photons, spec.r_min, spec.r_max, spec.r_steps)
+    data = figure_series(spec)
     lines = ["r,C_S,C_R,max_CS_CR,V_DH"]
     for row in data:
         lines.append(",".join(f"{v:.12e}" for v in row))

@@ -34,11 +34,11 @@ parametrization it solves the Lagrangian dual exactly: with
 so the bound is ``max_t phi(t)`` with ``phi(t)`` one 4 x 4 linear solve
 (Holevo 1982, ch. 6; Suzuki, J. Math. Phys. 57, 042201 (2016)).  A
 bisection on t finds the maximum, and the duality gap between the
-recovered primal point and the best ``phi`` certifies it.  The "full" and
-"span" parametrizations keep multi-start SLSQP on the two smooth branches
-as a reference; SciPy's optimizer is imported on their first call,
-through the module-level :func:`minimize`, so importing the package or a
-reduced solve does not load it.
+recovered primal point and the best ``phi`` certifies it.  The "full"
+parametrization keeps multi-start SLSQP on the two smooth branches as a
+reference; SciPy's optimizer is imported on its first call, through the
+module-level :func:`minimize`, so importing the package or a reduced
+solve does not load it.
 
 Both solvers evaluate at reference point zero only: for displacement
 models the covariance and mean Jacobian are parameter independent, and a
@@ -84,8 +84,6 @@ __all__ = [
 GRAM_TOL = 1e-12
 FEASIBILITY_TOL = 1e-10
 
-_SINGLE_NAMES = ("t1", "j1", "t2", "j2")
-_TWO_MODE_NAMES = ("t1", "j1", "s1", "k1", "t2", "j2", "s2", "k2")
 _FREE_NAMES = ("s1", "k2", "k1", "s2")
 # positions of the free variables inside the 8-component vector
 _FREE_IDX = (2, 7, 3, 6)
@@ -167,10 +165,6 @@ class HolevoProblem:
         coords = coords.copy()
         coords.setflags(write=False)
         object.__setattr__(self, "psi_coords", coords)
-
-    @property
-    def component_names(self) -> tuple[str, ...]:
-        return _SINGLE_NAMES if self.basis_dim == 2 else _TWO_MODE_NAMES
 
 
 @dataclass(frozen=True)
@@ -469,8 +463,8 @@ def _branch_gradients(x: np.ndarray, basis_dim: int) -> tuple[np.ndarray, np.nda
 def minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on the first call.
 
-    Only the "full" and "span" parametrizations of :func:`solve_numeric`
-    need the optimizer, and importing ``scipy.optimize`` takes a large share
+    Only the "full" parametrization of :func:`solve_numeric` needs the
+    optimizer, and importing ``scipy.optimize`` takes a large share
     of the package's import time and memory, so ``import cvmb`` leaves it
     out.
     """
@@ -575,7 +569,6 @@ def solve_numeric(
     seed: int = 0,
     restarts: int = 16,
     parametrization: str = "reduced",
-    init_range: float = 2.0,
 ) -> HolevoSolution:
     """Minimize the Holevo objective numerically, independently of the KKT analysis.
 
@@ -589,18 +582,16 @@ def solve_numeric(
       ``constraint_residual``.  A duality gap above 1e-12 of the bound
       raises ``ConvergenceError``.
     * "full": all W components with the unbiasedness constraints imposed
-      as explicit linear equalities,
-    * "span": "full" plus the Hermitian components of the X operators on
-      the derivative subspace, which provably do not enter Z; included to
-      confirm that truncating them is loss-free.
+      as explicit linear equalities.  It minimizes the two smooth branches
+      (g >= 0 with objective f + 2g, g <= 0 with f - 2g) with SLSQP and
+      keeps the best feasible result.  Each branch starts from
+      ``restarts`` uniformly random points in ``[-2, 2]``; results are
+      deterministic for a fixed (seed, restarts).
 
-    "full" and "span" minimize the two smooth branches (g >= 0 with
-    objective f + 2g, g <= 0 with f - 2g) with SLSQP and keep the best
-    feasible result.  Each branch starts from ``restarts`` uniformly random
-    points in ``[-init_range, init_range]``; results are deterministic for
-    a fixed (seed, restarts).  ``seed``, ``restarts`` and ``init_range``
-    act on these two parametrizations only; ``restarts < 1`` is rejected
-    for every parametrization.
+    ``seed`` and ``restarts`` act on "full" only; ``restarts < 1`` is
+    rejected for both parametrizations.  The Hermitian blocks of the X
+    operators on the derivative subspace do not enter Z for a pure state,
+    so neither parametrization carries them.
 
     Raises:
         ConvergenceError: the dual solve left a duality gap above its
@@ -609,7 +600,7 @@ def solve_numeric(
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    if parametrization not in {"reduced", "full", "span"}:
+    if parametrization not in {"reduced", "full"}:
         raise ValueError(f"unknown parametrization {parametrization!r}")
 
     if parametrization == "reduced":
@@ -624,29 +615,11 @@ def solve_numeric(
         )
 
     bd = problem.basis_dim
-    n_w = 4 * (bd - 1)
-    dim = n_w + (0 if parametrization == "full" else (bd - 1) ** 2 * 2)
     a_mat, b_vec = assemble_constraints(problem)
-
-    def value_split(x):
-        return _branch_values(x[:n_w], bd)
-
-    def gradients(x):
-        gf, gg = _branch_gradients(x[:n_w], bd)
-        out_f = np.zeros(dim)
-        out_g = np.zeros(dim)
-        out_f[:n_w] = gf
-        out_g[:n_w] = gg
-        return out_f, out_g
-
-    eq_constraint = {
-        "type": "eq",
-        "fun": lambda x: a_mat @ x[:n_w] - b_vec,
-        "jac": lambda x: np.hstack([a_mat, np.zeros((4, dim - n_w))]),
-    }
+    eq_constraint = {"type": "eq", "fun": lambda x: a_mat @ x - b_vec, "jac": lambda x: a_mat}
 
     rng = np.random.default_rng(seed)
-    starts = rng.uniform(-init_range, init_range, size=(restarts, dim))
+    starts = rng.uniform(-2.0, 2.0, size=(restarts, 4 * (bd - 1)))
 
     best_val = np.inf
     best_x = None
@@ -656,19 +629,19 @@ def solve_numeric(
     for sign in (1.0, -1.0):
 
         def objective(x, s=sign):
-            f, g = value_split(x)
+            f, g = _branch_values(x, bd)
             return f + 2.0 * s * g
 
         def objective_jac(x, s=sign):
-            gf, gg = gradients(x)
+            gf, gg = _branch_gradients(x, bd)
             return gf + 2.0 * s * gg
 
         cons = [
             eq_constraint,
             {
                 "type": "ineq",
-                "fun": lambda x, s=sign: s * value_split(x)[1],
-                "jac": lambda x, s=sign: s * gradients(x)[1],
+                "fun": lambda x, s=sign: s * _branch_values(x, bd)[1],
+                "jac": lambda x, s=sign: s * _branch_gradients(x, bd)[1],
             },
         ]
         for x0 in starts:
@@ -680,7 +653,7 @@ def solve_numeric(
                 constraints=cons,
                 options={"ftol": 1e-14, "maxiter": 500},
             )
-            f, g = value_split(res.x)
+            f, g = _branch_values(res.x, bd)
             val = f + 2.0 * abs(g)
             if not res.success:
                 if val < fallback_val:
@@ -692,7 +665,7 @@ def solve_numeric(
                 best_x = res.x
 
     def _pack(x):
-        w = components_to_w(x[:n_w], bd)
+        w = components_to_w(x, bd)
         z = z_matrix(w)
         diagnostics = {
             "parametrization": parametrization,

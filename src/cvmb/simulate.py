@@ -47,7 +47,6 @@ __all__ = [
     "accumulate_affine_moments",
     "estimate",
     "run",
-    "run_two_stage",
 ]
 
 _WORDS_PER_TICK = 4  # Philox advances its counter in 4-word blocks
@@ -64,7 +63,8 @@ class SimConfig:
     """Settings for one simulation run.
 
     ``|r|`` is at most ``SIMULATE_MAX_SQUEEZING`` and ``photons`` at most
-    ``cvmb.bounds.MAX_PHOTONS``.
+    ``cvmb.bounds.MAX_PHOTONS``; ``mode="two_stage"`` needs at least 4
+    samples.
     """
 
     r: float
@@ -91,6 +91,8 @@ class SimConfig:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.mode not in {"direct", "two_stage"}:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "two_stage" and self.samples < 4:
+            raise ValueError("two-stage estimation needs at least 4 shots")
         theta = tuple(float(t) for t in self.theta_true)
         if not all(math.isfinite(t) for t in theta):
             raise ValueError("theta_true must be finite")
@@ -156,8 +158,6 @@ def outcome_distribution(r: float, photons: float,
     marginalizing, not from the closed form; the closed form
     ``cov = (2N + 1) e^-2r I`` is enforced by the tests instead.
     """
-    if photons < 0:
-        raise ValueError("mean photon number must be non-negative")
     state = _post_splitter_state(r, photons, theta)
     idx = list(_OUTCOME_IDX)
     mean = state.mean[idx]
@@ -342,19 +342,31 @@ def run(config: SimConfig, batch_size: int = 65536, full_phase_space: bool = Fal
     result is a pure function of (config, batch_size, full_phase_space);
     identical configs give bitwise-identical results.
 
+    With ``config.mode == "two_stage"`` the estimation is adaptive: stage 1
+    spends ``floor(sqrt(samples))`` shots on a rough estimate theta_rough;
+    stage 2 displaces by -theta_rough (a mean shift) and estimates the
+    residual with the remaining shots.  The final estimate is theta_rough +
+    pooled residual estimate.  ``mse_matrix`` estimates the covariance of
+    that pooled estimator (empirical per-shot covariance divided by the
+    stage-2 shot count), so ``mse_sum * n2 -> (8N + 4) e^-2r``.
+    ``std_error`` is scaled the same way and neglects the O(1/n) shift from
+    centering, which is below its own resolution.  ``rough_estimate`` is
+    filled in.
+
     Args:
-        config: simulation settings
+        config: simulation settings (``theta_true`` is the unknown target)
         batch_size: shots per accumulation block (must be even and > 0)
         full_phase_space: sample the full 4D post-splitter state instead
-            of the exact 2D outcome marginal (slower; cross-check path)
+            of the exact 2D outcome marginal (slower; cross-check path;
+            direct mode only)
 
     Returns:
         SimResult
     """
     if batch_size < 2 or batch_size % 2:
         raise ValueError("batch_size must be even and positive")
-    if config.mode == "two_stage":
-        return run_two_stage(config, batch_size=batch_size)
+    if full_phase_space and config.mode == "two_stage":
+        raise ValueError("full_phase_space applies to direct mode only")
 
     theta = np.array(config.theta_true)
     model = outcome_distribution(config.r, config.photons, config.theta_true)
@@ -367,6 +379,8 @@ def run(config: SimConfig, batch_size: int = 65536, full_phase_space: bool = Fal
     else:
         transform = jinv @ np.linalg.cholesky(model.cov)
         offset = jinv @ model.mean - theta
+    if config.mode == "two_stage":
+        return _run_two_stage(config, model, jinv, transform, batch_size)
 
     sums = _accumulate(config.seed, 0, config.samples, transform, offset, batch_size)
     mse_sum, mse_matrix, std_error, bias = _second_moment_stats(sums, config.samples)
@@ -385,41 +399,12 @@ def _stage2_key(seed: int) -> int:
     return int(SeedSequence(entropy=seed, spawn_key=(1,)).generate_state(1, np.uint64)[0])
 
 
-def run_two_stage(config: SimConfig, n_total: int | None = None,
-                  batch_size: int = 65536) -> SimResult:
-    """Two-stage adaptive estimation.
-
-    Stage 1 spends ``floor(sqrt(n_total))`` shots on a rough estimate
-    theta_rough; stage 2 displaces by -theta_rough (a mean shift) and
-    estimates the residual with the remaining shots.  The final estimate
-    is theta_rough + pooled residual estimate.  ``mse_matrix`` estimates
-    the covariance of that pooled estimator (empirical per-shot
-    covariance divided by the stage-2 shot count), so
-    ``mse_sum * n2 -> (8N + 4) e^-2r``.  ``std_error`` is scaled the same
-    way and neglects the O(1/n) shift from centering, which is below its
-    own resolution.
-
-    Args:
-        config: simulation settings (``theta_true`` is the unknown target)
-        n_total: total shot budget; defaults to ``config.samples``
-        batch_size: shots per accumulation block
-
-    Returns:
-        SimResult with ``rough_estimate`` filled in
-    """
-    if batch_size < 2 or batch_size % 2:
-        raise ValueError("batch_size must be even and positive")
-    if n_total is None:
-        n_total = config.samples
-    if n_total < 4:
-        raise ValueError("two-stage estimation needs at least 4 shots")
-    n1 = math.isqrt(n_total)
-    n2 = n_total - n1
-
+def _run_two_stage(config: SimConfig, model: OutcomeModel, jinv: np.ndarray,
+                   transform: np.ndarray, batch_size: int) -> SimResult:
+    """The two-stage branch of :func:`run`, given the model it built at theta_true."""
+    n1 = math.isqrt(config.samples)
+    n2 = config.samples - n1
     theta = np.array(config.theta_true)
-    model = outcome_distribution(config.r, config.photons, config.theta_true)
-    jinv = np.linalg.inv(model.jacobian)
-    transform = jinv @ np.linalg.cholesky(model.cov)
 
     # stage 1: accumulate raw per-shot estimates (offset referenced to zero)
     sums1 = _accumulate(config.seed, 0, n1, transform, jinv @ model.mean, batch_size)
@@ -433,9 +418,8 @@ def run_two_stage(config: SimConfig, n_total: int | None = None,
 
     _, raw_second, raw_se, bias2 = _second_moment_stats(sums2, n2)
     # covariance about the empirical mean, then scaled to the pooled estimator
-    centered = raw_second - np.outer(bias2, bias2)
-    if n2 > 1:
-        centered = centered * (n2 / (n2 - 1))
+    # (n2 >= 2, as SimConfig asks for at least 4 shots)
+    centered = (raw_second - np.outer(bias2, bias2)) * (n2 / (n2 - 1))
     pooled_cov = centered / n2
     final = rough + residual_true + bias2
 

@@ -145,10 +145,15 @@ class TestSimulateCommand:
         bad_row = cli.BoundSweepRow(r=0.0, photons=0.0, c_s=2.0, c_r=0.0,
                                     c_h=4.0, v_dh=4.0, v_dh_emp=5.0, v_dh_se=1e-6)
         monkeypatch.setattr(cli, "sweep_rows", lambda spec: [bad_row])
-        rc = cli.main(["simulate", "--samples", "10", "--out",
-                       str(tmp_path / "gate.csv")])
+        out = tmp_path / "gate.csv"
+        rc = cli.main(["simulate", "--samples", "10", "--out", str(out)])
         assert rc == cli.GATE_ERROR
-        assert "gate failure" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert out.read_text() == cli.rows_to_csv([bad_row])
+        # z = (5 - 4) / 1e-6, next to the gate it failed
+        assert "gate failure at r=0: empirical 5.000000e+00 vs analytic 4.000000e+00 " \
+               "(se 1.000e-06, z = +1000000.00, gate |z| <= 4)" in captured.err
 
     def test_gate_failures_logic(self):
         good = cli.BoundSweepRow(0.0, 0.0, 1.0, 1.0, None, 4.0, 4.001, 0.01)

@@ -359,7 +359,7 @@ class TestNumericSolver:
         assert sol.method == "numeric"
         assert sol.diagnostics["constraint_residual"] < 1e-10
 
-    @pytest.mark.parametrize("parametrization", ["full", "span"])
+    @pytest.mark.parametrize("parametrization", ["full"])
     def test_two_mode_unreduced_forms(self, parametrization):
         r = 0.6
         problem = build_problem("two_mode", r)

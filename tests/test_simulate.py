@@ -17,7 +17,6 @@ from cvmb.simulate import (
     estimate,
     outcome_distribution,
     run,
-    run_two_stage,
 )
 
 
@@ -188,8 +187,8 @@ class TestTwoStage:
 
     def test_rough_estimate_unbiased(self):
         config = SimConfig(r=0.3, photons=0.1, theta_true=(4.0, -2.0),
-                           samples=250_000, seed=72)
-        res = run_two_stage(config)
+                           samples=250_000, seed=72, mode="two_stage")
+        res = run(config)
         n1 = int(np.sqrt(config.samples))
         per_shot_sd = np.sqrt(dual_homodyne_mse_analytic(config.r, config.photons).value / 2)
         rough_se = per_shot_sd / np.sqrt(n1)
@@ -197,8 +196,8 @@ class TestTwoStage:
 
     def test_consistent_with_direct_at_matched_shots(self):
         theta = (1.5, -0.5)
-        ts = run_two_stage(SimConfig(r=0.4, photons=0.0, theta_true=theta,
-                                     samples=100_000, seed=73))
+        ts = run(SimConfig(r=0.4, photons=0.0, theta_true=theta,
+                           samples=100_000, seed=73, mode="two_stage"))
         direct = run(SimConfig(r=0.4, photons=0.0, theta_true=theta,
                                samples=ts.samples, seed=74))
         pooled_sd = np.sqrt(
@@ -216,8 +215,17 @@ class TestTwoStage:
         assert np.array_equal(a.rough_estimate, b.rough_estimate)
 
     def test_minimum_budget(self):
-        with pytest.raises(ValueError):
-            run_two_stage(SimConfig(r=0.1, photons=0.0, samples=16, seed=1), n_total=3)
+        # rejected where the config is built, not later inside run()
+        with pytest.raises(ValueError, match="at least 4 shots"):
+            SimConfig(r=0.1, photons=0.0, samples=3, seed=1, mode="two_stage")
+        res = run(SimConfig(r=0.1, photons=0.0, samples=4, seed=1, mode="two_stage"))
+        assert res.samples == 2
+        assert res.rough_estimate is not None
+
+    def test_rejects_full_phase_space(self):
+        config = SimConfig(r=0.1, photons=0.0, samples=100, seed=1, mode="two_stage")
+        with pytest.raises(ValueError, match="direct mode only"):
+            run(config, full_phase_space=True)
 
 
 class TestWorkerCount:
