@@ -34,7 +34,7 @@ from cvmb.bounds import (
     two_mode_min_r,
 )
 from cvmb.holevo import solve_analytic
-from cvmb.simulate import SimConfig, run
+from cvmb.simulate import SimConfig, check_integer, derive_seed, run
 
 __all__ = ["SweepSpec", "BoundSweepRow", "sweep_rows", "rows_to_csv", "gate_failures", "main"]
 
@@ -66,6 +66,8 @@ class SweepSpec:
         for name in ("r_min", "r_max", "photons"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name.replace('_', '-')} must be finite")
+        for name in ("r_steps", "samples", "seed"):
+            check_integer(name.replace("_", "-"), getattr(self, name))
         if self.photons < 0:
             raise ValueError("photons must be non-negative")
         if self.photons > MAX_PHOTONS:
@@ -134,11 +136,6 @@ def _dual_homodyne_entry(probe: str, r: float, photons: float, c_r: float) -> fl
     return c_r
 
 
-def _row_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-               .generate_state(1, np.uint64)[0])
-
-
 def sweep_rows(spec: SweepSpec) -> list[BoundSweepRow]:
     """Evaluate all bounds (and optionally the simulation) over the grid.
 
@@ -153,7 +150,7 @@ def sweep_rows(spec: SweepSpec) -> list[BoundSweepRow]:
     configs = [None] * len(grid)
     if spec.samples > 0:
         configs = [SimConfig(r=float(r), photons=spec.photons, samples=spec.samples,
-                             seed=_row_seed(spec.seed, i)) for i, r in enumerate(grid)]
+                             seed=derive_seed(spec.seed, i)) for i, r in enumerate(grid)]
     rows = []
     for r, config in zip(grid, configs):
         c_s, c_r = closed_form_bounds(r, spec.photons, spec.probe)

@@ -82,11 +82,8 @@ __all__ = [
 ]
 
 GRAM_TOL = 1e-12
-FEASIBILITY_TOL = 1e-10
 
 _FREE_NAMES = ("s1", "k2", "k1", "s2")
-# positions of the free variables inside the 8-component vector
-_FREE_IDX = (2, 7, 3, 6)
 
 # kkt_case_audit evaluates the spurious stationary point, whose stationarity
 # terms grow like 2 exp(3|r|), and the case-2 point, where g = csch^2 r:

@@ -8,8 +8,7 @@ Gaussians with variance ``(2N + 1) e^-2r`` and mean ``(q, p) / sqrt(2)``,
 so the linear unbiased estimator is ``theta_hat = sqrt(2) * outcome`` and
 its analytic summed variance is ``(8N + 4) e^-2r``.
 
-Sampling is done in the exact 2D outcome marginal by default; the full
-4D phase-space path is kept behind a flag as a cross-check oracle.
+Sampling is done in the exact 2D outcome marginal.
 
 Reproducibility
 ---------------
@@ -19,14 +18,16 @@ The draw for shot i therefore depends only on (seed, i), so batches are
 generated independently: threads across the usable CPUs take them one at
 a time as they come free, each reusing its own kernel scratch, and the
 batch sums are combined in batch-index order.  Results do not depend on
-the worker count or on which thread ran which batch; changing
-``batch_size`` changes nothing but the grouping of the compensated sums,
-i.e. results move at most at the level of floating-point rounding.
+the worker count or on which thread ran which batch.  Batches hold
+``BATCH_SIZE`` shots; another batch size would change nothing but the
+grouping of the compensated sums, i.e. results would move at most at the
+level of floating-point rounding.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +37,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from cvmb.bounds import MAX_PHOTONS
-from cvmb.gaussian import GaussianState, apply, beam_splitter, displace, make_thermal, two_mode_squeezer
+from cvmb.gaussian import apply, beam_splitter, displace, make_thermal, two_mode_squeezer
 
 __all__ = [
     "SIMULATE_MAX_SQUEEZING",
@@ -45,6 +46,8 @@ __all__ = [
     "OutcomeModel",
     "outcome_distribution",
     "accumulate_affine_moments",
+    "check_integer",
+    "derive_seed",
     "estimate",
     "run",
 ]
@@ -56,6 +59,32 @@ _MIN_UNIFORM = 2.0 ** -53  # guard against ndtri(0) = -inf
 # squeezer matrix fails the symplectic check of cvmb.gaussian on rounding
 # alone; the limit keeps a margin below that.
 SIMULATE_MAX_SQUEEZING = 4.0
+
+# shots per accumulation batch; even, so that at 2 words per shot every
+# batch starts on a Philox counter tick
+BATCH_SIZE = 65536
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; ``ValueError`` unless it is a (NumPy) integer.
+
+    ``bool`` is rejected although Python counts it as an integer.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def derive_seed(seed: int, index: int) -> int:
+    """Philox key of the ``index``-th stream derived from ``seed``.
+
+    Streams keyed by different indices, and by ``seed`` itself, are
+    statistically independent.
+    """
+    return int(SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -78,6 +107,8 @@ class SimConfig:
         for name in ("r", "photons"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        for name in ("samples", "seed"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if abs(self.r) > SIMULATE_MAX_SQUEEZING:
             raise ValueError(f"r = {self.r:g} is outside the simulate limit "
                              f"|r| <= {SIMULATE_MAX_SQUEEZING:g}")
@@ -140,16 +171,6 @@ class OutcomeModel:
     jacobian: np.ndarray
 
 
-def _post_splitter_state(r: float, photons: float, theta: tuple[float, float]) -> GaussianState:
-    probe = apply(two_mode_squeezer(r), make_thermal(photons, 2))
-    displaced = displace(probe, theta[0], theta[1], mode=0)
-    return apply(beam_splitter(0.5), displaced)
-
-
-# outcome components in the 4D post-splitter state: Q of mode 0, P of mode 1
-_OUTCOME_IDX = (0, 3)
-
-
 def outcome_distribution(r: float, photons: float,
                          theta: tuple[float, float] = (0.0, 0.0)) -> OutcomeModel:
     """Exact Gaussian distribution of the (Q_out0, P_out1) readout pair.
@@ -158,11 +179,13 @@ def outcome_distribution(r: float, photons: float,
     marginalizing, not from the closed form; the closed form
     ``cov = (2N + 1) e^-2r I`` is enforced by the tests instead.
     """
-    state = _post_splitter_state(r, photons, theta)
-    idx = list(_OUTCOME_IDX)
+    probe = apply(two_mode_squeezer(r), make_thermal(photons, 2))
+    splitter = beam_splitter(0.5)
+    state = apply(splitter, displace(probe, theta[0], theta[1], mode=0))
+    idx = [0, 3]  # Q of output mode 0, P of output mode 1
     mean = state.mean[idx]
     cov = state.cov[np.ix_(idx, idx)]
-    jac = beam_splitter(0.5).matrix[np.ix_(idx, [0, 1])]
+    jac = splitter.matrix[np.ix_(idx, [0, 1])]
     return OutcomeModel(mean, cov, jac)
 
 
@@ -204,21 +227,19 @@ def _shot_normals(key: int, start: int, count: int, words_per_shot: int) -> np.n
     return ndtri(u, out=u)
 
 
-def accumulate_affine_moments(z, a, c, *, scratch=None):
+def accumulate_affine_moments(z, a, c, *, scratch):
     """Accumulate error moments for shots ``e_i = a @ z_i + c``.
 
     Reductions use NumPy's pairwise summation; batches are combined with
-    compensated sums by the caller.  ``z`` is only read.  The kernel needs
-    the (n, 2) errors and one length-n temporary: with ``scratch`` it
-    overwrites the first n rows of those arrays, without it allocates
-    them.  The sums are the same either way.
+    compensated sums by the caller.  ``z`` is only read.  The (n, 2) errors
+    and one length-n temporary are written into the first n rows of the
+    ``scratch`` arrays, so a caller reuses one scratch for all its batches.
 
     Args:
         z: (n, k) standard-normal draws
         a: (2, k) affine transform rows
         c: (2,) affine offset
-        scratch: optional pair of float arrays, shapes (m, 2) and (m,)
-            with m >= n
+        scratch: pair of float arrays, shapes (m, 2) and (m,) with m >= n
 
     Returns:
         tuple: (sum e1, sum e2, sum e1^2, sum e2^2, sum e1*e2,
@@ -230,10 +251,7 @@ def accumulate_affine_moments(z, a, c, *, scratch=None):
     if a.shape != (2, z.shape[1]) or c.shape != (2,):
         raise ValueError("transform shape must be (2, k) with offset length 2")
     n = z.shape[0]
-    if scratch is None:
-        e, tmp = np.empty((n, 2)), np.empty(n)
-    else:
-        e, tmp = scratch[0][:n], scratch[1][:n]
+    e, tmp = scratch[0][:n], scratch[1][:n]
     np.matmul(z, a.T, out=e)
     e += c
     e1 = e[:, 0]
@@ -271,9 +289,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _accumulate(key: int, start_shot: int, count: int, transform: np.ndarray,
-                offset: np.ndarray, batch_size: int) -> list[float]:
-    """Stream ``count`` shots through the kernel, Kahan-combining batches.
+def _accumulate(key: int, count: int, transform: np.ndarray, offset: np.ndarray) -> list[float]:
+    """Stream shots [0, count) through the kernel, Kahan-combining batches.
 
     W workers (the calling thread and W - 1 pool threads) take batches one
     at a time, under a lock, from one shared iterator, each with one kernel
@@ -287,10 +304,9 @@ def _accumulate(key: int, start_shot: int, count: int, transform: np.ndarray,
     import scipy.special  # noqa: F401
 
     words = transform.shape[1]
-    end = start_shot + count
-    starts = range(start_shot, end, batch_size)
+    starts = range(0, count, BATCH_SIZE)
     workers = min(_usable_cpus(), len(starts))
-    size = min(batch_size, count)
+    size = min(BATCH_SIZE, count)
     batches = iter(enumerate(starts))
     lock = threading.Lock()
     sums: list[tuple | None] = [None] * len(starts)
@@ -304,7 +320,7 @@ def _accumulate(key: int, start_shot: int, count: int, transform: np.ndarray,
                 return
             # no reference to the draws outlives the call, so the next
             # batch's draws can take their freed memory
-            sums[j] = accumulate_affine_moments(_shot_normals(key, s, min(batch_size, end - s), words),
+            sums[j] = accumulate_affine_moments(_shot_normals(key, s, min(BATCH_SIZE, count - s), words),
                                                 transform, offset, scratch=scratch)
 
     if workers == 1:
@@ -334,18 +350,19 @@ def _second_moment_stats(sums: list[float], n: int) -> tuple[float, np.ndarray, 
     return mse_sum, mse_matrix, std_error, bias
 
 
-def run(config: SimConfig, batch_size: int = 65536, full_phase_space: bool = False) -> SimResult:
+def run(config: SimConfig) -> SimResult:
     """Run the simulation described by ``config``.
 
-    Draws ``config.samples`` dual-homodyne outcomes, applies the linear
-    unbiased estimator and returns the empirical MSE statistics.  The
-    result is a pure function of (config, batch_size, full_phase_space);
+    Draws ``config.samples`` dual-homodyne outcomes from the exact 2D
+    outcome marginal, applies the linear unbiased estimator and returns the
+    empirical MSE statistics.  The result is a pure function of ``config``;
     identical configs give bitwise-identical results.
 
     With ``config.mode == "two_stage"`` the estimation is adaptive: stage 1
     spends ``floor(sqrt(samples))`` shots on a rough estimate theta_rough;
     stage 2 displaces by -theta_rough (a mean shift) and estimates the
-    residual with the remaining shots.  The final estimate is theta_rough +
+    residual with the remaining shots, drawn from the stream keyed by
+    ``derive_seed(seed, 1)``.  The final estimate is theta_rough +
     pooled residual estimate.  ``mse_matrix`` estimates the covariance of
     that pooled estimator (empirical per-shot covariance divided by the
     stage-2 shot count), so ``mse_sum * n2 -> (8N + 4) e^-2r``.
@@ -355,34 +372,18 @@ def run(config: SimConfig, batch_size: int = 65536, full_phase_space: bool = Fal
 
     Args:
         config: simulation settings (``theta_true`` is the unknown target)
-        batch_size: shots per accumulation block (must be even and > 0)
-        full_phase_space: sample the full 4D post-splitter state instead
-            of the exact 2D outcome marginal (slower; cross-check path;
-            direct mode only)
 
     Returns:
         SimResult
     """
-    if batch_size < 2 or batch_size % 2:
-        raise ValueError("batch_size must be even and positive")
-    if full_phase_space and config.mode == "two_stage":
-        raise ValueError("full_phase_space applies to direct mode only")
-
     theta = np.array(config.theta_true)
     model = outcome_distribution(config.r, config.photons, config.theta_true)
     jinv = np.linalg.inv(model.jacobian)
-    if full_phase_space:
-        state = _post_splitter_state(config.r, config.photons, config.theta_true)
-        chol = np.linalg.cholesky(state.cov)
-        transform = jinv @ chol[list(_OUTCOME_IDX), :]
-        offset = jinv @ state.mean[list(_OUTCOME_IDX)] - theta
-    else:
-        transform = jinv @ np.linalg.cholesky(model.cov)
-        offset = jinv @ model.mean - theta
+    transform = jinv @ np.linalg.cholesky(model.cov)
     if config.mode == "two_stage":
-        return _run_two_stage(config, model, jinv, transform, batch_size)
+        return _run_two_stage(config, model, jinv, transform)
 
-    sums = _accumulate(config.seed, 0, config.samples, transform, offset, batch_size)
+    sums = _accumulate(config.seed, config.samples, transform, jinv @ model.mean - theta)
     mse_sum, mse_matrix, std_error, bias = _second_moment_stats(sums, config.samples)
     return SimResult(
         mse_sum=mse_sum,
@@ -394,27 +395,24 @@ def run(config: SimConfig, batch_size: int = 65536, full_phase_space: bool = Fal
     )
 
 
-def _stage2_key(seed: int) -> int:
-    """Derived stream key for stage 2 (stage-1 shot count may be odd)."""
-    return int(SeedSequence(entropy=seed, spawn_key=(1,)).generate_state(1, np.uint64)[0])
-
-
 def _run_two_stage(config: SimConfig, model: OutcomeModel, jinv: np.ndarray,
-                   transform: np.ndarray, batch_size: int) -> SimResult:
+                   transform: np.ndarray) -> SimResult:
     """The two-stage branch of :func:`run`, given the model it built at theta_true."""
     n1 = math.isqrt(config.samples)
     n2 = config.samples - n1
     theta = np.array(config.theta_true)
 
     # stage 1: accumulate raw per-shot estimates (offset referenced to zero)
-    sums1 = _accumulate(config.seed, 0, n1, transform, jinv @ model.mean, batch_size)
+    sums1 = _accumulate(config.seed, n1, transform, jinv @ model.mean)
     rough = np.array([sums1[0], sums1[1]]) / n1
 
-    # stage 2: probe displaced by -rough, estimate the residual
+    # stage 2: probe displaced by -rough, estimate the residual.  The outcome
+    # mean is jacobian @ displacement and the covariance does not depend on
+    # it, so the stage-1 model serves.  Stage 2 draws from a derived stream,
+    # since the stage-1 shot count may be odd.
     residual_true = theta - rough
-    model2 = outcome_distribution(config.r, config.photons, tuple(residual_true))
-    offset2 = jinv @ model2.mean - residual_true
-    sums2 = _accumulate(_stage2_key(config.seed), 0, n2, transform, offset2, batch_size)
+    offset2 = jinv @ (model.jacobian @ residual_true) - residual_true
+    sums2 = _accumulate(derive_seed(config.seed, 1), n2, transform, offset2)
 
     _, raw_second, raw_se, bias2 = _second_moment_stats(sums2, n2)
     # covariance about the empirical mean, then scaled to the pooled estimator

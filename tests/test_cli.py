@@ -232,6 +232,18 @@ class TestConfigResolution:
     def test_usage_error_on_negative_steps(self):
         assert cli.main(["bounds", "--r-steps", "0"]) == cli.USAGE_ERROR
 
+    def test_integer_settings(self):
+        for name, flag in (("r_steps", "r-steps"), ("samples", "samples"), ("seed", "seed")):
+            for bad in (True, 1000.5, 1.5, 2.0):
+                spec = cli.SweepSpec(**{"samples": 100, name: bad})
+                with pytest.raises(ValueError, match=f"{flag} must be an integer"):
+                    cli.sweep_rows(spec)
+        # NumPy integers are integers: the rows match plain ints bit for bit
+        plain = cli.sweep_rows(cli.SweepSpec(r_steps=2, samples=100, seed=5))
+        numpy = cli.sweep_rows(cli.SweepSpec(r_steps=np.int64(2), samples=np.int64(100),
+                                             seed=np.uint64(5)))
+        assert cli.rows_to_csv(numpy) == cli.rows_to_csv(plain)
+
     def test_config_file_and_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "settings.cfg"
         cfg.write_text("# sweep settings\nphotons = 0.5\nr_steps = 4  # four points\nseed=99\n")

@@ -37,6 +37,10 @@ def allocating_kernel(z, a, c):
     )
 
 
+def scratch_for(n):
+    return np.empty((n, 2)), np.empty(n)
+
+
 def random_case(seed, n=20_000, k=2):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, k))
@@ -48,10 +52,10 @@ def random_case(seed, n=20_000, k=2):
 class TestNumpyKernel:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_fsum_reference(self, seed):
-        # k = 2 is the outcome-marginal path, k = 4 the full phase-space one
+        # sampling draws k = 2 normals per shot; the kernel takes any k
         for k in (2, 4):
             z, a, c = random_case(seed, k=k)
-            got = accumulate_affine_moments(z, a, c)
+            got = accumulate_affine_moments(z, a, c, scratch=scratch_for(z.shape[0]))
             ref = reference_sums(z, a, c)
             for g, r in zip(got, ref):
                 assert math.isclose(g, r, rel_tol=1e-12, abs_tol=1e-9), (k, g, r)
@@ -65,13 +69,13 @@ class TestNumpyKernel:
             z, a, c = random_case(n, n=n, k=k)
             before = z.copy()
             expected = allocating_kernel(z, a, c)
-            assert accumulate_affine_moments(z, a, c) == expected, k
             assert accumulate_affine_moments(z, a, c, scratch=scratch) == expected, k
             assert np.array_equal(z, before), "the kernel must not write into z"
 
     def test_shape_validation(self):
         z, a, c = random_case(3)
+        scratch = scratch_for(z.shape[0])
         with pytest.raises(ValueError):
-            accumulate_affine_moments(z, a[:1], c)
+            accumulate_affine_moments(z, a[:1], c, scratch=scratch)
         with pytest.raises(ValueError):
-            accumulate_affine_moments(z, a, c[:1])
+            accumulate_affine_moments(z, a, c[:1], scratch=scratch)

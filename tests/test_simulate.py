@@ -96,10 +96,12 @@ class TestRun:
         assert np.array_equal(a.mse_matrix, b.mse_matrix)
         assert np.array_equal(a.bias, b.bias)
 
-    def test_batch_size_only_moves_rounding(self):
+    def test_batch_size_only_moves_rounding(self, monkeypatch):
         config = SimConfig(r=0.6, photons=0.0, samples=30_000, seed=12)
-        a = run(config, batch_size=30_000)
-        b = run(config, batch_size=2_048)
+        monkeypatch.setattr(cvmb.simulate, "BATCH_SIZE", 30_000)
+        a = run(config)
+        monkeypatch.setattr(cvmb.simulate, "BATCH_SIZE", 2_048)
+        b = run(config)
         assert np.isclose(a.mse_sum, b.mse_sum, rtol=1e-12, atol=0)
 
     def test_mse_matrix_structure(self):
@@ -137,17 +139,13 @@ class TestRun:
                               base.std_error / base.mse_sum)
         assert abs(ratio - np.exp(-2 * r)) < 3 * se
 
-    def test_full_phase_space_oracle_agrees(self):
-        direct = run(SimConfig(r=0.4, photons=0.2, theta_true=(1.0, 1.0),
-                               samples=400_000, seed=17))
-        full = run(SimConfig(r=0.4, photons=0.2, theta_true=(1.0, 1.0),
-                             samples=400_000, seed=18), full_phase_space=True)
-        assert abs(direct.mse_sum - full.mse_sum) < 3 * np.hypot(direct.std_error,
-                                                                 full.std_error)
-
-    def test_odd_batch_size_rejected(self):
-        with pytest.raises(ValueError):
-            run(SimConfig(r=0.1, photons=0.0, samples=10, seed=1), batch_size=3)
+    def test_unaligned_batch_start_rejected(self, monkeypatch):
+        # shot 1 at 2 words per shot starts mid-way through a counter tick
+        with pytest.raises(ValueError, match="not aligned to the Philox counter"):
+            cvmb.simulate._shot_normals(1, 1, 10, 2)
+        monkeypatch.setattr(cvmb.simulate, "BATCH_SIZE", 3)
+        with pytest.raises(ValueError, match="not aligned to the Philox counter"):
+            run(SimConfig(r=0.1, photons=0.0, samples=10, seed=1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -158,6 +156,12 @@ class TestRun:
             SimConfig(r=0.1, photons=0.0, seed=-1)
         with pytest.raises(ValueError):
             SimConfig(r=0.1, photons=0.0, mode="triple")
+        for name in ("samples", "seed"):
+            for bad in (True, 1000.5, 1.5, 1.9, 1.0, "7"):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    SimConfig(r=0.1, photons=0.0, **{name: bad})
+            config = SimConfig(r=0.1, photons=0.0, **{name: np.uint64(7)})
+            assert type(getattr(config, name)) is int and getattr(config, name) == 7
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="r must be finite"):
                 SimConfig(r=bad, photons=0.0)
@@ -222,10 +226,18 @@ class TestTwoStage:
         assert res.samples == 2
         assert res.rough_estimate is not None
 
-    def test_rejects_full_phase_space(self):
-        config = SimConfig(r=0.1, photons=0.0, samples=100, seed=1, mode="two_stage")
-        with pytest.raises(ValueError, match="direct mode only"):
-            run(config, full_phase_space=True)
+    def test_builds_one_outcome_model(self, monkeypatch):
+        calls = []
+        model = cvmb.simulate.outcome_distribution
+
+        def counting_model(*args):
+            calls.append(args)
+            return model(*args)
+
+        monkeypatch.setattr(cvmb.simulate, "outcome_distribution", counting_model)
+        run(SimConfig(r=0.3, photons=0.1, theta_true=(1.0, -2.0), samples=1_000, seed=2,
+                      mode="two_stage"))
+        assert calls == [(0.3, 0.1, (1.0, -2.0))]
 
 
 class TestWorkerCount:
@@ -233,6 +245,10 @@ class TestWorkerCount:
 
     CONFIG = SimConfig(r=0.3, photons=0.2, theta_true=(0.5, -1.0), samples=100_003, seed=99)
     BATCH = 4096  # 25 batches, the last one partial
+
+    @pytest.fixture(autouse=True)
+    def small_batches(self, monkeypatch):
+        monkeypatch.setattr(cvmb.simulate, "BATCH_SIZE", self.BATCH)
 
     @staticmethod
     def force_workers(monkeypatch, n):
@@ -243,10 +259,9 @@ class TestWorkerCount:
         return [np.asarray(getattr(res, f.name)) for f in dataclasses.fields(res)
                 if getattr(res, f.name) is not None]
 
-    @pytest.mark.parametrize("case", ["direct", "full_phase_space", "two_stage"])
+    @pytest.mark.parametrize("case", ["direct", "two_stage"])
     def test_bitwise_equal_for_any_worker_count(self, monkeypatch, case):
-        config = dataclasses.replace(self.CONFIG, mode="two_stage") \
-            if case == "two_stage" else self.CONFIG
+        config = dataclasses.replace(self.CONFIG, mode=case)
         pools = []
 
         class CountingPool(ThreadPoolExecutor):
@@ -261,8 +276,7 @@ class TestWorkerCount:
         try:
             for n in (1, 2, 8):  # 8 is more workers than most hosts have cores
                 self.force_workers(monkeypatch, n)
-                results.append(self.fields(run(config, batch_size=self.BATCH,
-                                               full_phase_space=case == "full_phase_space")))
+                results.append(self.fields(run(config)))
         finally:
             sys.setswitchinterval(interval)
         # stage 1 of two-stage (316 shots) is one batch and stays on the caller
@@ -279,7 +293,7 @@ class TestWorkerCount:
         monkeypatch.setattr(cvmb.simulate, "ThreadPoolExecutor", no_pool)
         self.force_workers(monkeypatch, 8)
         before = threading.active_count()
-        run(dataclasses.replace(self.CONFIG, samples=self.BATCH), batch_size=self.BATCH)
+        run(dataclasses.replace(self.CONFIG, samples=self.BATCH))
         assert threading.active_count() == before
 
     def test_out_of_order_completion(self, monkeypatch):
@@ -301,7 +315,7 @@ class TestWorkerCount:
         for n in (1, 2, 8):
             self.force_workers(monkeypatch, n)
             finished.clear()
-            results.append(self.fields(run(self.CONFIG, batch_size=self.BATCH)))
+            results.append(self.fields(run(self.CONFIG)))
             assert finished.count(True) == 1
             assert finished[0] == (n == 1), "batch 0 should finish first only on one worker"
         for other in results[1:]:
@@ -320,7 +334,7 @@ class TestWorkerCount:
 
         monkeypatch.setattr(cvmb.simulate, "accumulate_affine_moments", recording_kernel)
         self.force_workers(monkeypatch, 2)
-        run(self.CONFIG, batch_size=self.BATCH)
+        run(self.CONFIG)
         assert len(seen) == 25
         for z, copy in seen:
             assert np.array_equal(z, copy)
@@ -328,7 +342,7 @@ class TestWorkerCount:
     def test_worker_error_propagates(self, monkeypatch):
         raised = threading.Event()
 
-        def failing_kernel(z, a, c, scratch=None):
+        def failing_kernel(z, a, c, scratch):
             if threading.current_thread() is not threading.main_thread():
                 raised.set()
                 raise FloatingPointError("worker failed")
@@ -340,4 +354,4 @@ class TestWorkerCount:
         monkeypatch.setattr(cvmb.simulate, "accumulate_affine_moments", failing_kernel)
         self.force_workers(monkeypatch, 2)
         with pytest.raises(FloatingPointError, match="worker failed"):
-            run(self.CONFIG, batch_size=self.BATCH)
+            run(self.CONFIG)
