@@ -34,12 +34,22 @@ closed forms accept ``|r| <= squeezing_limit(N)``: the largest of them,
 beyond it.  At N = 0 the limit is ``MAX_SQUEEZING`` (about 354.9).  The
 two-mode dual-homodyne MSE ``(8N + 4) exp(-2r)``, at N = 0 also the Holevo
 bound, is four times larger at negative r and needs
-``r >= two_mode_min_r(N)`` (about -354.2 at N = 0).
+``r >= two_mode_min_r(N)`` (about -354.2 at N = 0).  Each of these rules,
+and the type rules below them, is written once, in a check function here
+that names the setting, converts the value and raises ``ValueError`` otherwise:
+``check_real`` (a finite real, not a ``bool``, returned as a Python float,
+so NumPy scalars compute exactly as the equal Python number),
+``check_integer``, ``check_photons`` (``0 <= N <= MAX_PHOTONS``),
+``check_squeezing`` (``|r| <= squeezing_limit(N)``), ``check_two_mode_r``
+(``r >= two_mode_min_r(N)``) and ``check_seed`` (64-bit unsigned).  Every
+entry point of the package that takes these numbers calls them, and the
+``cvmb`` command turns the ``ValueError`` into exit code 1.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -77,11 +87,83 @@ def two_mode_min_r(mean_photons: float = 0.0) -> float:
 
 MAX_SQUEEZING = squeezing_limit(0.0)
 
+
+def check_real(name: str, value) -> float:
+    """``value`` as a Python float; ``ValueError`` unless it is a finite real.
+
+    ``bool`` is rejected although Python counts it as a number.
+    """
+    # float first: it decides the common case without the slower ABC check
+    if not isinstance(value, (float, numbers.Real)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the double range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; ``ValueError`` unless it is a (NumPy) integer.
+
+    ``bool`` is rejected although Python counts it as an integer.
+    """
+    if not isinstance(value, (int, numbers.Integral)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_photons(name: str, value) -> float:
+    """A thermal occupation N as a float, checked for ``0 <= N <= MAX_PHOTONS``."""
+    n = check_real(name, value)
+    if n < 0:
+        raise ValueError(f"{name} must be non-negative, got {n:g}")
+    if n > MAX_PHOTONS:
+        raise ValueError(f"{name} = {n:g} is above the limit {MAX_PHOTONS:g}")
+    return n
+
+
+def check_squeezing(name: str, value, mean_photons: float) -> float:
+    """A squeezing r as a float, checked for ``|r| <= squeezing_limit(N)``."""
+    r = check_real(name, value)
+    limit = squeezing_limit(mean_photons)
+    if abs(r) > limit:
+        raise ValueError(f"{name} = {r:g} is outside |r| <= {limit:g}, "
+                         f"where the closed forms at N = {mean_photons:g} stay finite")
+    return r
+
+
+def check_two_mode_r(name: str, value, mean_photons: float) -> float:
+    """A squeezing r as a float, checked for ``r >= two_mode_min_r(N)``."""
+    r = check_real(name, value)
+    limit = two_mode_min_r(mean_photons)
+    if r < limit:
+        raise ValueError(f"{name} = {r:g} is below the limit {limit:g}, past which "
+                         f"(8N + 4) exp(-2r) at N = {mean_photons:g} overflows")
+    return r
+
+
+def check_seed(name: str, value) -> int:
+    """A seed as an int, checked to be a 64-bit unsigned integer."""
+    seed = check_integer(name, value)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"{name} must be a 64-bit unsigned integer")
+    return seed
+
+
 __all__ = [
     "MAX_PHOTONS",
     "MAX_SQUEEZING",
     "squeezing_limit",
     "two_mode_min_r",
+    "check_real",
+    "check_integer",
+    "check_photons",
+    "check_squeezing",
+    "check_two_mode_r",
+    "check_seed",
     "BoundResult",
     "DisplacementModel",
     "DegenerateModelError",
@@ -215,19 +297,8 @@ def closed_form_bounds(r: float, mean_photons: float, probe_kind: str) -> tuple[
     Returns:
         tuple: (SLD bound, RLD bound)
     """
-    n = mean_photons
-    if not np.isfinite(r):
-        raise ValueError("r must be finite")
-    if not np.isfinite(n):
-        raise ValueError("mean_photons must be finite")
-    if n < 0:
-        raise ValueError("mean photon number must be non-negative")
-    if n > MAX_PHOTONS:
-        raise ValueError(f"mean_photons = {n:g} is above the limit {MAX_PHOTONS:g}")
-    limit = squeezing_limit(n)
-    if abs(r) > limit:
-        raise ValueError(f"r = {r:g} is outside |r| <= {limit:g}, "
-                         f"where the closed forms at N = {n:g} stay finite")
+    n = check_photons("mean_photons", mean_photons)
+    r = check_squeezing("r", r, n)
     c = np.cosh(2.0 * r)
     if probe_kind == "single":
         c_s = (2.0 + 4.0 * n) * c
@@ -269,16 +340,10 @@ def dual_homodyne_mse_analytic(r: float, mean_photons: float = 0.0) -> BoundResu
 
     Equals ``(8N + 4) exp(-2r)``: both quadrature readouts see the
     squeezed variance ``(2N + 1) e^-2r`` and the inversion to (q, p)
-    doubles it.  Non-finite r, N above ``MAX_PHOTONS`` or r below
-    ``two_mode_min_r(N)`` raises ``ValueError``.
+    doubles it.  N outside ``check_photons`` or r outside ``check_two_mode_r``
+    raises ``ValueError``.
     """
-    if not math.isfinite(r):
-        raise ValueError(f"r must be finite, got {r}")
-    if not 0 <= mean_photons <= MAX_PHOTONS:
-        raise ValueError(f"mean photon number must be in [0, {MAX_PHOTONS:g}]")
-    limit = two_mode_min_r(mean_photons)
-    if r < limit:
-        raise ValueError(f"r = {r:g} is below the limit {limit:g}, past which "
-                         f"(8N + 4) exp(-2r) at N = {mean_photons:g} overflows")
+    mean_photons = check_photons("mean_photons", mean_photons)
+    r = check_two_mode_r("r", r, mean_photons)
     value = (8.0 * mean_photons + 4.0) * np.exp(-2.0 * r)
     return BoundResult(float(value), "dual-homodyne-analytic")

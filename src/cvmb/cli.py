@@ -19,22 +19,24 @@ Exit codes: 0 success, 1 usage error, 2 statistical gate failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from cvmb.bounds import (
-    MAX_PHOTONS,
+    check_integer,
+    check_photons,
+    check_real,
+    check_seed,
+    check_squeezing,
+    check_two_mode_r,
     closed_form_bounds,
     dual_homodyne_mse_analytic,
-    squeezing_limit,
-    two_mode_min_r,
 )
 from cvmb.holevo import solve_analytic
-from cvmb.simulate import SimConfig, check_integer, derive_seed, run
+from cvmb.simulate import SimConfig, derive_seed, run
 
 __all__ = ["SweepSpec", "BoundSweepRow", "sweep_rows", "rows_to_csv", "gate_failures", "main"]
 
@@ -43,55 +45,49 @@ CSV_HEADER = "r,N,C_S,C_R,C_H,V_DH,V_DH_emp,V_DH_se"
 USAGE_ERROR = 1
 GATE_ERROR = 2
 
-_DEFAULT_SEED = 12345
-
 # a simulated row fails its gate when |emp - analytic| exceeds this many SEs
 GATE_SIGMAS = 4.0
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Effective sweep settings after flag/config/default resolution."""
+    """Effective sweep settings after flag/config/default resolution.
+
+    Each field is one setting: the ``--r-min`` style flag and the ``r_min``
+    config key are derived from it, and its type says how their text is read.
+    """
 
     r_min: float = 0.0
     r_max: float = 1.5
     r_steps: int = 16
-    photons: float = 0.0
-    probe: str = "two_mode"
-    samples: int = 0
-    seed: int = _DEFAULT_SEED
-    out: str | None = None
+    photons: float = field(default=0.0, metadata={"help": "thermal photon number N"})
+    probe: str = field(default="two_mode", metadata={"help": "single or two-mode"})
+    samples: int = field(default=0, metadata={"help": "Monte Carlo shots per row"})
+    seed: int = 12345
+    out: str | None = field(default=None, metadata={"help": "output CSV path (default: stdout)"})
 
-    def validate(self):
-        for name in ("r_min", "r_max", "photons"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name.replace('_', '-')} must be finite")
-        for name in ("r_steps", "samples", "seed"):
-            check_integer(name.replace("_", "-"), getattr(self, name))
-        if self.photons < 0:
-            raise ValueError("photons must be non-negative")
-        if self.photons > MAX_PHOTONS:
-            raise ValueError(f"photons = {self.photons:g} is above the limit {MAX_PHOTONS:g}")
-        limit = squeezing_limit(self.photons)
-        for name in ("r_min", "r_max"):
-            r = getattr(self, name)
-            if abs(r) > limit:
-                raise ValueError(f"{name.replace('_', '-')} = {r:g} is outside |r| <= {limit:g}, "
-                                 f"where the closed forms at N = {self.photons:g} stay finite")
-        r_lowest = two_mode_min_r(self.photons)
-        if self.probe == "two_mode" and self.r_min < r_lowest:
-            raise ValueError(f"r-min = {self.r_min:g} is below the limit {r_lowest:g}, past which "
-                             f"(8N + 4) exp(-2r) at N = {self.photons:g} overflows")
-        if self.r_min > self.r_max:
-            raise ValueError("r-min must not exceed r-max")
-        if self.r_steps < 1:
-            raise ValueError("r-steps must be at least 1")
-        if self.samples < 0:
-            raise ValueError("samples must be non-negative")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.probe not in {"single", "two_mode"}:
+    def validate(self) -> SweepSpec:
+        """This spec with its numbers checked and converted to Python floats and ints.
+
+        ``ValueError`` names the offending setting as its flag is spelled.
+        """
+        photons = check_photons("photons", self.photons)
+        r_min = check_squeezing("r-min", self.r_min, photons)
+        r_max = check_squeezing("r-max", self.r_max, photons)
+        if self.probe not in ("single", "two_mode"):
             raise ValueError(f"unknown probe {self.probe!r}")
+        if self.probe == "two_mode":
+            check_two_mode_r("r-min", r_min, photons)
+        if r_min > r_max:
+            raise ValueError("r-min must not exceed r-max")
+        r_steps = check_integer("r-steps", self.r_steps)
+        if r_steps < 1:
+            raise ValueError("r-steps must be at least 1")
+        samples = check_integer("samples", self.samples)
+        if samples < 0:
+            raise ValueError("samples must be non-negative")
+        return replace(self, r_min=r_min, r_max=r_max, r_steps=r_steps, photons=photons,
+                       samples=samples, seed=check_seed("seed", self.seed))
 
     def r_grid(self) -> np.ndarray:
         if self.r_steps == 1:
@@ -101,7 +97,8 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class BoundSweepRow:
-    """One grid point of a sweep; None marks an intentionally empty field."""
+    """One grid point of a sweep, its fields in CSV column order; None marks an
+    intentionally empty field."""
 
     r: float
     photons: float
@@ -144,12 +141,12 @@ def sweep_rows(spec: SweepSpec) -> list[BoundSweepRow]:
     are independent and could be evaluated in parallel; they are always
     emitted in grid order.
     """
-    spec.validate()
+    spec = spec.validate()
     grid = spec.r_grid()
     # every row's config is built, and so checked, before the first row is sampled
     configs = [None] * len(grid)
     if spec.samples > 0:
-        configs = [SimConfig(r=float(r), photons=spec.photons, samples=spec.samples,
+        configs = [SimConfig(r=r, photons=spec.photons, samples=spec.samples,
                              seed=derive_seed(spec.seed, i)) for i, r in enumerate(grid)]
     rows = []
     for r, config in zip(grid, configs):
@@ -169,12 +166,7 @@ def _fmt(value: float | None) -> str:
 
 
 def rows_to_csv(rows: list[BoundSweepRow]) -> str:
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join([
-            _fmt(row.r), _fmt(row.photons), _fmt(row.c_s), _fmt(row.c_r),
-            _fmt(row.c_h), _fmt(row.v_dh), _fmt(row.v_dh_emp), _fmt(row.v_dh_se),
-        ]))
+    lines = [CSV_HEADER] + [",".join(map(_fmt, vars(row).values())) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -194,13 +186,8 @@ def figure_series(spec: SweepSpec) -> np.ndarray:
 
     The two-mode series over ``spec.r_grid()`` at ``spec.photons``.
     """
-    rs = spec.r_grid()
-    out = np.empty((rs.size, 5))
-    for i, r in enumerate(rs):
-        c_s, c_r = closed_form_bounds(r, spec.photons, "two_mode")
-        v_dh = dual_homodyne_mse_analytic(r, spec.photons).value
-        out[i] = (r, c_s, c_r, max(c_s, c_r), v_dh)
-    return out
+    rows = sweep_rows(replace(spec, probe="two_mode", samples=0))
+    return np.array([(row.r, row.c_s, row.c_r, max(row.c_s, row.c_r), row.v_dh) for row in rows])
 
 
 def _write(text: str, path: str | None):
@@ -219,14 +206,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--r-min", type=float, default=None)
-    parser.add_argument("--r-max", type=float, default=None)
-    parser.add_argument("--r-steps", type=int, default=None)
-    parser.add_argument("--photons", type=float, default=None, help="thermal photon number N")
-    parser.add_argument("--probe", choices=["single", "two-mode"], default=None)
-    parser.add_argument("--samples", type=int, default=None, help="Monte Carlo shots per row")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+    # read as text; effective_spec converts flags and config values alike
+    for f in fields(SweepSpec):
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
+                            help=f.metadata.get("help"))
     parser.add_argument("--config", default=None, help="key=value settings file")
     parser.add_argument("--show-config", action="store_true",
                         help="print the effective settings and exit")
@@ -261,42 +244,41 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_FIELD_NAMES = {f.name for f in fields(SweepSpec)}
+_FIELD_TYPES = {f.name: f.type for f in fields(SweepSpec)}
+# how the text of a setting is read, by field type, and the check whose
+# ValueError names the setting when the text does not parse
+_PARSERS = {"float": (float, check_real), "int": (int, check_integer)}
 
 
 def _coerce(key: str, raw: str):
-    if key in ("r_min", "r_max", "photons"):
-        return float(raw)
-    if key in ("r_steps", "samples", "seed"):
-        return int(raw)
+    """The text of a flag or config value as the type of its SweepSpec field."""
+    if key not in _FIELD_TYPES:
+        raise ValueError(f"unknown config key {key!r}")
     if key == "probe":
-        return raw.replace("-", "_")
-    return raw
+        return raw.replace("-", "_")  # both spellings, two-mode and two_mode
+    if _FIELD_TYPES[key] not in _PARSERS:
+        return raw
+    parse, check = _PARSERS[_FIELD_TYPES[key]]
+    try:
+        return parse(raw)
+    except ValueError:
+        return check(key.replace("_", "-"), raw)  # rejects the text, naming the setting
 
 
 def effective_spec(args: argparse.Namespace, environ=os.environ,
                    defaults: SweepSpec | None = None) -> SweepSpec:
-    """Resolve flags > config file > CVMB_SEED > defaults into a SweepSpec."""
+    """Resolve flags > config file > CVMB_SEED > defaults into a checked SweepSpec."""
     spec = defaults if defaults is not None else SweepSpec()
     env_seed = environ.get("CVMB_SEED")
     if env_seed is not None:
-        spec = replace(spec, seed=int(env_seed))
+        spec = replace(spec, seed=_coerce("seed", env_seed))
     if args.config is not None:
-        overrides = {}
-        for key, raw in read_config_file(args.config).items():
-            if key not in _FIELD_NAMES:
-                raise ValueError(f"unknown config key {key!r}")
-            overrides[key] = _coerce(key, raw)
-        spec = replace(spec, **overrides)
-    flag_map = {
-        "r_min": args.r_min, "r_max": args.r_max, "r_steps": args.r_steps,
-        "photons": args.photons, "samples": args.samples, "seed": args.seed,
-        "out": args.out,
-        "probe": None if args.probe is None else args.probe.replace("-", "_"),
-    }
-    spec = replace(spec, **{k: v for k, v in flag_map.items() if v is not None})
-    spec.validate()
-    return spec
+        settings = read_config_file(args.config)
+        spec = replace(spec, **{key: _coerce(key, raw) for key, raw in settings.items()})
+    flags = {key: getattr(args, key) for key in _FIELD_TYPES}
+    spec = replace(spec, **{key: _coerce(key, raw) for key, raw in flags.items()
+                            if raw is not None})
+    return spec.validate()
 
 
 def _show_config(spec: SweepSpec):

@@ -61,6 +61,25 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array; ``ValueError`` unless its dtype is integer or float.
+
+    Only the dtype is inspected, so bool, string, object and complex input is
+    rejected without a pass over the entries.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
+def _real(name: str, value) -> float:
+    """``cvmb.bounds.check_real``; imported on call, as cvmb.bounds imports this module."""
+    from cvmb.bounds import check_real
+
+    return check_real(name, value)
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """An m-mode Gaussian state given by its mean vector and covariance.
@@ -69,22 +88,28 @@ class GaussianState:
         mean (array): length 2m vector of quadrature means
         cov (array): real symmetric 2m x 2m covariance matrix
 
-    Construction validates symmetry of ``cov`` and the uncertainty
-    relation ``cov + i Omega >= 0`` (vacuum saturates it with cov = I).
+    Construction validates that ``cov`` is finite and symmetric and obeys
+    the uncertainty relation ``cov + i Omega >= 0`` (vacuum saturates it
+    with cov = I).  The mean is not scanned for non-finite entries; the
+    functions that shift it check their scalar arguments.
     """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.asarray(self.cov, dtype=float)
+        mean = np.atleast_1d(_real_array("mean", self.mean))
+        cov = _real_array("cov", self.cov)
         if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
             raise ValueError("mean must be a vector of even, positive length")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean of length {mean.size}"
             )
+        # NaN propagates through the max, so this rejects every non-finite entry
+        cov_max = np.max(np.abs(cov))
+        if not np.isfinite(cov_max):
+            raise ValueError("covariance matrix must be finite")
         if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric")
         omega = symplectic_form(mean.size // 2)
@@ -92,8 +117,7 @@ class GaussianState:
         # tolerance scales with the covariance magnitude so that strongly
         # squeezed states are not rejected for rounding in their large
         # eigenvalues; for unit-scale states this is the absolute -1e-10
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if eigs.min() < -PHYSICALITY_TOL * scale:
+        if eigs.min() < -PHYSICALITY_TOL * max(1.0, cov_max):
             raise ValueError(
                 f"covariance violates the uncertainty relation (min eig {eigs.min():.3e})"
             )
@@ -117,22 +141,24 @@ class SymplecticOp:
         matrix (array): real 2m x 2m symplectic matrix S
         offset (array): length 2m displacement d
 
-    Construction validates ``S Omega S^T = Omega``.
+    Construction validates ``S Omega S^T = Omega``, which a non-finite S
+    fails.  The offset is not scanned for non-finite entries.
     """
 
     matrix: np.ndarray
     offset: np.ndarray
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        offset = np.atleast_1d(np.asarray(self.offset, dtype=float))
+        matrix = _real_array("matrix", self.matrix)
+        offset = np.atleast_1d(_real_array("offset", self.offset))
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
             raise ValueError("matrix must be square with even dimension")
         if offset.shape != (matrix.shape[0],):
             raise ValueError("offset length does not match matrix dimension")
         omega = symplectic_form(matrix.shape[0] // 2)
-        err = np.max(np.abs(matrix @ omega @ matrix.T - omega))
-        if err > SYMPLECTIC_TOL:
+        with np.errstate(all="ignore"):  # a non-finite or overflowing S gives inf or NaN
+            err = np.max(np.abs(matrix @ omega @ matrix.T - omega))
+        if not err <= SYMPLECTIC_TOL:  # NaN fails it too
             raise ValueError(f"matrix is not symplectic (S Omega S^T deviates by {err:.3e})")
         object.__setattr__(self, "matrix", _readonly(matrix))
         object.__setattr__(self, "offset", _readonly(offset))
@@ -153,16 +179,17 @@ def make_thermal(mean_photons: float, num_modes: int = 1) -> GaussianState:
     """Tensor power of single-mode thermal states.
 
     Args:
-        mean_photons (float): mean photon number N >= 0 per mode
+        mean_photons (float): mean photon number per mode, 0 <= N <= MAX_PHOTONS
         num_modes (int): number of modes
 
     Returns:
         GaussianState: zero mean, covariance ``(2N + 1) I``
     """
+    from cvmb.bounds import check_photons  # see _real
+
     if num_modes < 1:
         raise ValueError("number of modes must be at least 1")
-    if mean_photons < 0:
-        raise ValueError("mean photon number must be non-negative")
+    mean_photons = check_photons("mean_photons", mean_photons)
     dim = 2 * num_modes
     return GaussianState(np.zeros(dim), (2.0 * mean_photons + 1.0) * np.eye(dim))
 
@@ -195,6 +222,7 @@ def single_mode_squeezer(r: float, mode: int = 0, num_modes: int = 1) -> Symplec
         SymplecticOp
     """
     _check_mode(mode, num_modes)
+    r = _real("r", r)
     matrix = np.eye(2 * num_modes)
     matrix[2 * mode, 2 * mode] = np.exp(-r)
     matrix[2 * mode + 1, 2 * mode + 1] = np.exp(r)
@@ -229,6 +257,7 @@ def two_mode_squeezer(r: float, mode_a: int = 0, mode_b: int = 1,
         raise ValueError("two-mode squeezer requires two distinct modes")
     _check_mode(mode_a, num_modes)
     _check_mode(mode_b, num_modes)
+    r = _real("r", r)
     ch, sh = np.cosh(r), np.sinh(r)
     block = np.array(
         [
@@ -269,7 +298,7 @@ def beam_splitter(tau: float, mode_a: int = 0, mode_b: int = 1,
     Returns:
         SymplecticOp
     """
-    if not 0.0 <= tau <= 1.0:
+    if not 0.0 <= _real("tau", tau) <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
     if mode_a == mode_b:
         raise ValueError("beam splitter requires two distinct modes")
@@ -292,8 +321,8 @@ def displacement(q: float, p: float, mode: int = 0, num_modes: int = 1) -> Sympl
     """Displacement as a SymplecticOp: identity matrix, offset (q, p) on ``mode``."""
     _check_mode(mode, num_modes)
     offset = np.zeros(2 * num_modes)
-    offset[2 * mode] = q
-    offset[2 * mode + 1] = p
+    offset[2 * mode] = _real("q", q)
+    offset[2 * mode + 1] = _real("p", p)
     return SymplecticOp(np.eye(2 * num_modes), offset)
 
 
@@ -301,8 +330,8 @@ def displace(state: GaussianState, q: float, p: float, mode: int = 0) -> Gaussia
     """Shift the mean of ``mode`` by (q, p); the covariance is unchanged."""
     _check_mode(mode, state.num_modes)
     mean = state.mean.copy()
-    mean[2 * mode] += q
-    mean[2 * mode + 1] += p
+    mean[2 * mode] += _real("q", q)
+    mean[2 * mode + 1] += _real("p", p)
     return GaussianState(mean, state.cov)
 
 

@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cvmb.bounds import MAX_SQUEEZING, trabs, two_mode_min_r
+from cvmb.bounds import MAX_SQUEEZING, check_real, trabs, two_mode_min_r
 
 __all__ = [
     "PureModelGram",
@@ -93,12 +93,12 @@ _KKT_MAX_R = (math.log(sys.float_info.max) - math.log(2.0)) / 3.0 - 1e-12
 _KKT_MIN_R = 1.0 / math.sqrt(sys.float_info.max)
 
 
-def _check_r(r: float, low: float, high: float, reason: str) -> None:
-    """Raise ``ValueError`` naming r and the limits unless r is in [low, high]."""
-    if not math.isfinite(r):
-        raise ValueError(f"r must be finite, got {r}")
+def _check_r(r: float, low: float, high: float, reason: str) -> float:
+    """r as a float, checked by ``cvmb.bounds.check_real`` and for ``low <= r <= high``."""
+    r = check_real("r", r)
     if not low <= r <= high:
         raise ValueError(f"r = {r:g} is outside [{low:g}, {high:g}], {reason}")
+    return r
 
 
 class ConvergenceError(RuntimeError):
@@ -251,7 +251,7 @@ def build_problem(probe_kind: str, r: float) -> HolevoProblem:
     Non-finite r and ``|r| > cvmb.bounds.MAX_SQUEEZING`` raise
     ``ValueError``.
     """
-    _check_r(r, -MAX_SQUEEZING, MAX_SQUEEZING, "where cosh 2r stays finite")
+    r = _check_r(r, -MAX_SQUEEZING, MAX_SQUEEZING, "where cosh 2r stays finite")
     if probe_kind == "single":
         gram = gram_single_mode(r)
         coords = np.array([[np.exp(r) / 2.0], [1j * np.exp(-r) / 2.0]])
@@ -269,7 +269,7 @@ def build_problem(probe_kind: str, r: float) -> HolevoProblem:
     else:
         raise ValueError(f"unknown probe kind {probe_kind!r}")
     _check_basis(coords, gram)
-    return HolevoProblem(probe_kind, float(r), coords.shape[1] + 1, coords, free)
+    return HolevoProblem(probe_kind, r, coords.shape[1] + 1, coords, free)
 
 
 def assemble_constraints(problem: HolevoProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -415,7 +415,7 @@ def solve_analytic(probe_kind: str, r: float) -> HolevoSolution:
     Other r raise ``ValueError``.
     """
     if probe_kind == "single":
-        _check_r(r, -MAX_SQUEEZING, MAX_SQUEEZING, "where cosh 2r stays finite")
+        r = _check_r(r, -MAX_SQUEEZING, MAX_SQUEEZING, "where cosh 2r stays finite")
         x, w = _pinned_single_solution(r)
         z = np.array(
             [[np.exp(-2.0 * r), 1.0j], [-1.0j, np.exp(2.0 * r)]], dtype=complex
@@ -423,8 +423,8 @@ def solve_analytic(probe_kind: str, r: float) -> HolevoSolution:
         bound = 2.0 + 2.0 * np.cosh(2.0 * r)
         return HolevoSolution(float(bound), x, z, "analytic-KKT")
     if probe_kind == "two_mode":
-        _check_r(r, two_mode_min_r(0.0), MAX_SQUEEZING,
-                 "where cosh 2r and the dual-homodyne MSE 4 exp(-2r) stay finite")
+        r = _check_r(r, two_mode_min_r(0.0), MAX_SQUEEZING,
+                     "where cosh 2r and the dual-homodyne MSE 4 exp(-2r) stay finite")
         u = np.exp(-r) if r >= 0 else -np.exp(r)
         free = np.array([u, u, 0.0, 0.0])
         z = 2.0 * np.exp(-2.0 * abs(r)) * np.eye(2, dtype=complex)
@@ -735,10 +735,11 @@ def kkt_case_audit(r: float) -> KKTCaseAudit:
     order ``exp(3|r|)`` overflow, raise ``ValueError``, as do r = 0 and
     ``0 < |r| < 7.5e-155``, where ``csch^2 r`` overflows.
     """
+    r = _check_r(r, -_KKT_MAX_R, _KKT_MAX_R,
+                 "where the spurious point's exp(3|r|) terms stay finite")
     if r == 0:
         raise ValueError("the case analysis assumes r != 0; at r = 0 the problem "
                          "reduces to the coherent single-mode case")
-    _check_r(r, -_KKT_MAX_R, _KKT_MAX_R, "where the spurious point's exp(3|r|) terms stay finite")
     if abs(r) < _KKT_MIN_R:
         raise ValueError(f"r = {r:g} is inside |r| < {_KKT_MIN_R:g}, where csch^2 r overflows")
     zeros = np.zeros(4)
@@ -757,7 +758,7 @@ def kkt_case_audit(r: float) -> KKTCaseAudit:
     sp_point = np.array([u_sp, u_sp, 0.0, 0.0])
 
     return KKTCaseAudit(
-        r=float(r),
+        r=r,
         case_1a_g=case_1a_g,
         case_2_g=case_2_g,
         bound=two_mode_objective(opt_point, r),

@@ -27,7 +27,6 @@ level of floating-point rounding.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from cvmb.bounds import MAX_PHOTONS
+from cvmb.bounds import check_integer, check_photons, check_real, check_seed
 from cvmb.gaussian import apply, beam_splitter, displace, make_thermal, two_mode_squeezer
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "OutcomeModel",
     "outcome_distribution",
     "accumulate_affine_moments",
-    "check_integer",
     "derive_seed",
     "estimate",
     "run",
@@ -65,19 +63,6 @@ SIMULATE_MAX_SQUEEZING = 4.0
 BATCH_SIZE = 65536
 
 
-def check_integer(name: str, value) -> int:
-    """``value`` as an int; ``ValueError`` unless it is a (NumPy) integer.
-
-    ``bool`` is rejected although Python counts it as an integer.
-    """
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def derive_seed(seed: int, index: int) -> int:
     """Philox key of the ``index``-th stream derived from ``seed``.
 
@@ -92,8 +77,10 @@ class SimConfig:
     """Settings for one simulation run.
 
     ``|r|`` is at most ``SIMULATE_MAX_SQUEEZING`` and ``photons`` at most
-    ``cvmb.bounds.MAX_PHOTONS``; ``mode="two_stage"`` needs at least 4
-    samples.
+    ``cvmb.bounds.MAX_PHOTONS``; ``theta_true`` is a pair of finite reals;
+    ``mode="two_stage"`` needs at least 4 samples.  The numbers are checked
+    and converted by the check functions of :mod:`cvmb.bounds`, so they are
+    stored as Python floats and ints.
     """
 
     r: float
@@ -104,30 +91,24 @@ class SimConfig:
     mode: str = "direct"
 
     def __post_init__(self):
-        for name in ("r", "photons"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("samples", "seed"):
-            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
+        object.__setattr__(self, "r", check_real("r", self.r))
         if abs(self.r) > SIMULATE_MAX_SQUEEZING:
             raise ValueError(f"r = {self.r:g} is outside the simulate limit "
                              f"|r| <= {SIMULATE_MAX_SQUEEZING:g}")
+        object.__setattr__(self, "photons", check_photons("photons", self.photons))
+        object.__setattr__(self, "samples", check_integer("samples", self.samples))
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
-        if self.photons < 0:
-            raise ValueError("mean photon number must be non-negative")
-        if self.photons > MAX_PHOTONS:
-            raise ValueError(f"photons = {self.photons:g} is above the limit {MAX_PHOTONS:g}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.mode not in {"direct", "two_stage"}:
+        object.__setattr__(self, "seed", check_seed("seed", self.seed))
+        if self.mode not in ("direct", "two_stage"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "two_stage" and self.samples < 4:
             raise ValueError("two-stage estimation needs at least 4 shots")
-        theta = tuple(float(t) for t in self.theta_true)
-        if not all(math.isfinite(t) for t in theta):
-            raise ValueError("theta_true must be finite")
-        object.__setattr__(self, "theta_true", theta)
+        try:
+            q, p = self.theta_true
+        except (TypeError, ValueError):
+            raise ValueError(f"theta_true must be a pair (q, p), got {self.theta_true!r}") from None
+        object.__setattr__(self, "theta_true", tuple(check_real("theta_true", t) for t in (q, p)))
 
 
 @dataclass(frozen=True)
