@@ -16,6 +16,7 @@ from any number of threads without synchronization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,16 @@ def _real(name: str, value) -> float:
     return check_real(name, value)
 
 
+def _finite(name: str, vector: np.ndarray) -> None:
+    """``ValueError`` unless every entry of the short vector is finite.
+
+    A Python scan: for the few entries of a mean or offset it is cheaper
+    than a NumPy reduction.
+    """
+    if not all(map(math.isfinite, vector.tolist())):
+        raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """An m-mode Gaussian state given by its mean vector and covariance.
@@ -88,10 +99,9 @@ class GaussianState:
         mean (array): length 2m vector of quadrature means
         cov (array): real symmetric 2m x 2m covariance matrix
 
-    Construction validates that ``cov`` is finite and symmetric and obeys
-    the uncertainty relation ``cov + i Omega >= 0`` (vacuum saturates it
-    with cov = I).  The mean is not scanned for non-finite entries; the
-    functions that shift it check their scalar arguments.
+    Construction validates that ``mean`` is finite and that ``cov`` is
+    finite and symmetric and obeys the uncertainty relation
+    ``cov + i Omega >= 0`` (vacuum saturates it with cov = I).
     """
 
     mean: np.ndarray
@@ -106,6 +116,7 @@ class GaussianState:
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean of length {mean.size}"
             )
+        _finite("mean", mean)
         # NaN propagates through the max, so this rejects every non-finite entry
         cov_max = np.max(np.abs(cov))
         if not np.isfinite(cov_max):
@@ -141,8 +152,11 @@ class SymplecticOp:
         matrix (array): real 2m x 2m symplectic matrix S
         offset (array): length 2m displacement d
 
-    Construction validates ``S Omega S^T = Omega``, which a non-finite S
-    fails.  The offset is not scanned for non-finite entries.
+    Construction validates ``S Omega S^T = Omega`` entry by entry: to
+    within ``SYMPLECTIC_TOL``, or to within ``SYMPLECTIC_TOL`` times that
+    entry of ``|S| |Omega| |S|^T``, the scale of its rounding, which grows
+    like ``exp(2|r|)`` for a squeezer.  A non-finite S fails it.  The offset
+    must be finite.
     """
 
     matrix: np.ndarray
@@ -155,11 +169,17 @@ class SymplecticOp:
             raise ValueError("matrix must be square with even dimension")
         if offset.shape != (matrix.shape[0],):
             raise ValueError("offset length does not match matrix dimension")
+        _finite("offset", offset)
         omega = symplectic_form(matrix.shape[0] // 2)
         with np.errstate(all="ignore"):  # a non-finite or overflowing S gives inf or NaN
-            err = np.max(np.abs(matrix @ omega @ matrix.T - omega))
-        if not err <= SYMPLECTIC_TOL:  # NaN fails it too
-            raise ValueError(f"matrix is not symplectic (S Omega S^T deviates by {err:.3e})")
+            dev = np.abs(matrix @ omega @ matrix.T - omega)
+            err = np.max(dev)
+            if not err <= SYMPLECTIC_TOL:  # NaN fails it too
+                # strong squeezing fails the absolute test on rounding alone:
+                # compare each entry to the scale of its rounding instead
+                scale = np.abs(matrix) @ np.abs(omega) @ np.abs(matrix).T
+                if not (err < np.inf and np.all(dev <= SYMPLECTIC_TOL * scale)):
+                    raise ValueError(f"matrix is not symplectic (S Omega S^T deviates by {err:.3e})")
         object.__setattr__(self, "matrix", _readonly(matrix))
         object.__setattr__(self, "offset", _readonly(offset))
 
@@ -214,15 +234,17 @@ def single_mode_squeezer(r: float, mode: int = 0, num_modes: int = 1) -> Symplec
     quadrature variances ``(e^-2r, e^2r)``.
 
     Args:
-        r (float): squeezing parameter (r > 0 squeezes Q)
+        r (float): squeezing parameter (r > 0 squeezes Q), ``|r| <= MAX_SQUEEZING``
         mode (int): target mode index
         num_modes (int): total mode count of the operator
 
     Returns:
         SymplecticOp
     """
+    from cvmb.bounds import check_squeezing  # see _real
+
     _check_mode(mode, num_modes)
-    r = _real("r", r)
+    r = check_squeezing("r", r, 0.0)
     matrix = np.eye(2 * num_modes)
     matrix[2 * mode, 2 * mode] = np.exp(-r)
     matrix[2 * mode + 1, 2 * mode + 1] = np.exp(r)
@@ -245,7 +267,7 @@ def two_mode_squeezer(r: float, mode_a: int = 0, mode_b: int = 1,
     quadratures, anti-correlated P quadratures.
 
     Args:
-        r (float): two-mode squeezing parameter
+        r (float): two-mode squeezing parameter, ``|r| <= MAX_SQUEEZING``
         mode_a (int): first mode index
         mode_b (int): second mode index
         num_modes (int): total mode count of the operator
@@ -253,11 +275,13 @@ def two_mode_squeezer(r: float, mode_a: int = 0, mode_b: int = 1,
     Returns:
         SymplecticOp
     """
+    from cvmb.bounds import check_squeezing  # see _real
+
     if mode_a == mode_b:
         raise ValueError("two-mode squeezer requires two distinct modes")
     _check_mode(mode_a, num_modes)
     _check_mode(mode_b, num_modes)
-    r = _real("r", r)
+    r = check_squeezing("r", r, 0.0)
     ch, sh = np.cosh(r), np.sinh(r)
     block = np.array(
         [
@@ -339,7 +363,10 @@ def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
     """Apply a symplectic operation to a state.
 
     Returns a new state with ``mean -> S mean + d`` and ``cov -> S cov S^T``.
-    The conjugated covariance is re-symmetrized to suppress round-off drift.
+    The conjugated covariance is re-symmetrized to suppress round-off drift,
+    halving before adding so that entries near the top of the double range
+    do not overflow.  Away from the ends of that range halving is exact, so
+    there this equals ``0.5 * (cov + cov.T)`` bit for bit.
     """
     if op.matrix.shape[0] != state.mean.size:
         raise ValueError(
@@ -347,5 +374,5 @@ def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
         )
     mean = op.matrix @ state.mean + op.offset
     cov = op.matrix @ state.cov @ op.matrix.T
-    cov = 0.5 * (cov + cov.T)
+    cov = 0.5 * cov + 0.5 * cov.T
     return GaussianState(mean, cov)

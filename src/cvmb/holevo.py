@@ -27,18 +27,18 @@ of the off-diagonal Z entry.  The analytic solver resolves the
 Karush-Kuhn-Tucker case analysis of this non-smooth problem, which gives
 ``4 exp(-2|r|)``.
 
-The numeric solver checks that result independently.  On the reduced
-parametrization it solves the Lagrangian dual exactly: with
-``g = (1/2) y^T S y`` over the eight components y,
+The numeric solver, :func:`solve_numeric`, checks that result
+independently.  It solves the Lagrangian dual of the eliminated problem
+exactly: with ``g = (1/2) y^T S y`` over the eight components y,
 ``f + 2|g| = max_{|t| <= 1} y^T (I + t S) y`` is convex in y for each t,
 so the bound is ``max_t phi(t)`` with ``phi(t)`` one 4 x 4 linear solve
 (Holevo 1982, ch. 6; Suzuki, J. Math. Phys. 57, 042201 (2016)).  A
 bisection on t finds the maximum, and the duality gap between the
-recovered primal point and the best ``phi`` certifies it.  The "full"
-parametrization keeps multi-start SLSQP on the two smooth branches as a
-reference; SciPy's optimizer is imported on its first call, through the
-module-level :func:`minimize`, so importing the package or a reduced
-solve does not load it.
+recovered primal point and the best ``phi`` certifies it.  The tests keep a
+private multi-start SLSQP search over all W components,
+:func:`_slsqp_reference`, as a second reference; it imports SciPy's
+optimizer on its first call, through the module-level :func:`minimize`, so
+importing the package or calling :func:`solve_numeric` does not load it.
 
 Both solvers evaluate at reference point zero only: for displacement
 models the covariance and mean Jacobian are parameter independent, and a
@@ -83,8 +83,6 @@ __all__ = [
 
 GRAM_TOL = 1e-12
 
-_FREE_NAMES = ("s1", "k2", "k1", "s2")
-
 # kkt_case_audit evaluates the spurious stationary point, whose stationarity
 # terms grow like 2 exp(3|r|), and the case-2 point, where g = csch^2 r:
 # both stay finite for _KKT_MIN_R <= |r| <= _KKT_MAX_R (the upper limit is
@@ -117,14 +115,12 @@ class PureModelGram:
     psi_j (j >= 1) its parameter derivatives at the reference point.
     """
 
-    dim: int
     overlaps: np.ndarray
 
     def __post_init__(self):
         overlaps = np.asarray(self.overlaps, dtype=complex)
-        n = self.dim + 1
-        if overlaps.shape != (n, n):
-            raise ValueError(f"overlaps must be {n}x{n} for dim {self.dim}")
+        if overlaps.ndim != 2 or overlaps.shape[0] != overlaps.shape[1]:
+            raise ValueError(f"overlaps must be a square matrix, got shape {overlaps.shape}")
         if np.max(np.abs(overlaps - overlaps.conj().T)) > GRAM_TOL:
             raise ValueError("overlap matrix must be Hermitian")
         if abs(overlaps[0, 0] - 1.0) > GRAM_TOL:
@@ -136,6 +132,11 @@ class PureModelGram:
         overlaps.setflags(write=False)
         object.__setattr__(self, "overlaps", overlaps)
 
+    @property
+    def dim(self) -> int:
+        """Number of parameters d."""
+        return self.overlaps.shape[0] - 1
+
 
 @dataclass(frozen=True)
 class HolevoProblem:
@@ -143,25 +144,27 @@ class HolevoProblem:
 
     ``psi_coords[j - 1, n - 1] = <e_n|psi_j>`` are the derivative-vector
     coordinates in the orthonormal basis (psi_0 = e_0 has no free
-    coordinates).  ``free_vars`` names the un-eliminated components of the
-    X observables, in solver order.
+    coordinates).
     """
 
     kind: str
     r: float
-    basis_dim: int
     psi_coords: np.ndarray
-    free_vars: tuple[str, ...]
 
     def __post_init__(self):
         if self.kind not in {"single", "two_mode"}:
             raise ValueError(f"unknown probe kind {self.kind!r}")
         coords = np.asarray(self.psi_coords, dtype=complex)
-        if coords.shape != (2, self.basis_dim - 1):
-            raise ValueError("psi_coords must have shape (2, basis_dim - 1)")
+        if coords.ndim != 2 or coords.shape[0] != 2 or coords.shape[1] < 1:
+            raise ValueError(f"psi_coords must have shape (2, basis_dim - 1), got {coords.shape}")
         coords = coords.copy()
         coords.setflags(write=False)
         object.__setattr__(self, "psi_coords", coords)
+
+    @property
+    def basis_dim(self) -> int:
+        """Size of the orthonormal basis {e_0, e_1, ...}."""
+        return self.psi_coords.shape[1] + 1
 
 
 @dataclass(frozen=True)
@@ -200,7 +203,7 @@ def gram_single_mode(r: float) -> PureModelGram:
         ],
         dtype=complex,
     )
-    return PureModelGram(2, overlaps)
+    return PureModelGram(overlaps)
 
 
 def gram_two_mode(r: float) -> PureModelGram:
@@ -218,7 +221,7 @@ def gram_two_mode(r: float) -> PureModelGram:
         ],
         dtype=complex,
     )
-    return PureModelGram(2, overlaps)
+    return PureModelGram(overlaps)
 
 
 def _check_basis(coords: np.ndarray, gram: PureModelGram) -> None:
@@ -255,7 +258,6 @@ def build_problem(probe_kind: str, r: float) -> HolevoProblem:
     if probe_kind == "single":
         gram = gram_single_mode(r)
         coords = np.array([[np.exp(r) / 2.0], [1j * np.exp(-r) / 2.0]])
-        free: tuple[str, ...] = ()
     elif probe_kind == "two_mode":
         gram = gram_two_mode(r)
         ch, sh = np.cosh(r), np.sinh(r)
@@ -265,11 +267,10 @@ def build_problem(probe_kind: str, r: float) -> HolevoProblem:
                 [1j * ch / 2.0, -1j * sh / 2.0],
             ]
         )
-        free = _FREE_NAMES
     else:
         raise ValueError(f"unknown probe kind {probe_kind!r}")
     _check_basis(coords, gram)
-    return HolevoProblem(probe_kind, r, coords.shape[1] + 1, coords, free)
+    return HolevoProblem(probe_kind, r, coords)
 
 
 def assemble_constraints(problem: HolevoProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +280,7 @@ def assemble_constraints(problem: HolevoProblem) -> tuple[np.ndarray, np.ndarray
     docstring for the naming); rows are ordered (j, k) = (1,1), (1,2),
     (2,1), (2,2) for the conditions ``2 Re <psi_0|X_k|psi_j> = delta_jk``.
     The zero-mean conditions ``<e_0|X_j|e_0> = 0`` are built into the
-    parametrization rather than into A.
+    choice of components rather than into A.
     """
     coords = problem.psi_coords
     nvar_per_x = 2 * (problem.basis_dim - 1)
@@ -433,43 +434,6 @@ def solve_analytic(probe_kind: str, r: float) -> HolevoSolution:
     raise ValueError(f"unknown probe kind {probe_kind!r}")
 
 
-def _branch_values(x: np.ndarray, basis_dim: int) -> tuple[float, float]:
-    """(f, g) of a full component vector: f = sum of squares, g = Im Z[1, 0]."""
-    w = components_to_w(x, basis_dim)
-    f = float(np.asarray(x) @ np.asarray(x))
-    g = float(np.imag(np.sum(w[1] * w[0].conj())))
-    return f, g
-
-
-def _branch_gradients(x: np.ndarray, basis_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    n = basis_dim - 1
-    x = np.asarray(x, dtype=float)
-    grad_f = 2.0 * x
-    a = x[0 : 2 * n : 2]
-    b = x[1 : 2 * n : 2]
-    c = x[2 * n :: 2]
-    d = x[2 * n + 1 :: 2]
-    grad_g = np.empty_like(x)
-    grad_g[0 : 2 * n : 2] = d
-    grad_g[1 : 2 * n : 2] = -c
-    grad_g[2 * n :: 2] = -b
-    grad_g[2 * n + 1 :: 2] = a
-    return grad_f, grad_g
-
-
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call.
-
-    Only the "full" parametrization of :func:`solve_numeric` needs the
-    optimizer, and importing ``scipy.optimize`` takes a large share
-    of the package's import time and memory, so ``import cvmb`` leaves it
-    out.
-    """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
-
-
 # g = j2 t1 - j1 t2 + k2 s1 - k1 s2 written as (1/2) y^T S y over the eight
 # components y = (t1, j1, s1, k1, t2, j2, s2, k2).  S has eigenvalues +-1, so
 # f + 2 t g = y^T (I + t S) y is convex in y for |t| <= 1.
@@ -552,7 +516,7 @@ def _two_mode_dual(problem: HolevoProblem) -> HolevoSolution:
     gap = bound - best.phi
     solution = HolevoSolution(
         bound, x, z, "numeric",
-        {"parametrization": "reduced", "t": best.t, "g": float(z[1, 0].imag),
+        {"t": best.t, "g": float(z[1, 0].imag),
          "duality_gap": gap, "constraint_residual": constraint_residual(problem, w)},
     )
     if not gap <= _GAP_RTOL * bound:
@@ -561,55 +525,82 @@ def _two_mode_dual(problem: HolevoProblem) -> HolevoSolution:
     return solution
 
 
-def solve_numeric(
-    problem: HolevoProblem,
-    seed: int = 0,
-    restarts: int = 16,
-    parametrization: str = "reduced",
-) -> HolevoSolution:
+def solve_numeric(problem: HolevoProblem) -> HolevoSolution:
     """Minimize the Holevo objective numerically, independently of the KKT analysis.
 
-    Parametrizations:
-
-    * "reduced" (default): free variables after constraint elimination.
-      Single-mode probes have none: the constraints pin the solution.  The
-      two-mode problem is solved exactly through its Lagrangian dual, by
-      bisection on the multiplier t in (-1, 1); the diagnostics report
-      ``t``, ``g`` (``Im Z[1, 0]`` at the minimizer), ``duality_gap`` and
-      ``constraint_residual``.  A duality gap above 1e-12 of the bound
-      raises ``ConvergenceError``.
-    * "full": all W components with the unbiasedness constraints imposed
-      as explicit linear equalities.  It minimizes the two smooth branches
-      (g >= 0 with objective f + 2g, g <= 0 with f - 2g) with SLSQP and
-      keeps the best feasible result.  Each branch starts from
-      ``restarts`` uniformly random points in ``[-2, 2]``; results are
-      deterministic for a fixed (seed, restarts).
-
-    ``seed`` and ``restarts`` act on "full" only; ``restarts < 1`` is
-    rejected for both parametrizations.  The Hermitian blocks of the X
+    Single-mode probes leave no free variables: the constraints pin the
+    solution.  The two-mode problem is solved exactly through its
+    Lagrangian dual, by bisection on the multiplier t in (-1, 1) (see
+    :func:`_two_mode_dual`); its diagnostics report ``t``, ``g``
+    (``Im Z[1, 0]`` at the minimizer) and ``duality_gap``.  Every solve
+    reports ``constraint_residual``.  The Hermitian blocks of the X
     operators on the derivative subspace do not enter Z for a pure state,
-    so neither parametrization carries them.
+    so the solve does not carry them.
 
     Raises:
-        ConvergenceError: the dual solve left a duality gap above its
-            tolerance, or no SLSQP restart converged on any branch; the
-            error's ``best`` attribute carries the best point found, if any.
+        ConvergenceError: the dual solve left a duality gap above 1e-12 of
+            the bound; the error's ``best`` attribute carries the point found.
+    """
+    if problem.kind == "two_mode":
+        return _two_mode_dual(problem)
+    _, w = _pinned_single_solution(problem.r)
+    z = z_matrix(w)
+    return HolevoSolution(holevo_value(z), np.array([]), z, "numeric",
+                          {"constraint_residual": constraint_residual(problem, w)})
+
+
+def _branch_values(x: np.ndarray, basis_dim: int) -> tuple[float, float]:
+    """(f, g) of a full component vector: f = sum of squares, g = Im Z[1, 0]."""
+    w = components_to_w(x, basis_dim)
+    f = float(np.asarray(x) @ np.asarray(x))
+    g = float(np.imag(np.sum(w[1] * w[0].conj())))
+    return f, g
+
+
+def _branch_gradients(x: np.ndarray, basis_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    n = basis_dim - 1
+    x = np.asarray(x, dtype=float)
+    grad_f = 2.0 * x
+    a = x[0 : 2 * n : 2]
+    b = x[1 : 2 * n : 2]
+    c = x[2 * n :: 2]
+    d = x[2 * n + 1 :: 2]
+    grad_g = np.empty_like(x)
+    grad_g[0 : 2 * n : 2] = d
+    grad_g[1 : 2 * n : 2] = -c
+    grad_g[2 * n :: 2] = -b
+    grad_g[2 * n + 1 :: 2] = a
+    return grad_f, grad_g
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    Only :func:`_slsqp_reference` needs the optimizer, and importing
+    ``scipy.optimize`` takes a large share of the package's import time and
+    memory, so ``import cvmb`` leaves it out.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
+def _slsqp_reference(problem: HolevoProblem, seed: int = 0, restarts: int = 16) -> HolevoSolution:
+    """Multi-start SLSQP over all W components: the tests' independent reference.
+
+    The unbiasedness constraints are imposed as explicit linear equalities.
+    It minimizes the two smooth branches (g >= 0 with objective f + 2g,
+    g <= 0 with f - 2g) and keeps the best feasible result.  Each branch
+    starts from ``restarts`` uniformly random points in ``[-2, 2]``; results
+    are deterministic for a fixed (seed, restarts).  ``restarts < 1`` raises
+    ``ValueError``.
+
+    Raises:
+        ConvergenceError: no restart converged on any branch; the error's
+            ``best`` attribute carries the best point found, if any.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    if parametrization not in {"reduced", "full"}:
-        raise ValueError(f"unknown parametrization {parametrization!r}")
-
-    if parametrization == "reduced":
-        if problem.kind == "two_mode":
-            return _two_mode_dual(problem)
-        x, w = _pinned_single_solution(problem.r)
-        z = z_matrix(w)
-        return HolevoSolution(
-            holevo_value(z), np.array([]), z, "numeric",
-            {"parametrization": "reduced",
-             "note": "constraints pin the solution; no free variables"},
-        )
 
     bd = problem.basis_dim
     a_mat, b_vec = assemble_constraints(problem)
@@ -665,7 +656,6 @@ def solve_numeric(
         w = components_to_w(x, bd)
         z = z_matrix(w)
         diagnostics = {
-            "parametrization": parametrization,
             "restarts": restarts,
             "converged": converged,
             "constraint_residual": constraint_residual(problem, w),

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from cvmb.bounds import check_integer, check_photons, check_real, check_seed
-from cvmb.gaussian import apply, beam_splitter, displace, make_thermal, two_mode_squeezer
+from cvmb.bounds import check_integer, check_photons, check_real, check_seed, two_mode_probe
+from cvmb.gaussian import apply, beam_splitter, displace
 
 __all__ = [
     "SIMULATE_MAX_SQUEEZING",
@@ -53,9 +53,11 @@ __all__ = [
 _WORDS_PER_TICK = 4  # Philox advances its counter in 4-word blocks
 _MIN_UNIFORM = 2.0 ** -53  # guard against ndtri(0) = -inf
 
-# Squeezing accepted by SimConfig (34.7 dB).  From |r| of about 4.86 the
-# squeezer matrix fails the symplectic check of cvmb.gaussian on rounding
-# alone; the limit keeps a margin below that.
+# Squeezing accepted by SimConfig (34.7 dB).  The outcome covariance
+# (2N + 1) exp(-2|r|) comes out of a cancellation between terms of size
+# exp(2|r|), so its relative error grows like 1e-16 exp(4|r|): 4e-10 at
+# |r| = 4, 8.5e-9 at 4.8 and 1e-3 at 8.  The limit keeps that error far
+# below the standard error of any feasible shot count.
 SIMULATE_MAX_SQUEEZING = 4.0
 
 # shots per accumulation batch; even, so that at 2 words per shot every
@@ -160,7 +162,7 @@ def outcome_distribution(r: float, photons: float,
     marginalizing, not from the closed form; the closed form
     ``cov = (2N + 1) e^-2r I`` is enforced by the tests instead.
     """
-    probe = apply(two_mode_squeezer(r), make_thermal(photons, 2))
+    probe = two_mode_probe(r, photons)
     splitter = beam_splitter(0.5)
     state = apply(splitter, displace(probe, theta[0], theta[1], mode=0))
     idx = [0, 3]  # Q of output mode 0, P of output mode 1

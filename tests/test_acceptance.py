@@ -65,7 +65,7 @@ def test_criterion_2_two_mode_holevo_bound():
     )
     worst = 0.0
     for r in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5):
-        sol = solve_numeric(build_problem("two_mode", r), seed=2024, restarts=16)
+        sol = solve_numeric(build_problem("two_mode", r))
         worst = max(worst, abs(sol.bound - 4.0 * np.exp(-2.0 * r)))
     elapsed = time.perf_counter() - t0
     report(2, exact_ok and worst < 1e-6 and elapsed < 10.0,
@@ -132,7 +132,7 @@ def test_criterion_6_dominance_and_kkt_audit():
             ok = ok and sol.bound >= max(c_s, c_r) - 1e-8
             ok = ok and np.min(np.linalg.eigvalsh(sol.z_matrix.real)) > -1e-12
     for r in (0.25, 0.5, 1.0):
-        sol = solve_numeric(build_problem("two_mode", r), seed=55, restarts=16)
+        sol = solve_numeric(build_problem("two_mode", r))
         c_s, c_r = closed_form_bounds(r, 0.0, "two_mode")
         ok = ok and sol.bound >= max(c_s, c_r) - 1e-8
         ok = ok and np.min(np.linalg.eigvalsh(sol.z_matrix.real)) > -1e-12

@@ -213,6 +213,14 @@ class TestInvariants:
     def test_non_symplectic_rejected(self):
         with pytest.raises(ValueError):
             SymplecticOp(2.0 * np.eye(2), np.zeros(2))
+        # the rounding scale of a strong squeezer covers neither a large
+        # defect nor a unit-scale defect on another mode
+        with pytest.raises(ValueError):
+            SymplecticOp(np.diag([1e13, 1.0]), np.zeros(2))
+        defect = two_mode_squeezer(10.0, num_modes=3).matrix.copy()
+        defect[4, 4] = 1.001
+        with pytest.raises(ValueError):
+            SymplecticOp(defect, np.zeros(6))
 
     def test_values_are_immutable(self):
         state = vacuum(2)

@@ -110,17 +110,13 @@ class TestProblem:
         rebuilt = problem.psi_coords.conj() @ problem.psi_coords.T
         assert np.max(np.abs(rebuilt - gram.overlaps[1:, 1:])) < 1e-12
 
-    def test_free_variables(self):
-        assert build_problem("two_mode", 0.3).free_vars == ("s1", "k2", "k1", "s2")
-        assert build_problem("single", 0.3).free_vars == ()
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_problem("nope", 0.1)
 
     def test_bad_coords_shape(self):
         with pytest.raises(ValueError):
-            HolevoProblem("single", 0.1, 2, np.zeros((3, 1), dtype=complex), ())
+            HolevoProblem("single", 0.1, np.zeros((3, 1), dtype=complex))
 
     @pytest.mark.parametrize("kind", ["single", "two_mode"])
     @pytest.mark.parametrize("r", [5.2, 5.6, 20.0, MAX_SQUEEZING])
@@ -354,7 +350,7 @@ class TestNumericSolver:
     @pytest.mark.parametrize("r", [0.0, 0.25, 0.5, 1.0, 1.5])
     def test_two_mode_reduced(self, r):
         problem = build_problem("two_mode", r)
-        sol = solve_numeric(problem, seed=123, restarts=16)
+        sol = solve_numeric(problem)
         assert abs(sol.bound - 4 * np.exp(-2 * r)) < 1e-6
         assert sol.method == "numeric"
         assert sol.diagnostics["constraint_residual"] < 1e-10
@@ -363,36 +359,33 @@ class TestNumericSolver:
     def test_two_mode_unreduced_forms(self, parametrization):
         r = 0.6
         problem = build_problem("two_mode", r)
-        sol = solve_numeric(problem, seed=9, restarts=16, parametrization=parametrization)
+        sol = holevo._slsqp_reference(problem, seed=9, restarts=16)
         assert abs(sol.bound - 4 * np.exp(-2 * r)) < 1e-6
         assert sol.diagnostics["constraint_residual"] < 1e-10
 
     def test_single_mode_numeric(self):
         r = 0.7
         problem = build_problem("single", r)
-        for parametrization in ("reduced", "full"):
-            sol = solve_numeric(problem, seed=4, restarts=8, parametrization=parametrization)
+        for sol in (solve_numeric(problem), holevo._slsqp_reference(problem, seed=4, restarts=8)):
             assert abs(sol.bound - (2 + 2 * np.cosh(1.4))) < 1e-6
 
     def test_deterministic_for_fixed_seed(self):
         problem = build_problem("two_mode", 0.45)
-        a = solve_numeric(problem, seed=77, restarts=6)
-        b = solve_numeric(problem, seed=77, restarts=6)
+        a = solve_numeric(problem)
+        b = solve_numeric(problem)
         assert a.bound == b.bound
         assert np.array_equal(a.minimizer, b.minimizer)
 
     def test_dominates_easy_bounds(self):
         for r in [0.0, 0.3, 0.8, 1.2]:
             problem = build_problem("two_mode", r)
-            sol = solve_numeric(problem, seed=1, restarts=8)
+            sol = solve_numeric(problem)
             c_s, c_r = closed_form_bounds(r, 0.0, "two_mode")
             assert sol.bound >= max(c_s, c_r) - 1e-8
 
     def test_restart_validation(self):
         with pytest.raises(ValueError):
-            solve_numeric(build_problem("two_mode", 0.5), restarts=0)
-        with pytest.raises(ValueError):
-            solve_numeric(build_problem("two_mode", 0.5), parametrization="magic")
+            holevo._slsqp_reference(build_problem("two_mode", 0.5), restarts=0)
 
     @pytest.mark.parametrize("r", sorted({v for r in DUAL_GRID for v in (r, -r)}))
     def test_dual_certified_on_grid(self, r):
@@ -405,6 +398,15 @@ class TestNumericSolver:
         assert abs(diagnostics["duality_gap"]) <= 1e-12 * want
         assert diagnostics["constraint_residual"] <= 1e-12
         assert -1.0 < diagnostics["t"] < 1.0
+
+    @pytest.mark.parametrize("r", sorted({v for r in DUAL_GRID for v in (r, -r)}))
+    def test_single_mode_pinned_on_grid(self, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_numeric(build_problem("single", r))
+        want = solve_analytic("single", r).bound
+        assert abs(sol.bound - want) <= 1e-12 * want
+        assert sol.diagnostics["constraint_residual"] <= 1e-12
 
     @given(st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)
@@ -419,7 +421,7 @@ class TestNumericSolver:
     def test_dual_agrees_with_slsqp_full(self, r):
         problem = build_problem("two_mode", r)
         dual = solve_numeric(problem)
-        full = solve_numeric(problem, seed=3, parametrization="full")
+        full = holevo._slsqp_reference(problem, seed=3)
         assert abs(dual.bound - full.bound) <= 1e-8
 
     def test_uncertified_dual_raises(self, monkeypatch):
@@ -447,7 +449,7 @@ def run_fresh(code):
 
 class TestLazyOptimizerImport:
     """SciPy is loaded only where it is used: its optimizer by the SLSQP
-    parametrizations of solve_numeric, scipy.special by sampling."""
+    reference solve, scipy.special by sampling."""
 
     def test_scipy_optimize_loaded_on_first_solve(self, tmp_path):
         out = str(tmp_path / "out.csv")
@@ -460,7 +462,8 @@ class TestLazyOptimizerImport:
             "solve_numeric(build_problem('two_mode', 0.5))\n"
             "solve_numeric(build_problem('single', 0.5))\n"
             "assert not scipy_loaded(), ('loaded without sampling', scipy_loaded())\n"
-            "solve_numeric(build_problem('two_mode', 0.5), restarts=1, parametrization='full')\n"
+            "from cvmb.holevo import _slsqp_reference\n"
+            "_slsqp_reference(build_problem('two_mode', 0.5), restarts=1)\n"
             "assert 'scipy.optimize' in sys.modules, 'not loaded by an SLSQP solve'\n"
         )
 

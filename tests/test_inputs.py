@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 from cvmb import cli
-from cvmb.bounds import closed_form_bounds, dual_homodyne_mse_analytic
+from cvmb.bounds import (
+    MAX_SQUEEZING,
+    closed_form_bounds,
+    dual_homodyne_mse_analytic,
+    single_mode_probe,
+    squeezing_limit,
+    two_mode_probe,
+)
 from cvmb.gaussian import (
     GaussianState,
     SymplecticOp,
@@ -65,6 +72,21 @@ ENTRY_POINTS = [
 IDS = [entry[0] for entry in ENTRY_POINTS]
 
 
+# one call each with an array entry or a number past its domain
+PAST_DOMAIN = [
+    ("single_mode_squeezer.above", lambda: single_mode_squeezer(np.nextafter(MAX_SQUEEZING, 400))),
+    ("single_mode_squeezer.below", lambda: single_mode_squeezer(np.nextafter(-MAX_SQUEEZING, -400))),
+    ("single_mode_squeezer.800", lambda: single_mode_squeezer(800.0)),
+    ("two_mode_squeezer.above", lambda: two_mode_squeezer(np.nextafter(MAX_SQUEEZING, 400))),
+    ("two_mode_squeezer.below", lambda: two_mode_squeezer(np.nextafter(-MAX_SQUEEZING, -400))),
+    ("two_mode_squeezer.800", lambda: two_mode_squeezer(800.0)),
+    ("GaussianState.mean.nan", lambda: GaussianState([math.nan, 0.0], np.eye(2))),
+    ("GaussianState.mean.inf", lambda: GaussianState([0.0, math.inf], np.eye(2))),
+    ("SymplecticOp.offset.nan", lambda: SymplecticOp(np.eye(2), [0.0, math.nan])),
+    ("SymplecticOp.offset.-inf", lambda: SymplecticOp(np.eye(2), [-math.inf, 0.0])),
+]
+
+
 def bits(value):
     """An image of ``value`` that compares floats and arrays bit for bit."""
     if dataclasses.is_dataclass(value):
@@ -84,6 +106,28 @@ def test_bad_value_raises_value_error(name, call, good_float, good_int, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
             call(bad)
+
+
+@pytest.mark.parametrize("call", [entry[1] for entry in PAST_DOMAIN],
+                         ids=[entry[0] for entry in PAST_DOMAIN])
+def test_past_domain_raises_value_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_domain_edges_are_accepted():
+    # at these r the squeezer entries reach exp(354.9) and the covariance
+    # entries the top of the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (MAX_SQUEEZING, -MAX_SQUEEZING):
+            assert np.isfinite(single_mode_probe(r).cov).all()
+            assert np.isfinite(two_mode_probe(r).cov).all()
+        for n in (2.0, 1e6):
+            assert np.isfinite(two_mode_probe(squeezing_limit(n), n).cov).all()
+        two_mode_squeezer(10.0)
 
 
 @pytest.mark.parametrize("name, call, good_float, good_int", ENTRY_POINTS, ids=IDS)
