@@ -43,7 +43,6 @@ from cvmb.holevo import (
     ConvergenceError,
     HolevoProblem,
     HolevoSolution,
-    PureModelGram,
     build_problem,
     gram_single_mode,
     gram_two_mode,

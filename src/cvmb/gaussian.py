@@ -139,10 +139,6 @@ class GaussianState:
     def num_modes(self) -> int:
         return self.mean.size // 2
 
-    def is_pure(self, tol: float = 1e-9) -> bool:
-        """Whether the state is pure, i.e. ``det(cov) = 1`` within ``tol``."""
-        return abs(np.linalg.det(self.cov) - 1.0) <= tol
-
 
 @dataclass(frozen=True)
 class SymplecticOp:

@@ -19,26 +19,33 @@ Real components are named following the convention
     W[0] = (t1 + i j1,  s1 + i k1)      (single-mode probes drop s, k)
     W[1] = (t2 + i j2,  s2 + i k2)
 
+The Gram matrix is a plain 3 x 3 array (:func:`gram_single_mode`,
+:func:`gram_two_mode`).  The constraints are the one real system
+``A x = b`` of :func:`assemble_constraints`, which
+:func:`constraint_residual` evaluates.  Over the real components x of W
+the objective splits as ``h = f + 2 |g|`` with ``f = x . x`` and
+``g = Im Z[1, 0] = (1/2) x^T S x``; S comes from :func:`_g_form`, built
+on ``cvmb.gaussian.symplectic_form``, and the dual solver and the SLSQP
+reference share it.
+
 For the two-mode probe the four constraints eliminate (t1, j1, t2, j2),
-leaving free variables ordered ``(s1, k2, k1, s2)``, and the objective
-splits as ``h = f + 2 |g|`` with ``f`` the sum of the eight squared
-components and ``g = j2 t1 - j1 t2 + k2 s1 - k1 s2`` the imaginary part
-of the off-diagonal Z entry.  The analytic solver resolves the
-Karush-Kuhn-Tucker case analysis of this non-smooth problem, which gives
-``4 exp(-2|r|)``.
+leaving free variables ordered ``(s1, k2, k1, s2)``, and
+``g = j2 t1 - j1 t2 + k2 s1 - k1 s2`` (:func:`two_mode_g`, the paper's
+scalar formula).  The analytic solver resolves the Karush-Kuhn-Tucker case
+analysis of this non-smooth problem, which gives ``4 exp(-2|r|)``.
 
 The numeric solver, :func:`solve_numeric`, checks that result
 independently.  It solves the Lagrangian dual of the eliminated problem
-exactly: with ``g = (1/2) y^T S y`` over the eight components y,
-``f + 2|g| = max_{|t| <= 1} y^T (I + t S) y`` is convex in y for each t,
-so the bound is ``max_t phi(t)`` with ``phi(t)`` one 4 x 4 linear solve
-(Holevo 1982, ch. 6; Suzuki, J. Math. Phys. 57, 042201 (2016)).  A
-bisection on t finds the maximum, and the duality gap between the
-recovered primal point and the best ``phi`` certifies it.  The tests keep a
-private multi-start SLSQP search over all W components,
-:func:`_slsqp_reference`, as a second reference; it imports SciPy's
-optimizer on its first call, through the module-level :func:`minimize`, so
-importing the package or calling :func:`solve_numeric` does not load it.
+exactly: ``f + 2|g| = max_{|t| <= 1} y^T (I + t S) y`` is convex in the
+eight components y for each t, so the bound is ``max_t phi(t)`` with
+``phi(t)`` one 4 x 4 linear solve (Holevo 1982, ch. 6; Suzuki, J. Math.
+Phys. 57, 042201 (2016)).  A bisection on t finds the maximum, and the
+duality gap between the recovered primal point and the best ``phi``
+certifies it.  The tests keep a private multi-start SLSQP search over all
+W components, :func:`_slsqp_reference`, as a second reference; it imports
+SciPy's optimizer on its first call, through the module-level
+:func:`minimize`, so importing the package or calling
+:func:`solve_numeric` does not load it.
 
 Both solvers evaluate at reference point zero only: for displacement
 models the covariance and mean Jacobian are parameter independent, and a
@@ -57,9 +64,9 @@ from typing import NamedTuple
 import numpy as np
 
 from cvmb.bounds import MAX_SQUEEZING, check_real, trabs, two_mode_min_r
+from cvmb.gaussian import symplectic_form
 
 __all__ = [
-    "PureModelGram",
     "HolevoProblem",
     "HolevoSolution",
     "KKTCaseAudit",
@@ -105,37 +112,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, best: "HolevoSolution | None" = None):
         super().__init__(message)
         self.best = best
-
-
-@dataclass(frozen=True)
-class PureModelGram:
-    """Gram matrix of {psi_0, psi_1, ..., psi_d} for a pure model.
-
-    ``overlaps[j, k] = <psi_j|psi_k>`` with psi_0 the normalized state and
-    psi_j (j >= 1) its parameter derivatives at the reference point.
-    """
-
-    overlaps: np.ndarray
-
-    def __post_init__(self):
-        overlaps = np.asarray(self.overlaps, dtype=complex)
-        if overlaps.ndim != 2 or overlaps.shape[0] != overlaps.shape[1]:
-            raise ValueError(f"overlaps must be a square matrix, got shape {overlaps.shape}")
-        if np.max(np.abs(overlaps - overlaps.conj().T)) > GRAM_TOL:
-            raise ValueError("overlap matrix must be Hermitian")
-        if abs(overlaps[0, 0] - 1.0) > GRAM_TOL:
-            raise ValueError("state must be normalized: <psi_0|psi_0> = 1")
-        diag = np.diag(overlaps)
-        if np.any(diag.real < 0) or np.max(np.abs(diag.imag)) > GRAM_TOL:
-            raise ValueError("diagonal overlaps must be real and non-negative")
-        overlaps = overlaps.copy()
-        overlaps.setflags(write=False)
-        object.__setattr__(self, "overlaps", overlaps)
-
-    @property
-    def dim(self) -> int:
-        """Number of parameters d."""
-        return self.overlaps.shape[0] - 1
 
 
 @dataclass(frozen=True)
@@ -188,14 +164,18 @@ class HolevoSolution:
         object.__setattr__(self, "minimizer", minimizer)
 
 
-def gram_single_mode(r: float) -> PureModelGram:
-    """Gram data for the squeezed-vacuum probe of squeezing r.
+def gram_single_mode(r: float) -> np.ndarray:
+    """Gram matrix of {psi_0, psi_1, psi_2} for the squeezed vacuum of squeezing r.
 
-    The derivative overlaps are ``<psi_1|psi_1> = e^2r / 4``,
+    Returns the 3 x 3 complex array ``G[j, k] = <psi_j|psi_k>``, with psi_0
+    the normalized state and psi_1, psi_2 its derivatives at the reference
+    point.  The derivative overlaps are ``<psi_1|psi_1> = e^2r / 4``,
     ``<psi_2|psi_2> = e^-2r / 4`` and ``<psi_1|psi_2> = i/4``; the state is
-    orthogonal to both derivatives.
+    orthogonal to both derivatives.  Non-finite r and
+    ``|r| > cvmb.bounds.MAX_SQUEEZING`` raise ``ValueError``.
     """
-    overlaps = np.array(
+    r = _check_r(r, -MAX_SQUEEZING, MAX_SQUEEZING, "where cosh 2r stays finite")
+    return np.array(
         [
             [1.0, 0.0, 0.0],
             [0.0, np.exp(2.0 * r) / 4.0, 0.25j],
@@ -203,17 +183,20 @@ def gram_single_mode(r: float) -> PureModelGram:
         ],
         dtype=complex,
     )
-    return PureModelGram(overlaps)
 
 
-def gram_two_mode(r: float) -> PureModelGram:
-    """Gram data for the two-mode squeezed vacuum probe of squeezing r.
+def gram_two_mode(r: float) -> np.ndarray:
+    """Gram matrix of {psi_0, psi_1, psi_2} for the two-mode squeezed vacuum probe.
 
-    Both derivative norms are ``cosh 2r / 4`` and the cross overlap is
-    ``i/4``; at r = 0 this coincides with the single-mode Gram.
+    Returns the 3 x 3 complex array, laid out as in
+    :func:`gram_single_mode`.  Both derivative norms are ``cosh 2r / 4``
+    and the cross overlap is ``i/4``; at r = 0 this coincides with the
+    single-mode Gram.  Non-finite r and ``|r| > cvmb.bounds.MAX_SQUEEZING``
+    raise ``ValueError``.
     """
+    r = _check_r(r, -MAX_SQUEEZING, MAX_SQUEEZING, "where cosh 2r stays finite")
     d = np.cosh(2.0 * r) / 4.0
-    overlaps = np.array(
+    return np.array(
         [
             [1.0, 0.0, 0.0],
             [0.0, d, 0.25j],
@@ -221,10 +204,9 @@ def gram_two_mode(r: float) -> PureModelGram:
         ],
         dtype=complex,
     )
-    return PureModelGram(overlaps)
 
 
-def _check_basis(coords: np.ndarray, gram: PureModelGram) -> None:
+def _check_basis(coords: np.ndarray, gram: np.ndarray) -> None:
     """Raise ``AssertionError`` unless the coordinates reproduce the derivative Gram block.
 
     Entry (j, k) is compared to within ``GRAM_TOL`` of its Cauchy-Schwarz
@@ -232,7 +214,7 @@ def _check_basis(coords: np.ndarray, gram: PureModelGram) -> None:
     entry: the entries grow like ``exp(2|r|)``, so an absolute tolerance
     fails from |r| of about 5 on rounding alone.
     """
-    target = gram.overlaps[1:, 1:]
+    target = gram[1:, 1:]
     root = np.sqrt(np.diag(target).real)
     if np.any(np.abs(coords.conj() @ coords.T - target) > GRAM_TOL * np.outer(root, root)):
         raise AssertionError("basis coordinates do not reproduce the Gram matrix")
@@ -380,14 +362,11 @@ def assemble_x_operators(
 
 
 def constraint_residual(problem: HolevoProblem, w: np.ndarray) -> float:
-    """Worst violation of ``2 Re <psi_0|X_k|psi_j> = delta_jk`` for a W."""
-    coords = problem.psi_coords
-    resid = 0.0
-    for j in range(2):
-        for k in range(2):
-            val = 2.0 * np.real(np.sum(coords[j] * w[k]))
-            resid = max(resid, abs(val - (1.0 if j == k else 0.0)))
-    return resid
+    """Worst violation ``max |A x - b|`` of :func:`assemble_constraints` for a W."""
+    a, b = assemble_constraints(problem)
+    w = np.asarray(w)
+    x = np.stack([w.real, w.imag], axis=-1).ravel()
+    return float(np.max(np.abs(a @ x - b)))
 
 
 def _pinned_single_solution(r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -434,11 +413,22 @@ def solve_analytic(probe_kind: str, r: float) -> HolevoSolution:
     raise ValueError(f"unknown probe kind {probe_kind!r}")
 
 
-# g = j2 t1 - j1 t2 + k2 s1 - k1 s2 written as (1/2) y^T S y over the eight
-# components y = (t1, j1, s1, k1, t2, j2, s2, k2).  S has eigenvalues +-1, so
-# f + 2 t g = y^T (I + t S) y is convex in y for |t| <= 1.
-_G_FORM = np.zeros((8, 8))
-_G_FORM[[0, 5, 1, 4, 2, 7, 3, 6], [5, 0, 4, 1, 7, 2, 6, 3]] = [1, 1, -1, -1, 1, 1, -1, -1]
+def _g_form(n: int) -> np.ndarray:
+    """S with ``g = Im Z[1, 0] = (1/2) x^T S x`` over the 4n W components x.
+
+    With x = (u, v) split into the components of X_1 and X_2,
+    ``Im Z[1, 0] = u^T Omega_n v`` for the symplectic form Omega_n of n
+    modes, so ``S = [[0, Omega_n], [Omega_n^T, 0]]``.  S has eigenvalues
+    +-1, so ``f + 2 t g = x^T (I + t S) x`` is convex in x for |t| <= 1.
+    """
+    omega = symplectic_form(n)
+    zero = np.zeros_like(omega)
+    return np.block([[zero, omega], [omega.T, zero]])
+
+
+# S over the two-mode components y = (t1, j1, s1, k1, t2, j2, s2, k2), where
+# g = j2 t1 - j1 t2 + k2 s1 - k1 s2
+_G_FORM = _g_form(2)
 
 # the dual bisection stops once its bracket on t is this narrow
 _T_RESOLUTION = 2.0 ** -52
@@ -549,30 +539,6 @@ def solve_numeric(problem: HolevoProblem) -> HolevoSolution:
                           {"constraint_residual": constraint_residual(problem, w)})
 
 
-def _branch_values(x: np.ndarray, basis_dim: int) -> tuple[float, float]:
-    """(f, g) of a full component vector: f = sum of squares, g = Im Z[1, 0]."""
-    w = components_to_w(x, basis_dim)
-    f = float(np.asarray(x) @ np.asarray(x))
-    g = float(np.imag(np.sum(w[1] * w[0].conj())))
-    return f, g
-
-
-def _branch_gradients(x: np.ndarray, basis_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    n = basis_dim - 1
-    x = np.asarray(x, dtype=float)
-    grad_f = 2.0 * x
-    a = x[0 : 2 * n : 2]
-    b = x[1 : 2 * n : 2]
-    c = x[2 * n :: 2]
-    d = x[2 * n + 1 :: 2]
-    grad_g = np.empty_like(x)
-    grad_g[0 : 2 * n : 2] = d
-    grad_g[1 : 2 * n : 2] = -c
-    grad_g[2 * n :: 2] = -b
-    grad_g[2 * n + 1 :: 2] = a
-    return grad_f, grad_g
-
-
 def minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on the first call.
 
@@ -603,6 +569,7 @@ def _slsqp_reference(problem: HolevoProblem, seed: int = 0, restarts: int = 16) 
         raise ValueError("restarts must be at least 1")
 
     bd = problem.basis_dim
+    s_form = _g_form(bd - 1)
     a_mat, b_vec = assemble_constraints(problem)
     eq_constraint = {"type": "eq", "fun": lambda x: a_mat @ x - b_vec, "jac": lambda x: a_mat}
 
@@ -615,34 +582,26 @@ def _slsqp_reference(problem: HolevoProblem, seed: int = 0, restarts: int = 16) 
     fallback_x = None
     converged = 0
     for sign in (1.0, -1.0):
-
-        def objective(x, s=sign):
-            f, g = _branch_values(x, bd)
-            return f + 2.0 * s * g
-
-        def objective_jac(x, s=sign):
-            gf, gg = _branch_gradients(x, bd)
-            return gf + 2.0 * s * gg
-
+        # the branch objective f + 2 s g = x.x + s x^T S x and the branch
+        # constraint s g >= 0, with their gradients
         cons = [
             eq_constraint,
             {
                 "type": "ineq",
-                "fun": lambda x, s=sign: s * _branch_values(x, bd)[1],
-                "jac": lambda x, s=sign: s * _branch_gradients(x, bd)[1],
+                "fun": lambda x, s=sign: s * 0.5 * (x @ s_form @ x),
+                "jac": lambda x, s=sign: s * (s_form @ x),
             },
         ]
         for x0 in starts:
             res = minimize(
-                objective,
+                lambda x, s=sign: x @ x + s * (x @ s_form @ x),
                 x0,
-                jac=objective_jac,
+                jac=lambda x, s=sign: 2.0 * x + 2.0 * s * (s_form @ x),
                 method="SLSQP",
                 constraints=cons,
                 options={"ftol": 1e-14, "maxiter": 500},
             )
-            f, g = _branch_values(res.x, bd)
-            val = f + 2.0 * abs(g)
+            val = float(res.x @ res.x) + abs(float(res.x @ s_form @ res.x))
             if not res.success:
                 if val < fallback_val:
                     fallback_val, fallback_x = val, res.x

@@ -200,7 +200,6 @@ class TestInvariants:
                 total = op.matrix @ total
             assert np.max(np.abs(total @ omega @ total.T - omega)) < 1e-9
             assert abs(np.linalg.det(state.cov) - 1.0) < 1e-9
-            assert state.is_pure()
             eigs = np.linalg.eigvalsh(state.cov + 1j * omega)
             assert eigs.min() > -1e-9
 

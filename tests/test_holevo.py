@@ -52,30 +52,29 @@ def quadrature_second_moments(r):
 
 class TestGram:
     def test_single_mode_entries(self):
-        g = gram_single_mode(1.0).overlaps
+        g = gram_single_mode(1.0)
         assert np.isclose(g[1, 1], np.exp(2.0) / 4.0)
         assert np.isclose(g[1, 1], 1.84726, atol=5e-6)
         assert np.isclose(g[2, 2], np.exp(-2.0) / 4.0)
         assert g[1, 2] == 0.25j
 
     def test_single_mode_r_zero(self):
-        g = gram_single_mode(0.0).overlaps
+        g = gram_single_mode(0.0)
         assert np.allclose(np.diag(g), [1.0, 0.25, 0.25])
         assert g[1, 2] == 0.25j
 
     @pytest.mark.parametrize("r", [0.0, 0.4, 1.3])
     def test_hermitian_and_normalized(self, r):
-        for g in (gram_single_mode(r), gram_two_mode(r)):
-            m = g.overlaps
+        for m in (gram_single_mode(r), gram_two_mode(r)):
             assert np.allclose(m, m.conj().T)
             assert m[0, 0] == 1.0
             assert np.allclose(m[0, 1:], 0.0)
 
     def test_two_mode_reduces_to_single_at_r_zero(self):
-        assert np.array_equal(gram_two_mode(0.0).overlaps, gram_single_mode(0.0).overlaps)
+        assert np.array_equal(gram_two_mode(0.0), gram_single_mode(0.0))
 
     def test_two_mode_derivative_norm(self):
-        g = gram_two_mode(0.5).overlaps
+        g = gram_two_mode(0.5)
         assert np.isclose(g[1, 1], np.cosh(1.0) / 4.0)
         assert np.isclose(g[1, 1], 0.38577, atol=5e-6)
 
@@ -84,7 +83,7 @@ class TestGram:
         # oracle: assemble the overlaps from quadrature moments of the
         # squeezed state; derivatives are -i P |psi> / 2 and i Q |psi> / 2
         q2, p2, pq = quadrature_second_moments(r)
-        g = gram_single_mode(r).overlaps
+        g = gram_single_mode(r)
         assert abs(g[1, 1] - p2 / 4.0) < 1e-12
         assert abs(g[2, 2] - q2 / 4.0) < 1e-12
         assert abs(g[1, 2] - (-pq / 4.0)) < 1e-12
@@ -95,7 +94,7 @@ class TestGram:
         # with the displacement split across both modes with opposite signs
         q2p, p2p, pqp = quadrature_second_moments(r)
         q2m, p2m, pqm = quadrature_second_moments(-r)
-        g = gram_two_mode(r).overlaps
+        g = gram_two_mode(r)
         assert abs(g[1, 1] - (p2p + p2m) / 8.0) < 1e-12
         assert abs(g[2, 2] - (q2p + q2m) / 8.0) < 1e-12
         assert abs(g[1, 2] - (-(pqp + pqm) / 8.0)) < 1e-12
@@ -108,7 +107,7 @@ class TestProblem:
         assert problem.basis_dim == dim
         gram = gram_single_mode(r) if kind == "single" else gram_two_mode(r)
         rebuilt = problem.psi_coords.conj() @ problem.psi_coords.T
-        assert np.max(np.abs(rebuilt - gram.overlaps[1:, 1:])) < 1e-12
+        assert np.max(np.abs(rebuilt - gram[1:, 1:])) < 1e-12
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -194,6 +193,26 @@ class TestConstraints:
                 val = 2.0 * np.real(psi_j.conj() @ x @ e0).item()
                 assert abs(val - (1.0 if j == k else 0.0)) < 1e-10
 
+    @pytest.mark.parametrize("kind", ["single", "two_mode"])
+    @pytest.mark.parametrize("r", [-1.3, 0.0, 0.7])
+    def test_residual_of_zero_w(self, kind, r):
+        # W = 0 leaves 2 Re <psi_0|X_j|psi_j> = 1 unmet by exactly 1
+        problem = build_problem(kind, r)
+        residual = constraint_residual(problem, np.zeros((2, problem.basis_dim - 1), complex))
+        assert type(residual) is float
+        assert residual == 1.0
+
+    @pytest.mark.parametrize("r", [-1.3, 0.0, 0.7])
+    def test_residual_reports_a_shifted_component(self, r):
+        # t1 enters the (1, 1) constraint with coefficient 2 Re <e_1|psi_1> = cosh r
+        problem = build_problem("two_mode", r)
+        w = components_to_w(eliminate_two_mode([0.3, -0.7, 1.1, 0.5], r), 3)
+        for delta in (1e-3, -0.25):
+            shifted = w.copy()
+            shifted[0, 0] += delta
+            assert np.isclose(constraint_residual(problem, shifted), abs(delta) * np.cosh(r),
+                              rtol=1e-9, atol=0.0)
+
     def test_zero_mean_component_enforced(self):
         problem = build_problem("two_mode", 0.5)
         w = components_to_w(eliminate_two_mode(np.zeros(4), 0.5), 3)
@@ -234,6 +253,13 @@ class TestObjective:
             for free in rng.uniform(-2, 2, size=(10, 4)):
                 y = eliminate_two_mode(free, r)
                 assert np.isclose(0.5 * y @ holevo._G_FORM @ y, two_mode_g(free, r),
+                                  rtol=1e-12, atol=1e-12)
+        assert np.array_equal(holevo._G_FORM, holevo._g_form(2))
+        # and against Im Z[1, 0] over all W components, for both basis sizes
+        for n in (1, 2):
+            for x in rng.uniform(-2, 2, size=(10, 4 * n)):
+                assert np.isclose(0.5 * x @ holevo._g_form(n) @ x,
+                                  z_matrix(components_to_w(x, n + 1))[1, 0].imag,
                                   rtol=1e-12, atol=1e-12)
 
     def test_matches_z_matrix_route(self):

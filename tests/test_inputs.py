@@ -32,7 +32,13 @@ from cvmb.gaussian import (
     two_mode_squeezer,
     vacuum,
 )
-from cvmb.holevo import build_problem, kkt_case_audit, solve_analytic
+from cvmb.holevo import (
+    build_problem,
+    gram_single_mode,
+    gram_two_mode,
+    kkt_case_audit,
+    solve_analytic,
+)
 from cvmb.simulate import SimConfig
 
 BAD_VALUES = [True, math.nan, math.inf, -math.inf, "0.1", None]
@@ -57,6 +63,8 @@ ENTRY_POINTS = [
     ("dual_homodyne_mse_analytic.mean_photons",
      lambda x: dual_homodyne_mse_analytic(0.1, x), 0.5, 1),
     ("build_problem", lambda x: build_problem("two_mode", x), 0.5, 1),
+    ("gram_single_mode", gram_single_mode, 0.5, 1),
+    ("gram_two_mode", gram_two_mode, 0.5, 1),
     ("solve_analytic.single", lambda x: solve_analytic("single", x), 0.5, 1),
     ("solve_analytic.two_mode", lambda x: solve_analytic("two_mode", x), 0.5, 1),
     ("kkt_case_audit", kkt_case_audit, 0.5, 1),
@@ -80,6 +88,12 @@ PAST_DOMAIN = [
     ("two_mode_squeezer.above", lambda: two_mode_squeezer(np.nextafter(MAX_SQUEEZING, 400))),
     ("two_mode_squeezer.below", lambda: two_mode_squeezer(np.nextafter(-MAX_SQUEEZING, -400))),
     ("two_mode_squeezer.800", lambda: two_mode_squeezer(800.0)),
+    ("gram_single_mode.above", lambda: gram_single_mode(np.nextafter(MAX_SQUEEZING, 400))),
+    ("gram_single_mode.below", lambda: gram_single_mode(np.nextafter(-MAX_SQUEEZING, -400))),
+    ("gram_single_mode.800", lambda: gram_single_mode(800.0)),
+    ("gram_two_mode.above", lambda: gram_two_mode(np.nextafter(MAX_SQUEEZING, 400))),
+    ("gram_two_mode.below", lambda: gram_two_mode(np.nextafter(-MAX_SQUEEZING, -400))),
+    ("gram_two_mode.800", lambda: gram_two_mode(800.0)),
     ("GaussianState.mean.nan", lambda: GaussianState([math.nan, 0.0], np.eye(2))),
     ("GaussianState.mean.inf", lambda: GaussianState([0.0, math.inf], np.eye(2))),
     ("SymplecticOp.offset.nan", lambda: SymplecticOp(np.eye(2), [0.0, math.nan])),
