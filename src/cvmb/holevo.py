@@ -37,11 +37,12 @@ analysis of this non-smooth problem, which gives ``4 exp(-2|r|)``.
 The numeric solver, :func:`solve_numeric`, checks that result
 independently.  It solves the Lagrangian dual of the eliminated problem
 exactly: ``f + 2|g| = max_{|t| <= 1} y^T (I + t S) y`` is convex in the
-eight components y for each t, so the bound is ``max_t phi(t)`` with
-``phi(t)`` one 4 x 4 linear solve (Holevo 1982, ch. 6; Suzuki, J. Math.
-Phys. 57, 042201 (2016)).  A bisection on t finds the maximum, and the
-duality gap between the recovered primal point and the best ``phi``
-certifies it.  The tests keep a private multi-start SLSQP search over all
+eight components y for each t, so the bound is ``max_t phi(t)`` (Holevo
+1982, ch. 6; Suzuki, J. Math. Phys. 57, 042201 (2016)).  The 4 x 4 pencil
+of the inner minimization is diagonalized once per solve, so a bisection
+on t finds the maximum from the closed-form slope of phi, and the duality
+gap between the recovered primal point and the best ``phi`` certifies
+it.  The tests keep a private multi-start SLSQP search over all
 W components, :func:`_slsqp_reference`, as a second reference; it imports
 SciPy's optimizer on its first call, through the module-level
 :func:`minimize`, so importing the package or calling
@@ -120,7 +121,10 @@ class HolevoProblem:
 
     ``psi_coords[j - 1, n - 1] = <e_n|psi_j>`` are the derivative-vector
     coordinates in the orthonormal basis (psi_0 = e_0 has no free
-    coordinates).
+    coordinates), of shape (2, 1) for a single-mode probe and (2, 2) for a
+    two-mode one.  r is checked like :func:`build_problem` checks it:
+    non-finite r and ``|r| > cvmb.bounds.MAX_SQUEEZING`` raise
+    ``ValueError``, as do an unknown kind and a wrong coordinate shape.
     """
 
     kind: str
@@ -128,13 +132,17 @@ class HolevoProblem:
     psi_coords: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in {"single", "two_mode"}:
+        shapes = {"single": (2, 1), "two_mode": (2, 2)}
+        if self.kind not in shapes:
             raise ValueError(f"unknown probe kind {self.kind!r}")
+        r = _check_r(self.r, -MAX_SQUEEZING, MAX_SQUEEZING, "where cosh 2r stays finite")
         coords = np.asarray(self.psi_coords, dtype=complex)
-        if coords.ndim != 2 or coords.shape[0] != 2 or coords.shape[1] < 1:
-            raise ValueError(f"psi_coords must have shape (2, basis_dim - 1), got {coords.shape}")
+        if coords.shape != shapes[self.kind]:
+            raise ValueError(f"psi_coords of a {self.kind} probe must have shape "
+                             f"{shapes[self.kind]}, got {coords.shape}")
         coords = coords.copy()
         coords.setflags(write=False)
+        object.__setattr__(self, "r", r)
         object.__setattr__(self, "psi_coords", coords)
 
     @property
@@ -447,17 +455,61 @@ class _DualPoint(NamedTuple):
     phi: float
 
 
+def _dual_pencil(r: float):
+    """Factor the two-mode dual's pencil once; return ``slope(t)`` and ``point(t)``.
+
+    The elimination is affine, ``y = E x + d``, so
+    ``y^T (I + t S) y = x^T (m0 + t m1) x + 2 x^T (b0 + t b1) + d^T (I + t S) d``
+    with ``m0 = E^T E`` positive definite, ``m1 = E^T S E`` symmetric,
+    ``b0 = E^T d`` and ``b1 = E^T S d``.  With ``L = cholesky(m0)``,
+    ``(lam, Q) = eigh(L^-1 m1 L^-T)`` and ``P = L^-T Q``, the pencil is
+    diagonal: ``P^T m0 P = I`` and ``P^T m1 P = diag(lam)``.  The minimizer
+    at t is then ``x(t) = -P u(t)`` with
+    ``u_i = (beta0_i + t beta1_i) / (1 + t lam_i)``, where
+    ``beta0 = P^T b0`` and ``beta1 = P^T b1``, and the slope of phi is
+    ``phi'(t) / 2 = (d^T S d - sum_i (2 beta1_i - lam_i u_i) u_i) / 2``.
+
+    ``slope(t)`` is that closed form on Python floats; ``point(t)`` builds
+    the :class:`_DualPoint`, with g from y.
+    """
+    d = eliminate_two_mode(np.zeros(4), r)
+    e = np.column_stack([eliminate_two_mode(col, r) for col in np.eye(4)]) - d[:, None]
+    l_inv = np.linalg.inv(np.linalg.cholesky(e.T @ e))
+    lam, q = np.linalg.eigh(l_inv @ (e.T @ _G_FORM @ e) @ l_inv.T)
+    p = l_inv.T @ q
+    beta0, beta1 = p.T @ (e.T @ d), p.T @ (e.T @ _G_FORM @ d)
+    d_s_d = float(d @ _G_FORM @ d)
+    terms = list(zip(lam.tolist(), beta0.tolist(), beta1.tolist()))
+
+    def slope(t):
+        total = d_s_d
+        for lam_i, beta0_i, beta1_i in terms:
+            u_i = (beta0_i + t * beta1_i) / (1.0 + t * lam_i)
+            total -= (2.0 * beta1_i - lam_i * u_i) * u_i
+        return 0.5 * total
+
+    def point(t):
+        x = -(p @ ((beta0 + t * beta1) / (1.0 + t * lam)))
+        y = e @ x + d
+        g = 0.5 * float(y @ _G_FORM @ y)
+        return _DualPoint(t, x, y, g, float(y @ y) + 2.0 * t * g)
+
+    return slope, point
+
+
 def _two_mode_dual(problem: HolevoProblem) -> HolevoSolution:
     """Solve the reduced two-mode problem through its Lagrangian dual.
 
-    The elimination is affine, ``y = E x + d``, so for each t
-    ``phi(t) = min_x y^T (I + t S) y`` is one 4 x 4 linear solve,
-    ``x(t) = -M(t)^-1 b(t)``.  As ``f + 2|g| = max_{|t| <= 1} (f + 2 t g)``
-    and ``f + 2 t g`` is convex in x for each such t,
-    ``C_H = max_t phi(t)`` (Sion's minimax theorem).  phi is concave with
-    ``phi'(t) = 2 g(x(t))``, so its maximum is found by bisection on the
-    sign of g.  The ends t = +-1 are never evaluated: ``M(+-1)`` is
-    singular.
+    For each t, ``phi(t) = min_x y^T (I + t S) y`` over the free variables
+    x, with ``y = E x + d`` the eliminated components.  As
+    ``f + 2|g| = max_{|t| <= 1} (f + 2 t g)`` and ``f + 2 t g`` is convex
+    in x for each such t, ``C_H = max_t phi(t)`` (Sion's minimax theorem).
+    phi is concave with ``phi'(t) = 2 g(x(t))``, so its maximum is found by
+    bisection on the sign of g.  The pencil ``m0 + t m1`` of the inner
+    minimization is factored once per solve (:func:`_dual_pencil`); each
+    bisection step then evaluates g in closed form on four scalars.  The
+    ends t = +-1 are never evaluated: the pencil is singular there.  A
+    slope that is not finite raises ``ConvergenceError``.
 
     The primal point is the zero of g on the segment between the
     minimizers at the final bracket ends (g is quadratic along it), or the
@@ -466,32 +518,29 @@ def _two_mode_dual(problem: HolevoProblem) -> HolevoSolution:
     the duality gap, which certifies the bound.
     """
     r = problem.r
-    d = eliminate_two_mode(np.zeros(4), r)
-    e = np.column_stack([eliminate_two_mode(col, r) for col in np.eye(4)]) - d[:, None]
-    m0, m1 = e.T @ e, e.T @ _G_FORM @ e
-    b0, b1 = e.T @ d, e.T @ _G_FORM @ d
-
-    def point(t):
-        x = np.linalg.solve(m0 + t * m1, -(b0 + t * b1))
-        y = e @ x + d
-        g = 0.5 * float(y @ _G_FORM @ y)
-        return _DualPoint(t, x, y, g, float(y @ y) + 2.0 * t * g)
+    slope, point = _dual_pencil(r)
 
     t_lo, t_hi = -1.0, 1.0
-    lo = hi = None  # point() at the evaluated bracket ends
     while t_hi - t_lo > _T_RESOLUTION:
-        mid = point(0.5 * (t_lo + t_hi))
-        if mid.g >= 0:  # phi does not decrease at t: its maximum is not below
-            lo, t_lo = mid, mid.t
-        if mid.g <= 0:
-            hi, t_hi = mid, mid.t
+        t = 0.5 * (t_lo + t_hi)
+        g = slope(t)
+        if not math.isfinite(g):
+            raise ConvergenceError(f"the dual slope is {g} at t = {t!r}, r = {r:g}")
+        if g >= 0:  # phi does not decrease at t: its maximum is not below
+            t_lo = t
+        if g <= 0:
+            t_hi = t
 
-    if lo is None or hi is None or lo is hi:
-        x = (hi if lo is None else lo).x
+    # the minimizers at the evaluated bracket ends: one when g was exactly 0
+    # at a step or the bracket collapsed onto t = +-1
+    ends = [point(t) for t in dict.fromkeys((t_lo, t_hi)) if -1.0 < t < 1.0]
+    if len(ends) == 1:
+        x = ends[0].x
     else:
         # g(x_lo + s (x_hi - x_lo)) = c0 + c1 s + c2 s^2 with c0 > 0 > c0 + c1 + c2,
         # so this is its one root in (0, 1); scaling the coefficients to O(1)
         # keeps them from underflowing at large |r|
+        lo, hi = ends
         dy = hi.y - lo.y
         c = np.array([lo.g, float(lo.y @ _G_FORM @ dy), 0.5 * float(dy @ _G_FORM @ dy)])
         c0, c1, c2 = c / np.max(np.abs(c))
@@ -502,7 +551,7 @@ def _two_mode_dual(problem: HolevoProblem) -> HolevoSolution:
     w = components_to_w(eliminate_two_mode(x, r), problem.basis_dim)
     z = z_matrix(w)
     bound = holevo_value(z)
-    best = max((end for end in (lo, hi) if end is not None), key=lambda end: end.phi)
+    best = max(ends, key=lambda end: end.phi)
     gap = bound - best.phi
     solution = HolevoSolution(
         bound, x, z, "numeric",
@@ -520,16 +569,18 @@ def solve_numeric(problem: HolevoProblem) -> HolevoSolution:
 
     Single-mode probes leave no free variables: the constraints pin the
     solution.  The two-mode problem is solved exactly through its
-    Lagrangian dual, by bisection on the multiplier t in (-1, 1) (see
-    :func:`_two_mode_dual`); its diagnostics report ``t``, ``g``
-    (``Im Z[1, 0]`` at the minimizer) and ``duality_gap``.  Every solve
-    reports ``constraint_residual``.  The Hermitian blocks of the X
-    operators on the derivative subspace do not enter Z for a pure state,
-    so the solve does not carry them.
+    Lagrangian dual: one factorization of the dual's matrix pencil per
+    solve, then bisection on the multiplier t in (-1, 1) by the sign of the
+    closed-form slope (see :func:`_two_mode_dual`); its diagnostics report
+    ``t``, ``g`` (``Im Z[1, 0]`` at the minimizer) and ``duality_gap``.
+    Every solve reports ``constraint_residual``.  The Hermitian blocks of
+    the X operators on the derivative subspace do not enter Z for a pure
+    state, so the solve does not carry them.
 
     Raises:
         ConvergenceError: the dual solve left a duality gap above 1e-12 of
-            the bound; the error's ``best`` attribute carries the point found.
+            the bound, and the error's ``best`` attribute carries the point
+            found; or the slope of the dual was not finite.
     """
     if problem.kind == "two_mode":
         return _two_mode_dual(problem)

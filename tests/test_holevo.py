@@ -116,6 +116,10 @@ class TestProblem:
     def test_bad_coords_shape(self):
         with pytest.raises(ValueError):
             HolevoProblem("single", 0.1, np.zeros((3, 1), dtype=complex))
+        # each kind takes only its own shape, (2, 1) or (2, 2)
+        for kind, shape in [("single", (2, 2)), ("two_mode", (2, 1)), ("two_mode", (2, 3))]:
+            with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+                HolevoProblem(kind, 0.1, np.zeros(shape, dtype=complex))
 
     @pytest.mark.parametrize("kind", ["single", "two_mode"])
     @pytest.mark.parametrize("r", [5.2, 5.6, 20.0, MAX_SQUEEZING])
@@ -372,6 +376,53 @@ class TestAnalyticSolver:
 DUAL_GRID = [0.0, 1e-14, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0, 1.5, 5.2, 20.0, 340.0, MAX_SQUEEZING]
 
 
+def per_step_point(r):
+    """The dual's ``(t, x, y, g, phi)`` at t from one ``np.linalg.solve`` of the pencil.
+
+    The reference for the factored pencil of ``holevo._dual_pencil``: the
+    minimizer of ``y^T (I + t S) y`` over the free variables x, with
+    ``y = E x + d``, solved afresh at each t, and g read from y.
+    """
+    s = holevo._G_FORM
+    d = eliminate_two_mode(np.zeros(4), r)
+    e = np.column_stack([eliminate_two_mode(col, r) for col in np.eye(4)]) - d[:, None]
+    m0, m1 = e.T @ e, e.T @ s @ e
+    b0, b1 = e.T @ d, e.T @ s @ d
+
+    def point(t):
+        x = np.linalg.solve(m0 + t * m1, -(b0 + t * b1))
+        y = e @ x + d
+        g = 0.5 * float(y @ s @ y)
+        return t, x, y, g, float(y @ y) + 2.0 * t * g
+
+    return point
+
+
+def per_step_dual(r):
+    """(t*, bound) of the dual bisection with one linear solve per step: the reference."""
+    point = per_step_point(r)
+    t_lo, t_hi = -1.0, 1.0
+    lo = hi = None
+    while t_hi - t_lo > holevo._T_RESOLUTION:
+        mid = point(0.5 * (t_lo + t_hi))
+        if mid[3] >= 0:
+            lo, t_lo = mid, mid[0]
+        if mid[3] <= 0:
+            hi, t_hi = mid, mid[0]
+    ends = [end for end in (lo, hi) if end is not None]
+    if lo is None or hi is None or lo is hi:
+        x = ends[0][1]
+    else:
+        dy = hi[2] - lo[2]
+        c = np.array([lo[3], float(lo[2] @ holevo._G_FORM @ dy),
+                      0.5 * float(dy @ holevo._G_FORM @ dy)])
+        c0, c1, c2 = c / np.max(np.abs(c))
+        root = -c1 + np.sqrt(max(c1 * c1 - 4.0 * c0 * c2, 0.0))
+        x = lo[1] + (min(2.0 * c0 / root, 1.0) if root > 0 else 1.0) * (hi[1] - lo[1])
+    bound = holevo_value(z_matrix(components_to_w(eliminate_two_mode(x, r), 3)))
+    return max(ends, key=lambda end: end[4])[0], bound
+
+
 class TestNumericSolver:
     @pytest.mark.parametrize("r", [0.0, 0.25, 0.5, 1.0, 1.5])
     def test_two_mode_reduced(self, r):
@@ -449,6 +500,29 @@ class TestNumericSolver:
         dual = solve_numeric(problem)
         full = holevo._slsqp_reference(problem, seed=3)
         assert abs(dual.bound - full.bound) <= 1e-8
+
+    @pytest.mark.parametrize("r", sorted({v for r in DUAL_GRID for v in (r, -r)}))
+    def test_dual_matches_per_step_solve(self, r):
+        sol = solve_numeric(build_problem("two_mode", r))
+        t_ref, bound_ref = per_step_dual(r)
+        assert abs(sol.diagnostics["t"] - t_ref) <= 1e-14
+        assert abs(sol.bound - bound_ref) <= 1e-15 * bound_ref
+
+    @pytest.mark.parametrize("r", [-1.5, -0.1, 0.0, 0.3, 1.0, 5.2])
+    def test_closed_form_slope(self, r):
+        slope, _ = holevo._dual_pencil(r)
+        point = per_step_point(r)
+        for t in (-0.999, -0.6, -0.1, 0.0, 0.2, 0.7, 0.999):
+            _, _, y, g, _ = point(t)
+            # |g| <= y.y / 2, so y.y is the scale of the rounding in g
+            assert abs(slope(t) - g) <= 1e-13 * (y @ y)
+
+    def test_non_finite_slope_raises(self, monkeypatch):
+        # a LAPACK build that passes a NaN through instead of failing would
+        # leave every sign test false: the bisection must stop, not spin
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.full(4, np.nan), np.eye(4)))
+        with pytest.raises(ConvergenceError, match=r"slope is nan at t = 0\.0, r = 0\.5"):
+            solve_numeric(build_problem("two_mode", 0.5))
 
     def test_uncertified_dual_raises(self, monkeypatch):
         # a bracket on t this wide leaves a duality gap far above the tolerance
