@@ -11,8 +11,31 @@ parameter), the bounds evaluated here are
 
 where ``trabs`` is the sum of absolute eigenvalues.  Displacement leaves
 the covariance constant, so both are independent of the true parameter
-value.  The moment-level formulas are pinned down by the test suite,
-which requires them to agree with the closed forms below to 1e-9.
+value.
+
+Thermal frame.  The probes the package builds carry their Williamson
+factors, ``V = S diag(nu) S^T`` with ``nu = 1 + 2N`` (see
+``cvmb.gaussian.GaussianState``).  Since ``S Omega S^T = Omega``, both
+bounds are those of the thermal state ``diag(nu)`` with the Jacobian
+``J' = S^-1 J``, which is read off two rows of S exactly
+(``S^-1 = -Omega S^T Omega``):
+
+* SLD:  ``G = J'^T J' / nu``; one mode: ``C_S = nu ||S||_F^2``,
+* RLD:  ``diag(nu) + i Omega`` has eigenvalues ``2N + 2`` and ``2N`` on the
+  vectors ``(1, -+i) / sqrt(2)`` of each mode; one mode:
+  ``C_R = C_S + 2``, more modes: Ginv from a QR of the rows of J' in that
+  eigenbasis, each divided by the square root of its eigenvalue.
+
+Nothing here cancels and ``nu - 1`` is never formed, so for the factored
+probes the test suite requires both bounds to agree with the closed forms
+below to a relative 1e-12 over the whole domain: ``|r|`` up to 340 and N
+from 0 through 1e-13 up to 1e6, for both probes.  A probe given only by its
+covariance is solved from V and ``V + i Omega``, whose entries are of size
+``cosh 2r`` while the smallest eigenvalue is about ``e^-2|r|``: that path
+loses about ``eps e^(4|r|)`` relative (1e-12 at |r| = 3, 1e-3 at 8), fails
+from |r| of about 20, and its RLD counts a mixed multi-mode probe as pure,
+and returns 0, once the smallest eigenvalue of ``V + i Omega`` falls below
+1e-12 of the largest (at r = 3 for every N up to 1e-8).
 
 Closed forms for squeezed thermal probes of squeezing r and thermal
 occupation N (``c = cosh 2r``):
@@ -23,8 +46,9 @@ occupation N (``c = cosh 2r``):
 The two-mode RLD denominator equals ``(1 + 2N) c - 1``; written as a sum of
 non-negative terms it keeps full precision as N -> 0 at small r.
 
-At N = 0 the two-mode RLD bound is vacuous (zero for every r, taking the
-r -> 0 limit along the pure-probe curve at the origin).
+At N = 0 the two-mode RLD bound is vacuous: zero for every r.  At the
+origin (r, N) = (0, 0) it is pinned to 0, the limit along N = 0; the
+limit along r = 0 is 4, the value ``4 (1 + N)`` at every N > 0.
 
 Domain.  The thermal occupation is at most ``MAX_PHOTONS`` (1e100), far
 beyond any physical probe; below it ``8N(1 + N)`` and the simulator's fourth
@@ -57,6 +81,7 @@ import numpy as np
 
 from cvmb.gaussian import (
     GaussianState,
+    Williamson,
     apply,
     make_thermal,
     single_mode_squeezer,
@@ -247,8 +272,75 @@ def trabs(matrix: np.ndarray) -> float:
     return float(np.linalg.svd(matrix, compute_uv=False).sum())
 
 
+def _frame_jacobian(model: DisplacementModel) -> list[tuple[float, float]]:
+    """The rows of ``J' = S^-1 J`` of a factored probe, read off rows 2k and 2k + 1 of S.
+
+    ``S^-1 = -Omega S^T Omega``, so with a and b the rows 2k and 2k + 1 of S,
+    the columns of J' are ``Omega b`` and ``-Omega a``: entries of S,
+    permuted and negated, so J' is exact in floats.  Rows come in
+    (Q, P) pairs, one pair per mode.
+    """
+    k = model.displaced_mode
+    a, b = model.probe.williamson.symplectic[2 * k : 2 * k + 2].tolist()
+    rows = []
+    for j in range(0, len(a), 2):
+        rows += [(b[j + 1], -a[j + 1]), (-b[j], a[j])]
+    return rows
+
+
+def _inverse_gram_traces(rows: list[tuple[complex, complex]]) -> tuple[float, float]:
+    """``(trace Re Ginv, trabs Im Ginv)`` of ``Ginv = (B^H B)^-1`` for an n x 2 matrix B.
+
+    B is given as its n rows, real or complex.  From the Householder QR
+    ``B = QR`` of B with each column scaled by its largest entry, so R
+    neither overflows nor underflows, and the rows sorted by decreasing
+    size, so graded rows keep their relative accuracy.  Then
+    ``Ginv = R^-1 R^-H``: the trace of its real part is a sum of squared
+    moduli of ``R^-1``, and its imaginary part is antisymmetric, with
+    ``trabs = 2 |Im Ginv[0, 1]|``.  Nothing cancels.  A 2-column QR is a
+    few scalar steps, cheaper in plain Python than a LAPACK call.
+    """
+    cx = max(abs(u) for u, _ in rows)
+    cy = max(abs(v) for _, v in rows)
+    rows = sorted(((u / cx, v / cy) for u, v in rows),
+                  key=lambda row: max(abs(row[0]), abs(row[1])), reverse=True)
+    # the reflection I - w w^H / h maps the first column to (r00, 0, ..., 0)
+    x0 = rows[0][0]
+    norm = math.sqrt(sum(abs(u) ** 2 for u, _ in rows))
+    r00 = -norm * (x0 / abs(x0) if x0 else 1.0)
+    h = norm * (norm + abs(x0))
+    coef = ((x0 - r00).conjugate() * rows[0][1]
+            + sum(u.conjugate() * v for u, v in rows[1:])) / h
+    r01 = rows[0][1] - (x0 - r00) * coef
+    r11 = math.sqrt(sum(abs(v - u * coef) ** 2 for u, v in rows[1:]))
+    # R^-1 = [[i00, i01], [0, i11]], then undo the column scaling
+    i00, i11 = 1.0 / r00, 1.0 / r11
+    i01 = -r01 * i00 * i11
+    re = (abs(i00) ** 2 + abs(i01) ** 2) / cx / cx + i11 ** 2 / cy / cy
+    im = 2.0 * abs((i01 * i11).imag) / cx / cy
+    return float(re), float(im)
+
+
+def _single_mode_sld(frame: Williamson) -> float:
+    """``C_S = nu ||S||_F^2`` of a factored one-mode probe: J = I, so ``J'^-1 = S``."""
+    return (1.0 + 2.0 * frame.mean_photons) * float(np.sum(frame.symplectic ** 2))
+
+
 def sld_bound(model: DisplacementModel) -> BoundResult:
-    """SLD quantum Cramér-Rao bound ``trace((J^T V^-1 J)^-1)``."""
+    """SLD quantum Cramér-Rao bound ``trace((J^T V^-1 J)^-1)``.
+
+    For a factored probe (see the module docstring) ``G = J'^T J' / nu``:
+    one mode has ``C_S = nu ||S||_F^2``, more modes take
+    ``trace((J'^T J')^-1)`` from a QR of J'.  A probe given only by its
+    covariance is solved from V, to the accuracy floor stated in the module
+    docstring; a singular V raises :class:`DegenerateModelError`.
+    """
+    frame = model.probe.williamson
+    if frame is not None:
+        if model.probe.num_modes == 1:
+            return BoundResult(_single_mode_sld(frame), "SLD")
+        trace, _ = _inverse_gram_traces(_frame_jacobian(model))
+        return BoundResult((1.0 + 2.0 * frame.mean_photons) * trace, "SLD")
     jac = model.mean_jacobian
     try:
         vinv_j = np.linalg.solve(model.probe.cov, jac)
@@ -268,9 +360,41 @@ def rld_bound(model: DisplacementModel) -> BoundResult:
 
     * square J (single-mode model): ``Ginv = J^-1 A J^-T`` directly, which
       continues the formula across the singularity,
-    * non-square J: the inverse information vanishes in the limit, so the
-      bound is 0 (vacuous).
+    * non-square J: the bound is taken as 0 (vacuous).  That is the limit
+      when the inverse information vanishes, as for the two-mode probe at
+      r != 0, but not for every pure probe: a squeezed mode beside an
+      uncoupled vacuum mode keeps its single-mode value in the limit.
+
+    At the unsqueezed pure two-mode probe (r, N) = (0, 0) the value is
+    therefore 0, the limit along N = 0; along r = 0 the limit is 4, the
+    value ``4 (1 + N)`` at every N > 0.
+
+    For a factored probe (see the module docstring) the single mode has
+    ``C_R = C_S + 2 |det S| = C_S + 2``.  More modes take Ginv from a QR
+    of the rows ``(1, +-i) J'_k / (2 sqrt(N + 1))`` and
+    ``(1, -+i) J'_k / (2 sqrt(N))`` of each mode k, the eigenvectors of
+    ``diag(nu) + i Omega`` weighted by its eigenvalues ``2N + 2`` and
+    ``2N``, taken from N without forming ``nu - 1``; N == 0 gives 0.  A
+    probe given only by its covariance is solved from ``V + i Omega``, to
+    the accuracy floor stated in the module docstring; there a probe whose
+    smallest eigenvalue of A is below ``1e-12`` of its largest counts as
+    pure.
     """
+    frame = model.probe.williamson
+    if frame is not None:
+        n = frame.mean_photons
+        if model.probe.num_modes == 1:
+            return BoundResult(_single_mode_sld(frame) + 2.0, "RLD")
+        if n == 0:
+            return BoundResult(0.0, "RLD")
+        jac = _frame_jacobian(model)
+        plus, minus = 0.5 / math.sqrt(n + 1.0), 0.5 / math.sqrt(n)
+        rows = []
+        for (qu, qv), (pu, pv) in zip(jac[0::2], jac[1::2]):
+            rows += [(complex(qu, pu) * plus, complex(qv, pv) * plus),
+                     (complex(qu, -pu) * minus, complex(qv, -pv) * minus)]
+        re, im = _inverse_gram_traces(rows)
+        return BoundResult(re + im, "RLD")
     jac = model.mean_jacobian
     a = model.probe.cov + 1j * symplectic_form(model.probe.num_modes)
     if jac.shape[0] == jac.shape[1]:
@@ -296,6 +420,10 @@ def closed_form_bounds(r: float, mean_photons: float, probe_kind: str) -> tuple[
 
     Returns:
         tuple: (SLD bound, RLD bound)
+
+    The two-mode RLD bound is 0 at N = 0 for every r, the origin
+    (r, N) = (0, 0) included: there 0 is the limit along N = 0, while the
+    limit along r = 0 is 4.
     """
     n = check_photons("mean_photons", mean_photons)
     r = check_squeezing("r", r, n)

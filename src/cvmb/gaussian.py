@@ -12,12 +12,20 @@ Conventions used throughout the package:
 Only first and second moments are tracked.  All values are immutable and
 every operation is a pure function, so everything here is safe to use
 from any number of threads without synchronization.
+
+Every state the package builds is a symplectic map applied to a thermal
+state, ``V = S diag(1 + 2N) S^T``: its Williamson form (Serafini, *Quantum
+Continuous Variables* (2017), ch. 3; Weedbrook et al., RMP 84, 621
+(2012)).  Such states carry the factors (S, N) beside the covariance, so
+``cvmb.bounds`` can work in the thermal frame instead of inverting V.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,11 +49,13 @@ SYMPLECTIC_TOL = 1e-12
 PHYSICALITY_TOL = 1e-10
 
 
+@functools.cache
 def symplectic_form(num_modes: int) -> np.ndarray:
     """Return the 2m x 2m symplectic form Omega for ``num_modes`` modes.
 
     Omega encodes the commutators via ``[Z_j, Z_k] = 2i Omega_jk``; a
-    covariance matrix V is physical iff ``V + i Omega >= 0``.
+    covariance matrix V is physical iff ``V + i Omega >= 0``.  The array is
+    built once per m and is read-only.
     """
     if num_modes < 1:
         raise ValueError("number of modes must be at least 1")
@@ -53,6 +63,7 @@ def symplectic_form(num_modes: int) -> np.ndarray:
     out = np.zeros((2 * num_modes, 2 * num_modes))
     for k in range(num_modes):
         out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
+    out.setflags(write=False)
     return out
 
 
@@ -91,6 +102,17 @@ def _finite(name: str, vector: np.ndarray) -> None:
         raise ValueError(f"{name} must be finite")
 
 
+class Williamson(NamedTuple):
+    """Williamson factors of a covariance: ``V = S diag(1 + 2N) S^T``.
+
+    ``symplectic`` is the read-only 2m x 2m matrix S and ``mean_photons``
+    the thermal occupation N, the same on every mode.
+    """
+
+    symplectic: np.ndarray
+    mean_photons: float
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """An m-mode Gaussian state given by its mean vector and covariance.
@@ -102,10 +124,23 @@ class GaussianState:
     Construction validates that ``mean`` is finite and that ``cov`` is
     finite and symmetric and obeys the uncertainty relation
     ``cov + i Omega >= 0`` (vacuum saturates it with cov = I).
+
+    States built by :func:`vacuum` and :func:`make_thermal`, and by
+    :func:`apply` and :func:`displace` from a state that has them, carry
+    ``williamson``, the factors (S, N) of their covariance.  It is ``None``
+    for a state built from a bare covariance and is never a constructor
+    argument.  A factored
+    state skips the ``eigvalsh`` test of the uncertainty relation:
+    ``cov + i Omega = S (diag(1 + 2N) + i Omega) S^T`` is positive
+    semidefinite because N >= 0 (``cvmb.bounds.check_photons`` in
+    :func:`make_thermal`) and each S is a product of matrices that passed
+    :class:`SymplecticOp`'s check.  Its mean and covariance are still
+    checked to be finite.
     """
 
     mean: np.ndarray
     cov: np.ndarray
+    williamson: Williamson | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(_real_array("mean", self.mean))
@@ -138,6 +173,25 @@ class GaussianState:
     @property
     def num_modes(self) -> int:
         return self.mean.size // 2
+
+
+def _factored(mean: np.ndarray, cov: np.ndarray, williamson: Williamson) -> GaussianState:
+    """A state from moments the package built, with their Williamson factors.
+
+    ``mean`` and ``cov`` are fresh or read-only arrays of matching shape and
+    ``cov`` is symmetric by construction; only finiteness is checked here,
+    see :class:`GaussianState` for why the uncertainty relation holds.
+    """
+    _finite("mean", mean)
+    if not np.isfinite(cov).all():
+        raise ValueError("covariance matrix must be finite")
+    mean.setflags(write=False)
+    cov.setflags(write=False)
+    state = object.__new__(GaussianState)
+    object.__setattr__(state, "mean", mean)
+    object.__setattr__(state, "cov", cov)
+    object.__setattr__(state, "williamson", williamson)
+    return state
 
 
 @dataclass(frozen=True)
@@ -186,9 +240,7 @@ class SymplecticOp:
 
 def vacuum(num_modes: int = 1) -> GaussianState:
     """The ``num_modes``-mode vacuum: zero mean, identity covariance."""
-    if num_modes < 1:
-        raise ValueError("number of modes must be at least 1")
-    return GaussianState(np.zeros(2 * num_modes), np.eye(2 * num_modes))
+    return make_thermal(0.0, num_modes)
 
 
 def make_thermal(mean_photons: float, num_modes: int = 1) -> GaussianState:
@@ -199,7 +251,7 @@ def make_thermal(mean_photons: float, num_modes: int = 1) -> GaussianState:
         num_modes (int): number of modes
 
     Returns:
-        GaussianState: zero mean, covariance ``(2N + 1) I``
+        GaussianState: zero mean, covariance ``(2N + 1) I``, factors (I, N)
     """
     from cvmb.bounds import check_photons  # see _real
 
@@ -207,7 +259,8 @@ def make_thermal(mean_photons: float, num_modes: int = 1) -> GaussianState:
         raise ValueError("number of modes must be at least 1")
     mean_photons = check_photons("mean_photons", mean_photons)
     dim = 2 * num_modes
-    return GaussianState(np.zeros(dim), (2.0 * mean_photons + 1.0) * np.eye(dim))
+    return _factored(np.zeros(dim), (2.0 * mean_photons + 1.0) * np.eye(dim),
+                     Williamson(_readonly(np.eye(dim)), mean_photons))
 
 
 def _check_mode(mode: int, num_modes: int):
@@ -347,12 +400,14 @@ def displacement(q: float, p: float, mode: int = 0, num_modes: int = 1) -> Sympl
 
 
 def displace(state: GaussianState, q: float, p: float, mode: int = 0) -> GaussianState:
-    """Shift the mean of ``mode`` by (q, p); the covariance is unchanged."""
+    """Shift the mean of ``mode`` by (q, p); the covariance and its factors are unchanged."""
     _check_mode(mode, state.num_modes)
     mean = state.mean.copy()
     mean[2 * mode] += _real("q", q)
     mean[2 * mode + 1] += _real("p", p)
-    return GaussianState(mean, state.cov)
+    if state.williamson is None:
+        return GaussianState(mean, state.cov)
+    return _factored(mean, state.cov, state.williamson)
 
 
 def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
@@ -362,7 +417,8 @@ def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
     The conjugated covariance is re-symmetrized to suppress round-off drift,
     halving before adding so that entries near the top of the double range
     do not overflow.  Away from the ends of that range halving is exact, so
-    there this equals ``0.5 * (cov + cov.T)`` bit for bit.
+    there this equals ``0.5 * (cov + cov.T)`` bit for bit.  A factored state
+    (S', N) maps to the factored state (S S', N).
     """
     if op.matrix.shape[0] != state.mean.size:
         raise ValueError(
@@ -371,4 +427,8 @@ def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
     mean = op.matrix @ state.mean + op.offset
     cov = op.matrix @ state.cov @ op.matrix.T
     cov = 0.5 * cov + 0.5 * cov.T
-    return GaussianState(mean, cov)
+    if state.williamson is None:
+        return GaussianState(mean, cov)
+    symplectic = op.matrix @ state.williamson.symplectic
+    symplectic.setflags(write=False)
+    return _factored(mean, cov, Williamson(symplectic, state.williamson.mean_photons))

@@ -117,30 +117,46 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class HolevoProblem:
-    """Reduced data for the pure-model minimization.
+    """Reduced data for the pure-model minimization of a probe kind at squeezing r.
 
     ``psi_coords[j - 1, n - 1] = <e_n|psi_j>`` are the derivative-vector
     coordinates in the orthonormal basis (psi_0 = e_0 has no free
     coordinates), of shape (2, 1) for a single-mode probe and (2, 2) for a
-    two-mode one.  r is checked like :func:`build_problem` checks it:
-    non-finite r and ``|r| > cvmb.bounds.MAX_SQUEEZING`` raise
-    ``ValueError``, as do an unknown kind and a wrong coordinate shape.
+    two-mode one.  They are derived from r, never given, with the basis
+    split chosen so that they are real multiples of convenient units rather
+    than an arbitrary Cholesky factor:
+
+    * single: ``psi_1 = (e^r / 2) e_1``, ``psi_2 = (i e^-r / 2) e_1``
+    * two_mode: ``psi_1 = (cosh r) e_1 / 2 + (sinh r) e_2 / 2``,
+      ``psi_2 = i (cosh r) e_1 / 2 - i (sinh r) e_2 / 2``
+
+    The reconstructed Gram is verified against the probe's Gram data to
+    within 1e-12 of each entry's scale (see :func:`_check_basis`).
+    Non-finite r, ``|r| > cvmb.bounds.MAX_SQUEEZING`` and an unknown kind
+    raise ``ValueError``.
     """
 
     kind: str
     r: float
-    psi_coords: np.ndarray
+    psi_coords: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        shapes = {"single": (2, 1), "two_mode": (2, 2)}
-        if self.kind not in shapes:
-            raise ValueError(f"unknown probe kind {self.kind!r}")
         r = _check_r(self.r, -MAX_SQUEEZING, MAX_SQUEEZING, "where cosh 2r stays finite")
-        coords = np.asarray(self.psi_coords, dtype=complex)
-        if coords.shape != shapes[self.kind]:
-            raise ValueError(f"psi_coords of a {self.kind} probe must have shape "
-                             f"{shapes[self.kind]}, got {coords.shape}")
-        coords = coords.copy()
+        if self.kind == "single":
+            gram = gram_single_mode(r)
+            coords = np.array([[np.exp(r) / 2.0], [1j * np.exp(-r) / 2.0]])
+        elif self.kind == "two_mode":
+            gram = gram_two_mode(r)
+            ch, sh = np.cosh(r), np.sinh(r)
+            coords = np.array(
+                [
+                    [ch / 2.0, sh / 2.0],
+                    [1j * ch / 2.0, -1j * sh / 2.0],
+                ]
+            )
+        else:
+            raise ValueError(f"unknown probe kind {self.kind!r}")
+        _check_basis(coords, gram)
         coords.setflags(write=False)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "psi_coords", coords)
@@ -229,38 +245,8 @@ def _check_basis(coords: np.ndarray, gram: np.ndarray) -> None:
 
 
 def build_problem(probe_kind: str, r: float) -> HolevoProblem:
-    """Construct the HolevoProblem with the explicit orthonormal basis.
-
-    The basis split is chosen so the derivative coordinates are real
-    multiples of convenient units rather than an arbitrary Cholesky
-    factor:
-
-    * single: ``psi_1 = (e^r / 2) e_1``, ``psi_2 = (i e^-r / 2) e_1``
-    * two_mode: ``psi_1 = (cosh r) e_1 / 2 + (sinh r) e_2 / 2``,
-      ``psi_2 = i (cosh r) e_1 / 2 - i (sinh r) e_2 / 2``
-
-    The reconstructed Gram is verified against the probe's Gram data to
-    within 1e-12 of each entry's scale (see :func:`_check_basis`).
-    Non-finite r and ``|r| > cvmb.bounds.MAX_SQUEEZING`` raise
-    ``ValueError``.
-    """
-    r = _check_r(r, -MAX_SQUEEZING, MAX_SQUEEZING, "where cosh 2r stays finite")
-    if probe_kind == "single":
-        gram = gram_single_mode(r)
-        coords = np.array([[np.exp(r) / 2.0], [1j * np.exp(-r) / 2.0]])
-    elif probe_kind == "two_mode":
-        gram = gram_two_mode(r)
-        ch, sh = np.cosh(r), np.sinh(r)
-        coords = np.array(
-            [
-                [ch / 2.0, sh / 2.0],
-                [1j * ch / 2.0, -1j * sh / 2.0],
-            ]
-        )
-    else:
-        raise ValueError(f"unknown probe kind {probe_kind!r}")
-    _check_basis(coords, gram)
-    return HolevoProblem(probe_kind, r, coords)
+    """The :class:`HolevoProblem` of ``probe_kind`` at squeezing r."""
+    return HolevoProblem(probe_kind, r)
 
 
 def assemble_constraints(problem: HolevoProblem) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,11 +21,21 @@ from cvmb.bounds import (
     two_mode_min_r,
     two_mode_probe,
 )
-from cvmb.gaussian import GaussianState
+from cvmb.gaussian import (
+    GaussianState,
+    apply,
+    beam_splitter,
+    make_thermal,
+    single_mode_squeezer,
+    two_mode_squeezer,
+)
 from cvmb.simulate import outcome_distribution
 
 R_GRID = np.round(np.arange(0.0, 1.51, 0.1), 10)
 N_GRID = [0.0, 0.1, 0.5, 2.0]
+# the whole domain: r = 340 is inside squeezing_limit(N) for every N here
+DOMAIN_R = [0.0, 1e-9, 0.3, 1.0, 3.0, 8.0, 20.0, 100.0, 177.0, 200.0, 300.0, 340.0]
+DOMAIN_N = [0.0, 1e-13, 1e-11, 1e-8, 0.1, 2.0, 1e6]
 
 
 def model(kind, r, n):
@@ -70,6 +81,73 @@ class TestRLD:
 
     def test_two_mode_thermal_unsqueezed(self):
         assert np.isclose(rld_bound(model("two_mode", 0.0, 0.1)).value, 4.4, atol=1e-12)
+
+
+class TestThermalFrame:
+    """The moment bounds of factored probes, read in the thermal frame."""
+
+    @pytest.mark.parametrize("n", DOMAIN_N)
+    @pytest.mark.parametrize("kind", ["single", "two_mode"])
+    def test_whole_domain_matches_closed_forms(self, kind, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in DOMAIN_R + [-r for r in DOMAIN_R]:
+                c_s, c_r = closed_form_bounds(r, n, kind)
+                m = model(kind, r, n)
+                assert sld_bound(m).value == pytest.approx(c_s, rel=1e-12, abs=0), (r, n)
+                assert rld_bound(m).value == pytest.approx(c_r, rel=1e-12, abs=0), (r, n)
+
+    @pytest.mark.parametrize("n", DOMAIN_N)
+    def test_squeezed_mode_beside_a_thermal_mode(self, n):
+        # the uncoupled mode adds zero rows to J', so the single-mode closed
+        # forms hold (the RLD for N > 0: at N = 0 rld_bound defines a
+        # multi-mode probe's RLD as 0); the squeezing runs close to
+        # squeezing_limit(n), where the RLD rows, of size
+        # exp(|r|) / (2 sqrt(N)), only fit scaled
+        edge = squeezing_limit(n) - 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in DOMAIN_R[1:] + [edge]:
+                for signed in (r, -r):
+                    probe = apply(single_mode_squeezer(signed, 0, 2), make_thermal(n, 2))
+                    m = DisplacementModel(probe)
+                    c_s, c_r = closed_form_bounds(signed, n, "single")
+                    assert sld_bound(m).value == pytest.approx(c_s, rel=1e-12), (signed, n)
+                    if n > 0:
+                        assert rld_bound(m).value == pytest.approx(c_r, rel=1e-12), (signed, n)
+
+    def test_two_mode_rld_at_the_origin(self):
+        # 0 is the limit along N = 0, 4 the limit along r = 0; the value at
+        # (0, 0) is pinned to the first, as in closed_form_bounds
+        n = 1e-13
+        assert rld_bound(model("two_mode", 0.0, n)).value == pytest.approx(4.0 * (1.0 + n), rel=1e-12)
+        assert rld_bound(model("two_mode", 0.0, 0.0)).value == 0.0
+        assert closed_form_bounds(0.0, 0.0, "two_mode")[1] == 0.0
+
+    def test_matches_covariance_path_on_random_probes(self):
+        # random squeezers and splitters on 1 to 3 modes, any displaced
+        # mode: the frame and a bare copy of the same covariance agree
+        rng = np.random.default_rng(11)
+        for i in range(90):
+            modes = 1 + i % 3
+            state = make_thermal(float(rng.uniform(0.05, 2.0)), modes)
+            for _ in range(rng.integers(1, 6)):
+                pair = rng.permutation(max(modes, 2))[:2]
+                choice = rng.integers(3) if modes > 1 else 0
+                if choice == 0:
+                    op = single_mode_squeezer(rng.uniform(-1, 1), mode=pair[0] % modes,
+                                              num_modes=modes)
+                elif choice == 1:
+                    op = two_mode_squeezer(rng.uniform(-1, 1), *pair, num_modes=modes)
+                else:
+                    op = beam_splitter(rng.uniform(0, 1), *pair, num_modes=modes)
+                state = apply(op, state)
+            mode = int(rng.integers(modes))
+            factored = DisplacementModel(state, mode)
+            bare = DisplacementModel(GaussianState(state.mean, state.cov), mode)
+            assert factored.probe.williamson is not None and bare.probe.williamson is None
+            for bound in (sld_bound, rld_bound):
+                assert bound(factored).value == pytest.approx(bound(bare).value, rel=1e-10)
 
 
 class TestClosedForms:

@@ -184,8 +184,10 @@ class TestInvariants:
     def test_random_compositions_preserve_structure(self):
         rng = np.random.default_rng(2024)
         omega = symplectic_form(2)
-        for _ in range(100):
-            state = vacuum(2)
+        for i in range(100):
+            # every fourth chain starts from a thermal state, displaced
+            n = 0.0 if i % 4 else float(rng.uniform(0, 2))
+            state = vacuum(2) if i % 4 else displace(make_thermal(n, 2), 0.3, -0.2, mode=1)
             total = np.eye(4)
             for _ in range(rng.integers(2, 6)):
                 choice = rng.integers(3)
@@ -196,12 +198,53 @@ class TestInvariants:
                     op = two_mode_squeezer(rng.uniform(-1, 1))
                 else:
                     op = beam_splitter(rng.uniform(0, 1))
+                # the covariance formula of states without factors: the
+                # congruence, then the halving symmetrization
+                cov = op.matrix @ state.cov @ op.matrix.T
+                cov = 0.5 * cov + 0.5 * cov.T
                 state = apply(op, state)
                 total = op.matrix @ total
+                assert np.array_equal(state.cov, cov)
+                assert np.array_equal(state.williamson.symplectic, total)
+                assert state.williamson.mean_photons == n
+                # the uncertainty test that factored states skip still holds,
+                # as the constructor applies it to a bare covariance
+                GaussianState(state.mean, state.cov)
             assert np.max(np.abs(total @ omega @ total.T - omega)) < 1e-9
-            assert abs(np.linalg.det(state.cov) - 1.0) < 1e-9
+            assert abs(np.linalg.det(state.cov) - (1.0 + 2.0 * n) ** 4) < 1e-9 * (1.0 + 2.0 * n) ** 4
             eigs = np.linalg.eigvalsh(state.cov + 1j * omega)
             assert eigs.min() > -1e-9
+
+    def test_factors(self):
+        state = make_thermal(0.25, 2)
+        assert np.array_equal(state.williamson.symplectic, np.eye(4))
+        assert state.williamson.mean_photons == 0.25
+        assert vacuum(2).williamson.mean_photons == 0.0
+        moved = displace(state, 1.0, 2.0)
+        assert moved.williamson is state.williamson
+        assert not moved.williamson.symplectic.flags.writeable
+        # a bare covariance carries no factors, and neither does its image
+        bare = GaussianState(np.zeros(4), state.cov)
+        assert bare.williamson is None
+        assert apply(two_mode_squeezer(0.3), bare).williamson is None
+        assert displace(bare, 1.0, 0.0).williamson is None
+        with pytest.raises(TypeError):
+            GaussianState(np.zeros(4), state.cov, state.williamson)
+
+    def test_factored_state_rejects_non_finite_moments(self):
+        huge = SymplecticOp(np.diag([1e200, 1e-200]), np.zeros(2))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="covariance matrix must be finite"):
+            apply(huge, apply(huge, make_thermal(0.0, 1)))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="mean must be finite"):
+            apply(SymplecticOp(np.diag([1e150, 1e-150]), np.zeros(2)),
+                  displace(vacuum(), 1e200, 0.0))
+
+    def test_symplectic_form_is_read_only(self):
+        omega = symplectic_form(3)
+        assert omega is symplectic_form(3)
+        with pytest.raises(ValueError):
+            omega[0, 1] = 2.0
+        assert np.array_equal(omega[:2, :2], [[0.0, 1.0], [-1.0, 0.0]])
 
     def test_invalid_covariance_rejected(self):
         with pytest.raises(ValueError):

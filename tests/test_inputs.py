@@ -43,7 +43,6 @@ from cvmb.holevo import (
 from cvmb.simulate import SimConfig
 
 BAD_VALUES = [True, math.nan, math.inf, -math.inf, "0.1", None]
-TWO_MODE_COORDS = build_problem("two_mode", 0.5).psi_coords
 
 
 def _sweep(**settings):
@@ -65,7 +64,7 @@ ENTRY_POINTS = [
     ("dual_homodyne_mse_analytic.mean_photons",
      lambda x: dual_homodyne_mse_analytic(0.1, x), 0.5, 1),
     ("build_problem", lambda x: build_problem("two_mode", x), 0.5, 1),
-    ("HolevoProblem", lambda x: HolevoProblem("two_mode", x, TWO_MODE_COORDS), 0.5, 1),
+    ("HolevoProblem", lambda x: HolevoProblem("two_mode", x), 0.5, 1),
     ("gram_single_mode", gram_single_mode, 0.5, 1),
     ("gram_two_mode", gram_two_mode, 0.5, 1),
     ("solve_analytic.single", lambda x: solve_analytic("single", x), 0.5, 1),
@@ -97,7 +96,7 @@ PAST_DOMAIN = [
     ("gram_two_mode.above", lambda: gram_two_mode(np.nextafter(MAX_SQUEEZING, 400))),
     ("gram_two_mode.below", lambda: gram_two_mode(np.nextafter(-MAX_SQUEEZING, -400))),
     ("gram_two_mode.800", lambda: gram_two_mode(800.0)),
-    ("HolevoProblem.1e6", lambda: HolevoProblem("two_mode", 1e6, TWO_MODE_COORDS)),
+    ("HolevoProblem.1e6", lambda: HolevoProblem("two_mode", 1e6)),
     ("GaussianState.mean.nan", lambda: GaussianState([math.nan, 0.0], np.eye(2))),
     ("GaussianState.mean.inf", lambda: GaussianState([0.0, math.inf], np.eye(2))),
     ("SymplecticOp.offset.nan", lambda: SymplecticOp(np.eye(2), [0.0, math.nan])),
