@@ -224,6 +224,8 @@ class DisplacementModel:
     displaced_mode: int = 0
 
     def __post_init__(self):
+        mode = check_integer("displaced_mode", self.displaced_mode)
+        object.__setattr__(self, "displaced_mode", mode)
         if not 0 <= self.displaced_mode < self.probe.num_modes:
             raise ValueError(
                 f"mode {self.displaced_mode} out of range for "
@@ -249,7 +251,7 @@ class BoundResult:
     def __post_init__(self):
         if self.kind not in {"classical", "SLD", "RLD", "Holevo", "dual-homodyne-analytic"}:
             raise ValueError(f"unknown bound kind {self.kind!r}")
-        if not np.isfinite(self.value) or self.value < 0:
+        if not math.isfinite(self.value) or self.value < 0:
             raise ValueError(f"bound value must be finite and non-negative, got {self.value}")
 
 
@@ -322,8 +324,12 @@ def _inverse_gram_traces(rows: list[tuple[complex, complex]]) -> tuple[float, fl
 
 
 def _single_mode_sld(frame: Williamson) -> float:
-    """``C_S = nu ||S||_F^2`` of a factored one-mode probe: J = I, so ``J'^-1 = S``."""
-    return (1.0 + 2.0 * frame.mean_photons) * float(np.sum(frame.symplectic ** 2))
+    """``C_S = nu ||S||_F^2`` of a factored one-mode probe: J = I, so ``J'^-1 = S``.
+
+    The four squares are summed in Python, in NumPy's order.
+    """
+    (a, b), (c, d) = frame.symplectic.tolist()
+    return (1.0 + 2.0 * frame.mean_photons) * (a * a + b * b + c * c + d * d)
 
 
 def sld_bound(model: DisplacementModel) -> BoundResult:

@@ -18,6 +18,17 @@ state, ``V = S diag(1 + 2N) S^T``: its Williamson form (Serafini, *Quantum
 Continuous Variables* (2017), ch. 3; Weedbrook et al., RMP 84, 621
 (2012)).  Such states carry the factors (S, N) beside the covariance, so
 ``cvmb.bounds`` can work in the thermal frame instead of inverting V.
+
+:func:`single_mode_squeezer`, :func:`two_mode_squeezer` and
+:func:`beam_splitter` build their matrix here from checked numbers and
+wrap it with ``_op``: it runs :class:`SymplecticOp`'s symplectic test,
+the same function, but none of the dtype checks and copies meant for a
+caller's arrays, and it shares one read-only zero offset per dimension.
+:func:`displacement` and every matrix a caller passes in go through the
+public constructor.  :func:`make_thermal` checks its arguments on every
+call and then returns the state from a bounded cache keyed on ``(N, m)``.
+Sharing that state is safe from any thread: it is immutable and its
+arrays are read-only.
 """
 
 from __future__ import annotations
@@ -49,7 +60,11 @@ SYMPLECTIC_TOL = 1e-12
 PHYSICALITY_TOL = 1e-10
 
 
-@functools.cache
+# entries kept by each cache below: thermal states, one per (N, m), and
+# shared read-only vectors and identities, one per dimension
+_CACHE_SIZE = 64
+
+
 def symplectic_form(num_modes: int) -> np.ndarray:
     """Return the 2m x 2m symplectic form Omega for ``num_modes`` modes.
 
@@ -57,8 +72,11 @@ def symplectic_form(num_modes: int) -> np.ndarray:
     covariance matrix V is physical iff ``V + i Omega >= 0``.  The array is
     built once per m and is read-only.
     """
-    if num_modes < 1:
-        raise ValueError("number of modes must be at least 1")
+    return _symplectic_form(_num_modes(num_modes))
+
+
+@functools.cache
+def _symplectic_form(num_modes: int) -> np.ndarray:
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])
     out = np.zeros((2 * num_modes, 2 * num_modes))
     for k in range(num_modes):
@@ -73,6 +91,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _zeros(dim: int) -> np.ndarray:
+    """The read-only zero vector of length ``dim``, built once."""
+    return _readonly(np.zeros(dim))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _identity(dim: int) -> np.ndarray:
+    """The read-only ``dim`` x ``dim`` identity, built once."""
+    return _readonly(np.eye(dim))
+
+
 def _real_array(name: str, value) -> np.ndarray:
     """``value`` as a float array; ``ValueError`` unless its dtype is integer or float.
 
@@ -85,11 +115,24 @@ def _real_array(name: str, value) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def _real(name: str, value) -> float:
-    """``cvmb.bounds.check_real``; imported on call, as cvmb.bounds imports this module."""
-    from cvmb.bounds import check_real
+@functools.cache
+def _checks():
+    """``cvmb.bounds``, home of the input checks.
 
-    return check_real(name, value)
+    It imports this module, so it is imported on first use; the cache
+    spares each later call the ``from ... import`` machinery.
+    """
+    import cvmb.bounds
+
+    return cvmb.bounds
+
+
+def _num_modes(num_modes) -> int:
+    """A mode count as an int, checked to be at least 1."""
+    num_modes = _checks().check_integer("num_modes", num_modes)
+    if num_modes < 1:
+        raise ValueError("number of modes must be at least 1")
+    return num_modes
 
 
 def _finite(name: str, vector: np.ndarray) -> None:
@@ -158,7 +201,7 @@ class GaussianState:
             raise ValueError("covariance matrix must be finite")
         if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric")
-        omega = symplectic_form(mean.size // 2)
+        omega = _symplectic_form(mean.size // 2)
         eigs = np.linalg.eigvalsh(cov + 1j * omega)
         # tolerance scales with the covariance magnitude so that strongly
         # squeezed states are not rejected for rounding in their large
@@ -206,7 +249,10 @@ class SymplecticOp:
     within ``SYMPLECTIC_TOL``, or to within ``SYMPLECTIC_TOL`` times that
     entry of ``|S| |Omega| |S|^T``, the scale of its rounding, which grows
     like ``exp(2|r|)`` for a squeezer.  A non-finite S fails it.  The offset
-    must be finite.
+    must be finite.  The constructor copies both arrays as read-only
+    floats.  The squeezers and the beam splitter build their op through
+    ``_op``, which applies the same symplectic test to the matrix it has
+    just built and shares one read-only zero offset per dimension.
     """
 
     matrix: np.ndarray
@@ -220,22 +266,41 @@ class SymplecticOp:
         if offset.shape != (matrix.shape[0],):
             raise ValueError("offset length does not match matrix dimension")
         _finite("offset", offset)
-        omega = symplectic_form(matrix.shape[0] // 2)
-        with np.errstate(all="ignore"):  # a non-finite or overflowing S gives inf or NaN
-            dev = np.abs(matrix @ omega @ matrix.T - omega)
-            err = np.max(dev)
-            if not err <= SYMPLECTIC_TOL:  # NaN fails it too
-                # strong squeezing fails the absolute test on rounding alone:
-                # compare each entry to the scale of its rounding instead
-                scale = np.abs(matrix) @ np.abs(omega) @ np.abs(matrix).T
-                if not (err < np.inf and np.all(dev <= SYMPLECTIC_TOL * scale)):
-                    raise ValueError(f"matrix is not symplectic (S Omega S^T deviates by {err:.3e})")
+        _check_symplectic(matrix)
         object.__setattr__(self, "matrix", _readonly(matrix))
         object.__setattr__(self, "offset", _readonly(offset))
 
     @property
     def num_modes(self) -> int:
         return self.matrix.shape[0] // 2
+
+
+def _check_symplectic(matrix: np.ndarray) -> None:
+    """``ValueError`` unless the square float matrix passes :class:`SymplecticOp`'s test."""
+    omega = _symplectic_form(matrix.shape[0] // 2)
+    with np.errstate(all="ignore"):  # a non-finite or overflowing S gives inf or NaN
+        dev = np.abs(matrix @ omega @ matrix.T - omega)
+        err = dev.max()
+        if not err <= SYMPLECTIC_TOL:  # NaN fails it too
+            # strong squeezing fails the absolute test on rounding alone:
+            # compare each entry to the scale of its rounding instead
+            scale = np.abs(matrix) @ np.abs(omega) @ np.abs(matrix).T
+            if not (err < np.inf and np.all(dev <= SYMPLECTIC_TOL * scale)):
+                raise ValueError(f"matrix is not symplectic (S Omega S^T deviates by {err:.3e})")
+
+
+def _op(matrix: np.ndarray) -> SymplecticOp:
+    """A :class:`SymplecticOp` with zero offset from a fresh float matrix the package built.
+
+    Runs the same symplectic test as the constructor; the dtype, shape and
+    offset checks and the copies are for caller input and are skipped.
+    """
+    _check_symplectic(matrix)
+    matrix.setflags(write=False)
+    op = object.__new__(SymplecticOp)
+    object.__setattr__(op, "matrix", matrix)
+    object.__setattr__(op, "offset", _zeros(matrix.shape[0]))
+    return op
 
 
 def vacuum(num_modes: int = 1) -> GaussianState:
@@ -252,27 +317,50 @@ def make_thermal(mean_photons: float, num_modes: int = 1) -> GaussianState:
 
     Returns:
         GaussianState: zero mean, covariance ``(2N + 1) I``, factors (I, N)
-    """
-    from cvmb.bounds import check_photons  # see _real
 
-    if num_modes < 1:
-        raise ValueError("number of modes must be at least 1")
-    mean_photons = check_photons("mean_photons", mean_photons)
+    Both arguments are checked on every call.  The state for the checked
+    ``(N, m)`` then comes from a bounded cache (-0.0 counts as 0.0), so
+    repeated calls return the same immutable instance.
+    """
+    num_modes = _num_modes(num_modes)
+    mean_photons = _checks().check_photons("mean_photons", mean_photons)
+    return _thermal(mean_photons + 0.0, num_modes)  # + 0.0 maps -0.0 to 0.0
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _thermal(mean_photons: float, num_modes: int) -> GaussianState:
+    """The thermal state of checked ``(N, m)``; see :func:`make_thermal`."""
     dim = 2 * num_modes
     return _factored(np.zeros(dim), (2.0 * mean_photons + 1.0) * np.eye(dim),
-                     Williamson(_readonly(np.eye(dim)), mean_photons))
+                     Williamson(_identity(dim), mean_photons))
 
 
-def _check_mode(mode: int, num_modes: int):
+def _check_mode(mode, num_modes: int, name: str = "mode") -> int:
+    """``mode`` as an int, checked to index one of ``num_modes`` modes."""
+    mode = _checks().check_integer(name, mode)
     if not 0 <= mode < num_modes:
-        raise ValueError(f"mode {mode} out of range for {num_modes} modes")
+        raise ValueError(f"{name} {mode} out of range for {num_modes} modes")
+    return mode
+
+
+def _check_pair(mode_a, mode_b, num_modes, what: str) -> tuple[int, int, int]:
+    """Two distinct mode indices and the mode count of a two-mode op, as ints."""
+    num_modes = _num_modes(num_modes)
+    mode_a = _check_mode(mode_a, num_modes, "mode_a")
+    mode_b = _check_mode(mode_b, num_modes, "mode_b")
+    if mode_a == mode_b:
+        raise ValueError(f"{what} requires two distinct modes")
+    return mode_a, mode_b, num_modes
 
 
 def _embed_pair(block: np.ndarray, mode_a: int, mode_b: int, num_modes: int) -> np.ndarray:
     """Embed a 4x4 two-mode block, given in (Qa, Pa, Qb, Pb) order."""
     out = np.eye(2 * num_modes)
-    idx = [2 * mode_a, 2 * mode_a + 1, 2 * mode_b, 2 * mode_b + 1]
-    out[np.ix_(idx, idx)] = block
+    a, b = 2 * mode_a, 2 * mode_b
+    out[a : a + 2, a : a + 2] = block[:2, :2]
+    out[a : a + 2, b : b + 2] = block[:2, 2:]
+    out[b : b + 2, a : a + 2] = block[2:, :2]
+    out[b : b + 2, b : b + 2] = block[2:, 2:]
     return out
 
 
@@ -290,14 +378,13 @@ def single_mode_squeezer(r: float, mode: int = 0, num_modes: int = 1) -> Symplec
     Returns:
         SymplecticOp
     """
-    from cvmb.bounds import check_squeezing  # see _real
-
-    _check_mode(mode, num_modes)
-    r = check_squeezing("r", r, 0.0)
+    num_modes = _num_modes(num_modes)
+    mode = _check_mode(mode, num_modes)
+    r = _checks().check_squeezing("r", r, 0.0)
     matrix = np.eye(2 * num_modes)
     matrix[2 * mode, 2 * mode] = np.exp(-r)
     matrix[2 * mode + 1, 2 * mode + 1] = np.exp(r)
-    return SymplecticOp(matrix, np.zeros(2 * num_modes))
+    return _op(matrix)
 
 
 def two_mode_squeezer(r: float, mode_a: int = 0, mode_b: int = 1,
@@ -324,13 +411,8 @@ def two_mode_squeezer(r: float, mode_a: int = 0, mode_b: int = 1,
     Returns:
         SymplecticOp
     """
-    from cvmb.bounds import check_squeezing  # see _real
-
-    if mode_a == mode_b:
-        raise ValueError("two-mode squeezer requires two distinct modes")
-    _check_mode(mode_a, num_modes)
-    _check_mode(mode_b, num_modes)
-    r = check_squeezing("r", r, 0.0)
+    mode_a, mode_b, num_modes = _check_pair(mode_a, mode_b, num_modes, "two-mode squeezer")
+    r = _checks().check_squeezing("r", r, 0.0)
     ch, sh = np.cosh(r), np.sinh(r)
     block = np.array(
         [
@@ -340,8 +422,7 @@ def two_mode_squeezer(r: float, mode_a: int = 0, mode_b: int = 1,
             [0.0, -sh, 0.0, ch],
         ]
     )
-    return SymplecticOp(_embed_pair(block, mode_a, mode_b, num_modes),
-                        np.zeros(2 * num_modes))
+    return _op(_embed_pair(block, mode_a, mode_b, num_modes))
 
 
 def beam_splitter(tau: float, mode_a: int = 0, mode_b: int = 1,
@@ -371,13 +452,11 @@ def beam_splitter(tau: float, mode_a: int = 0, mode_b: int = 1,
     Returns:
         SymplecticOp
     """
-    if not 0.0 <= _real("tau", tau) <= 1.0:
+    tau = _checks().check_real("tau", tau)
+    if not 0.0 <= tau <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
-    if mode_a == mode_b:
-        raise ValueError("beam splitter requires two distinct modes")
-    _check_mode(mode_a, num_modes)
-    _check_mode(mode_b, num_modes)
-    t, u = np.sqrt(tau), np.sqrt(1.0 - tau)
+    mode_a, mode_b, num_modes = _check_pair(mode_a, mode_b, num_modes, "beam splitter")
+    t, u = math.sqrt(tau), math.sqrt(1.0 - tau)
     block = np.array(
         [
             [t, 0.0, -u, 0.0],
@@ -386,25 +465,25 @@ def beam_splitter(tau: float, mode_a: int = 0, mode_b: int = 1,
             [0.0, u, 0.0, t],
         ]
     )
-    return SymplecticOp(_embed_pair(block, mode_a, mode_b, num_modes),
-                        np.zeros(2 * num_modes))
+    return _op(_embed_pair(block, mode_a, mode_b, num_modes))
 
 
 def displacement(q: float, p: float, mode: int = 0, num_modes: int = 1) -> SymplecticOp:
     """Displacement as a SymplecticOp: identity matrix, offset (q, p) on ``mode``."""
-    _check_mode(mode, num_modes)
+    num_modes = _num_modes(num_modes)
+    mode = _check_mode(mode, num_modes)
     offset = np.zeros(2 * num_modes)
-    offset[2 * mode] = _real("q", q)
-    offset[2 * mode + 1] = _real("p", p)
+    offset[2 * mode] = _checks().check_real("q", q)
+    offset[2 * mode + 1] = _checks().check_real("p", p)
     return SymplecticOp(np.eye(2 * num_modes), offset)
 
 
 def displace(state: GaussianState, q: float, p: float, mode: int = 0) -> GaussianState:
     """Shift the mean of ``mode`` by (q, p); the covariance and its factors are unchanged."""
-    _check_mode(mode, state.num_modes)
+    mode = _check_mode(mode, state.num_modes)
     mean = state.mean.copy()
-    mean[2 * mode] += _real("q", q)
-    mean[2 * mode + 1] += _real("p", p)
+    mean[2 * mode] += _checks().check_real("q", q)
+    mean[2 * mode + 1] += _checks().check_real("p", p)
     if state.williamson is None:
         return GaussianState(mean, state.cov)
     return _factored(mean, state.cov, state.williamson)

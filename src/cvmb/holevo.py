@@ -292,17 +292,21 @@ def eliminate_two_mode(free_vars: np.ndarray, r: float) -> np.ndarray:
     return np.array([t1, j1, s1, k1, t2, j2, s2, k2])
 
 
+def _branch_g(x: np.ndarray) -> float:
+    """g = j2 t1 - j1 t2 + k2 s1 - k1 s2 of the full 8-component vector."""
+    t1, j1, s1, k1, t2, j2, s2, k2 = x
+    return float(j2 * t1 - j1 * t2 + k2 * s1 - k1 * s2)
+
+
 def two_mode_g(free_vars: np.ndarray, r: float) -> float:
     """Branch function g = j2 t1 - j1 t2 + k2 s1 - k1 s2 (= Im Z[1, 0])."""
-    t1, j1, s1, k1, t2, j2, s2, k2 = eliminate_two_mode(free_vars, r)
-    return float(j2 * t1 - j1 * t2 + k2 * s1 - k1 * s2)
+    return _branch_g(eliminate_two_mode(free_vars, r))
 
 
 def two_mode_objective(free_vars: np.ndarray, r: float) -> float:
     """Objective h = f + 2 |g| over the eliminated two-mode variables."""
     x = eliminate_two_mode(free_vars, r)
-    f = float(x @ x)
-    return f + 2.0 * abs(two_mode_g(free_vars, r))
+    return float(x @ x) + 2.0 * abs(_branch_g(x))
 
 
 def components_to_w(x: np.ndarray, basis_dim: int) -> np.ndarray:
@@ -459,7 +463,9 @@ def _dual_pencil(r: float):
     the :class:`_DualPoint`, with g from y.
     """
     d = eliminate_two_mode(np.zeros(4), r)
-    e = np.column_stack([eliminate_two_mode(col, r) for col in np.eye(4)]) - d[:, None]
+    # row i of eye(4) is free variable i across the columns, so the 8 x 4
+    # result has column j = eliminate_two_mode(e_j)
+    e = eliminate_two_mode(np.eye(4), r) - d[:, None]
     l_inv = np.linalg.inv(np.linalg.cholesky(e.T @ e))
     lam, q = np.linalg.eigh(l_inv @ (e.T @ _G_FORM @ e) @ l_inv.T)
     p = l_inv.T @ q

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from cvmb import gaussian
 from cvmb.gaussian import (
     GaussianState,
     SymplecticOp,
@@ -29,6 +32,39 @@ def reference_two_mode_squeezer(r):
     )
 
 
+def reference_beam_splitter(tau):
+    """The documented splitter block, built independently of the package."""
+    t, u = np.sqrt(tau), np.sqrt(1.0 - tau)
+    return np.array(
+        [
+            [t, 0, -u, 0],
+            [0, t, 0, -u],
+            [u, 0, t, 0],
+            [0, u, 0, t],
+        ]
+    )
+
+
+def reference_op(block, modes, num_modes):
+    """The block scattered into the identity, through the public constructor."""
+    idx = [k for mode in modes for k in (2 * mode, 2 * mode + 1)]
+    matrix = np.eye(2 * num_modes)
+    matrix[np.ix_(idx, idx)] = block
+    return SymplecticOp(matrix, np.zeros(2 * num_modes))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_state(a, b):
+    """Mean, covariance and factors equal bit for bit, N a float on both."""
+    n_a, n_b = a.williamson.mean_photons, b.williamson.mean_photons
+    return (same_bits(a.mean, b.mean) and same_bits(a.cov, b.cov)
+            and same_bits(a.williamson.symplectic, b.williamson.symplectic)
+            and type(n_a) is type(n_b) is float and same_bits(np.float64(n_a), np.float64(n_b)))
+
+
 class TestThermal:
     def test_vacuum_is_identity(self):
         state = make_thermal(0.0, 1)
@@ -47,6 +83,35 @@ class TestThermal:
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             make_thermal(*bad)
+
+    def test_numpy_scalars_build_the_same_state(self):
+        for value, equal in [(0.5, np.float32(0.5)), (0, np.int64(0))]:
+            gaussian._thermal.cache_clear()
+            state = make_thermal(value, 2)
+            gaussian._thermal.cache_clear()
+            assert same_state(make_thermal(equal, 2), state)
+            assert make_thermal(value, 2) is make_thermal(equal, 2)
+
+    def test_negative_zero_is_zero(self):
+        gaussian._thermal.cache_clear()
+        state = make_thermal(-0.0, 1)
+        assert math.copysign(1.0, state.williamson.mean_photons) == 1.0
+        assert state is make_thermal(0.0, 1)
+
+    def test_cache_is_bounded(self):
+        size = gaussian._CACHE_SIZE
+        for k in range(size + 5):
+            make_thermal(k / 7.0, 1)
+        assert gaussian._thermal.cache_info().currsize == size
+
+    def test_checked_after_a_cached_call(self):
+        # True == 1.0 and hashes like it, so a cache keyed before the checks
+        # would hand back the state of N = 1 or of one mode
+        make_thermal(1.0, 2)
+        make_thermal(0.5, 1)
+        for bad in [(True, 2), (0.5, True), (np.float64(np.nan), 2), (-1.0, 2), (0.5, 1.0)]:
+            with pytest.raises(ValueError):
+                make_thermal(*bad)
 
 
 class TestSingleModeSqueezer:
@@ -170,6 +235,57 @@ class TestApply:
             apply(beam_splitter(0.5), vacuum(1))
 
 
+class TestLeanOps:
+    """The squeezers and the splitter skip the constructor's input handling only."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(17)
+        for num_modes in (2, 3, 4):
+            for mode_a in range(num_modes):
+                r = float(rng.uniform(-3, 3))
+                yield (single_mode_squeezer(r, mode_a, num_modes),
+                       reference_op(np.diag([np.exp(-r), np.exp(r)]), [mode_a], num_modes))
+                for mode_b in range(num_modes):
+                    if mode_b == mode_a:
+                        continue
+                    modes = [mode_a, mode_b]
+                    r, tau = float(rng.uniform(-3, 3)), float(rng.uniform(0, 1))
+                    yield (two_mode_squeezer(r, mode_a, mode_b, num_modes),
+                           reference_op(reference_two_mode_squeezer(r), modes, num_modes))
+                    yield (beam_splitter(tau, mode_a, mode_b, num_modes),
+                           reference_op(reference_beam_splitter(tau), modes, num_modes))
+
+    def test_equal_to_the_public_constructor(self):
+        count = 0
+        for op, ref in self._cases():
+            assert same_bits(op.matrix, ref.matrix)
+            assert same_bits(op.offset, ref.offset)
+            count += 1
+        # one squeezer per mode, and both two-mode ops on every ordered pair
+        assert count == (2 + 3 + 4) + 2 * (2 + 6 + 12)
+
+    def test_read_only(self):
+        for op, _ in self._cases():
+            assert not op.matrix.flags.writeable
+            assert not op.offset.flags.writeable
+            with pytest.raises(ValueError):
+                op.offset[0] = 1.0
+
+    def test_every_op_runs_the_symplectic_test(self, monkeypatch):
+        seen = []
+        check = gaussian._check_symplectic
+        monkeypatch.setattr(gaussian, "_check_symplectic",
+                            lambda matrix: (seen.append(matrix.shape), check(matrix)))
+        single_mode_squeezer(0.3)
+        two_mode_squeezer(0.3, 0, 2, 3)
+        beam_splitter(0.3)
+        SymplecticOp(np.eye(2), np.zeros(2))
+        assert seen == [(2, 2), (6, 6), (4, 4), (2, 2)]
+        with pytest.raises(ValueError, match="not symplectic"):
+            gaussian._op(2.0 * np.eye(2))
+
+
 class TestInvariants:
     def test_constructors_are_symplectic(self):
         omega = symplectic_form(2)
@@ -268,6 +384,8 @@ class TestInvariants:
         state = vacuum(2)
         with pytest.raises(ValueError):
             state.cov[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            state.mean[0] = 5.0
         op = beam_splitter(0.5)
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 2.0

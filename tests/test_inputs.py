@@ -17,6 +17,7 @@ import pytest
 from cvmb import cli
 from cvmb.bounds import (
     MAX_SQUEEZING,
+    DisplacementModel,
     closed_form_bounds,
     dual_homodyne_mse_analytic,
     single_mode_probe,
@@ -26,9 +27,12 @@ from cvmb.bounds import (
 from cvmb.gaussian import (
     GaussianState,
     SymplecticOp,
+    beam_splitter,
     displace,
+    displacement,
     make_thermal,
     single_mode_squeezer,
+    symplectic_form,
     two_mode_squeezer,
     vacuum,
 )
@@ -73,6 +77,7 @@ ENTRY_POINTS = [
     ("make_thermal", make_thermal, 0.5, 1),
     ("single_mode_squeezer", single_mode_squeezer, 0.5, 1),
     ("two_mode_squeezer", two_mode_squeezer, 0.5, 1),
+    ("beam_splitter.tau", beam_splitter, 0.5, 1),
     ("displace.q", lambda x: displace(vacuum(), x, 0.0), 0.5, 1),
     ("displace.p", lambda x: displace(vacuum(), 0.0, x), 0.5, 1),
     # np.full keeps the dtype of x, so a bool, str or None array reaches the constructor
@@ -80,6 +85,31 @@ ENTRY_POINTS = [
     ("SymplecticOp", lambda x: SymplecticOp(np.diag(np.full(2, x)), np.zeros(2)), -1.0, 1),
 ]
 IDS = [entry[0] for entry in ENTRY_POINTS]
+
+
+# entry point, the integer setting it names, call with that setting
+# replaced by x, and a valid value for it; mode counts stay small, as an
+# m-mode op allocates 2m x 2m matrices
+INTEGER_SETTINGS = [
+    ("make_thermal", "num_modes", lambda x: make_thermal(0.1, x), 2),
+    ("vacuum", "num_modes", vacuum, 2),
+    ("symplectic_form", "num_modes", symplectic_form, 2),
+    ("single_mode_squeezer.mode", "mode", lambda x: single_mode_squeezer(0.1, x, 2), 1),
+    ("single_mode_squeezer.num_modes", "num_modes",
+     lambda x: single_mode_squeezer(0.1, 0, x), 2),
+    ("two_mode_squeezer.mode_a", "mode_a", lambda x: two_mode_squeezer(0.1, x, 0, 3), 2),
+    ("two_mode_squeezer.mode_b", "mode_b", lambda x: two_mode_squeezer(0.1, 0, x, 3), 2),
+    ("two_mode_squeezer.num_modes", "num_modes", lambda x: two_mode_squeezer(0.1, 0, 1, x), 3),
+    ("beam_splitter.mode_a", "mode_a", lambda x: beam_splitter(0.3, x, 0, 3), 2),
+    ("beam_splitter.mode_b", "mode_b", lambda x: beam_splitter(0.3, 0, x, 3), 2),
+    ("beam_splitter.num_modes", "num_modes", lambda x: beam_splitter(0.3, 0, 1, x), 3),
+    ("displacement.mode", "mode", lambda x: displacement(0.1, 0.2, x, 2), 1),
+    ("displacement.num_modes", "num_modes", lambda x: displacement(0.1, 0.2, 0, x), 2),
+    ("displace.mode", "mode", lambda x: displace(vacuum(2), 0.1, 0.2, x), 1),
+    ("DisplacementModel.displaced_mode", "displaced_mode",
+     lambda x: DisplacementModel(two_mode_probe(0.3, 0.1), x), 1),
+]
+BAD_INTEGERS = [True, 1.5, math.nan, "1", None]
 
 
 # one call each with an array entry or a number past its domain
@@ -153,6 +183,24 @@ def test_numpy_scalars_match_python_numbers(name, call, good_float, good_int):
         warnings.simplefilter("error")
         assert bits(call(np.float32(good_float))) == bits(call(good_float))
         assert bits(call(np.int64(good_int))) == bits(call(good_int))
+
+
+@pytest.mark.parametrize("bad", BAD_INTEGERS, ids=repr)
+@pytest.mark.parametrize("name, setting, call, good", INTEGER_SETTINGS,
+                         ids=[entry[0] for entry in INTEGER_SETTINGS])
+def test_bad_integer_raises_value_error(name, setting, call, good, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{setting} must be an integer"):
+            call(bad)
+
+
+@pytest.mark.parametrize("name, setting, call, good", INTEGER_SETTINGS,
+                         ids=[entry[0] for entry in INTEGER_SETTINGS])
+def test_numpy_integers_match_python_ints(name, setting, call, good):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bits(call(np.int64(good))) == bits(call(good))
 
 
 def test_sim_config_theta_true_is_a_pair_of_reals():
