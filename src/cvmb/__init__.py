@@ -57,6 +57,7 @@ from cvmb.simulate import (
     estimate,
     outcome_distribution,
     run,
+    run_many,
 )
 
 __version__ = "0.1.0"

