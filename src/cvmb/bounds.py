@@ -3,39 +3,54 @@
 The figure of merit is the summed mean squared error of the two
 displacement components (q, p).  For a probe with covariance V and mean
 Jacobian J (columns = derivative of the mean vector with respect to each
-parameter), the bounds evaluated here are
+parameter), both moment bounds are values of one function of t in [0, 1]:
 
-* SLD:  ``trace(G^-1)`` with ``G = J^T V^-1 J``,
-* RLD:  ``trace(Re Ginv) + trabs(Im Ginv)`` with
-  ``Ginv = (J^T (V + i Omega)^-1 J)^-1``,
+    rho(t) = trace(Re G_t) + trabs(Im G_t),   G_t = (J^T (V + i t Omega)^-1 J)^-1,
 
-where ``trabs`` is the sum of absolute eigenvalues.  Displacement leaves
-the covariance constant, so both are independent of the true parameter
-value.
+where ``trabs`` is the sum of absolute eigenvalues.  The SLD bound is
+``rho(0) = trace((J^T V^-1 J)^-1)`` and the RLD bound is ``rho(1)``; the
+maximum of rho over [0, 1] is the Holevo bound of this two-parameter model
+(compare Suzuki, J. Math. Phys. 57, 042201 (2016)).  Displacement leaves
+the covariance constant, so rho is independent of the true parameter value.
+
+``V + i Omega`` is singular exactly for pure probes; rho(1) is then defined
+as the N -> 0 limit of the mixed-probe value.  A square J (single-mode
+model) gives ``G_1 = J^-1 (V + i Omega) J^-T`` directly, which continues
+the formula across the singularity.  A non-square J gives 0 (vacuous): the
+limit when the inverse information vanishes, as for the two-mode probe at
+r != 0, but not for every pure probe, as a squeezed mode beside an
+uncoupled vacuum mode keeps its single-mode value in the limit.  At the
+unsqueezed pure two-mode probe (r, N) = (0, 0) the RLD bound is therefore
+0, the limit along N = 0; along r = 0 the limit is 4, the value
+``4 (1 + N)`` at every N > 0.  A solve that fails, as for a singular V,
+which no state has, raises ``DegenerateModelError`` from either bound; at
+t = 1 such a V is never solved, since ``V + i Omega`` is then indefinite.
 
 Thermal frame.  The probes the package builds carry their Williamson
 factors, ``V = S diag(nu) S^T`` with ``nu = 1 + 2N`` (see
-``cvmb.gaussian.GaussianState``).  Since ``S Omega S^T = Omega``, both
-bounds are those of the thermal state ``diag(nu)`` with the Jacobian
-``J' = S^-1 J``, which is read off two rows of S exactly
-(``S^-1 = -Omega S^T Omega``):
+``cvmb.gaussian.GaussianState``).  Since ``S Omega S^T = Omega``, G_t is
+that of the thermal state ``diag(nu)`` with the Jacobian ``J' = S^-1 J``,
+which is read off two rows of S exactly (``S^-1 = -Omega S^T Omega``).  Per
+mode, ``diag(nu) + i t Omega`` has the eigenvalues ``nu +- t``, taken as
+``2 (N + (1 +- t) / 2)`` so that ``nu - 1`` is never formed, on the vectors
+``(1, -+i) / sqrt(2)``:
 
-* SLD:  ``G = J'^T J' / nu``; one mode: ``C_S = nu ||S||_F^2``,
-* RLD:  ``diag(nu) + i Omega`` has eigenvalues ``2N + 2`` and ``2N`` on the
-  vectors ``(1, -+i) / sqrt(2)`` of each mode; one mode:
-  ``C_R = C_S + 2``, more modes: Ginv from a QR of the rows of J' in that
-  eigenbasis, each divided by the square root of its eigenvalue.
+* one mode: ``J' = S^-1``, so ``G_t = V + i t Omega`` and
+  ``rho(t) = nu ||S||_F^2 + 2t``;
+* more modes: G_t from a QR of the rows of J' in that eigenbasis, each
+  divided by the square root of its eigenvalue; at t = 1 and N = 0 the
+  bound is 0, as above.
 
-Nothing here cancels and ``nu - 1`` is never formed, so for the factored
-probes the test suite requires both bounds to agree with the closed forms
-below to a relative 1e-12 over the whole domain: ``|r|`` up to 340 and N
-from 0 through 1e-13 up to 1e6, for both probes.  A probe given only by its
-covariance is solved from V and ``V + i Omega``, whose entries are of size
-``cosh 2r`` while the smallest eigenvalue is about ``e^-2|r|``: that path
-loses about ``eps e^(4|r|)`` relative (1e-12 at |r| = 3, 1e-3 at 8), fails
-from |r| of about 20, and its RLD counts a mixed multi-mode probe as pure,
-and returns 0, once the smallest eigenvalue of ``V + i Omega`` falls below
-1e-12 of the largest (at r = 3 for every N up to 1e-8).
+Nothing here cancels, so for the factored probes the test suite requires
+both bounds to agree with the closed forms below to a relative 1e-12 over
+the whole domain: ``|r|`` up to 340 and N from 0 through 1e-13 up to 1e6,
+for both probes.  A probe given only by its covariance is solved from
+``V + i t Omega``, whose entries are of size ``cosh 2r`` while the smallest
+eigenvalue of V is about ``e^-2|r|``: that path loses about
+``eps e^(4|r|)`` relative (1e-12 at |r| = 3, 1e-3 at 8), fails from |r| of
+about 20, and its RLD counts a mixed multi-mode probe as pure, and returns
+0, once the smallest eigenvalue of ``V + i Omega`` falls below 1e-12 of the
+largest (at r = 3 for every N up to 1e-8).
 
 Closed forms for squeezed thermal probes of squeezing r and thermal
 occupation N (``c = cosh 2r``):
@@ -81,7 +96,6 @@ import numpy as np
 
 from cvmb.gaussian import (
     GaussianState,
-    Williamson,
     apply,
     make_thermal,
     single_mode_squeezer,
@@ -207,7 +221,7 @@ _PURE_EIG_TOL = 1e-12
 
 
 class DegenerateModelError(ValueError):
-    """Raised when a bound is requested for a model with singular covariance."""
+    """Raised when a bound is requested for a covariance that is singular or unphysical."""
 
 
 @dataclass(frozen=True)
@@ -274,22 +288,6 @@ def trabs(matrix: np.ndarray) -> float:
     return float(np.linalg.svd(matrix, compute_uv=False).sum())
 
 
-def _frame_jacobian(model: DisplacementModel) -> list[tuple[float, float]]:
-    """The rows of ``J' = S^-1 J`` of a factored probe, read off rows 2k and 2k + 1 of S.
-
-    ``S^-1 = -Omega S^T Omega``, so with a and b the rows 2k and 2k + 1 of S,
-    the columns of J' are ``Omega b`` and ``-Omega a``: entries of S,
-    permuted and negated, so J' is exact in floats.  Rows come in
-    (Q, P) pairs, one pair per mode.
-    """
-    k = model.displaced_mode
-    a, b = model.probe.williamson.symplectic[2 * k : 2 * k + 2].tolist()
-    rows = []
-    for j in range(0, len(a), 2):
-        rows += [(b[j + 1], -a[j + 1]), (-b[j], a[j])]
-    return rows
-
-
 def _inverse_gram_traces(rows: list[tuple[complex, complex]]) -> tuple[float, float]:
     """``(trace Re Ginv, trabs Im Ginv)`` of ``Ginv = (B^H B)^-1`` for an n x 2 matrix B.
 
@@ -323,97 +321,64 @@ def _inverse_gram_traces(rows: list[tuple[complex, complex]]) -> tuple[float, fl
     return float(re), float(im)
 
 
-def _single_mode_sld(frame: Williamson) -> float:
-    """``C_S = nu ||S||_F^2`` of a factored one-mode probe: J = I, so ``J'^-1 = S``.
+def _moment_bound(model: DisplacementModel, t: float) -> float:
+    """``rho(t) = trace(Re G_t) + trabs(Im G_t)`` for 0 <= t <= 1; see the module docstring.
 
-    The four squares are summed in Python, in NumPy's order.
-    """
-    (a, b), (c, d) = frame.symplectic.tolist()
-    return (1.0 + 2.0 * frame.mean_photons) * (a * a + b * b + c * c + d * d)
+    A factored probe is read in its thermal frame.  There mode j has the
+    rows ``Q = (b[2j + 1], -a[2j + 1])`` and ``P = (-b[2j], a[2j])`` of J',
+    with a and b the rows of S of the displaced mode, and G_t is ``Ginv``
+    of :func:`_inverse_gram_traces` for the rows ``(Q + iP) w+`` and
+    ``(Q - iP) w-``, with ``w+- = 0.5 / sqrt(N + (1 +- t) / 2)``.
 
-
-def sld_bound(model: DisplacementModel) -> BoundResult:
-    """SLD quantum Cramér-Rao bound ``trace((J^T V^-1 J)^-1)``.
-
-    For a factored probe (see the module docstring) ``G = J'^T J' / nu``:
-    one mode has ``C_S = nu ||S||_F^2``, more modes take
-    ``trace((J'^T J')^-1)`` from a QR of J'.  A probe given only by its
-    covariance is solved from V, to the accuracy floor stated in the module
-    docstring; a singular V raises :class:`DegenerateModelError`.
-    """
-    frame = model.probe.williamson
-    if frame is not None:
-        if model.probe.num_modes == 1:
-            return BoundResult(_single_mode_sld(frame), "SLD")
-        trace, _ = _inverse_gram_traces(_frame_jacobian(model))
-        return BoundResult((1.0 + 2.0 * frame.mean_photons) * trace, "SLD")
-    jac = model.mean_jacobian
-    try:
-        vinv_j = np.linalg.solve(model.probe.cov, jac)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateModelError("probe covariance is singular") from exc
-    info = jac.T @ vinv_j
-    value = float(np.trace(np.linalg.inv(info)))
-    return BoundResult(value, "SLD")
-
-
-def rld_bound(model: DisplacementModel) -> BoundResult:
-    """RLD quantum Cramér-Rao bound ``trace(Re Ginv) + trabs(Im Ginv)``.
-
-    ``Ginv = (J^T A^-1 J)^-1`` with ``A = V + i Omega``.  A is singular
-    exactly for pure probes; the bound is then defined as the N -> 0
-    limit of the mixed-probe value:
-
-    * square J (single-mode model): ``Ginv = J^-1 A J^-T`` directly, which
-      continues the formula across the singularity,
-    * non-square J: the bound is taken as 0 (vacuous).  That is the limit
-      when the inverse information vanishes, as for the two-mode probe at
-      r != 0, but not for every pure probe: a squeezed mode beside an
-      uncoupled vacuum mode keeps its single-mode value in the limit.
-
-    At the unsqueezed pure two-mode probe (r, N) = (0, 0) the value is
-    therefore 0, the limit along N = 0; along r = 0 the limit is 4, the
-    value ``4 (1 + N)`` at every N > 0.
-
-    For a factored probe (see the module docstring) the single mode has
-    ``C_R = C_S + 2 |det S| = C_S + 2``.  More modes take Ginv from a QR
-    of the rows ``(1, +-i) J'_k / (2 sqrt(N + 1))`` and
-    ``(1, -+i) J'_k / (2 sqrt(N))`` of each mode k, the eigenvectors of
-    ``diag(nu) + i Omega`` weighted by its eigenvalues ``2N + 2`` and
-    ``2N``, taken from N without forming ``nu - 1``; N == 0 gives 0.  A
-    probe given only by its covariance is solved from ``V + i Omega``, to
-    the accuracy floor stated in the module docstring; there a probe whose
-    smallest eigenvalue of A is below ``1e-12`` of its largest counts as
-    pure.
+    A bare covariance is solved from ``A = V + i t Omega``.  At t = 1 a
+    square J takes ``J^-1 A J^-T``, and a non-square J counts A as pure,
+    and gives 0, when its smallest eigenvalue is below ``1e-12`` of its
+    largest.  A solve that fails raises ``DegenerateModelError``.
     """
     frame = model.probe.williamson
     if frame is not None:
         n = frame.mean_photons
-        if model.probe.num_modes == 1:
-            return BoundResult(_single_mode_sld(frame) + 2.0, "RLD")
-        if n == 0:
-            return BoundResult(0.0, "RLD")
-        jac = _frame_jacobian(model)
-        plus, minus = 0.5 / math.sqrt(n + 1.0), 0.5 / math.sqrt(n)
+        k = model.displaced_mode
+        a, b = frame.symplectic[2 * k : 2 * k + 2].tolist()
+        if len(a) == 2:
+            # ||S||_F^2, its four squares summed in NumPy's order
+            frobenius = a[0] * a[0] + a[1] * a[1] + b[0] * b[0] + b[1] * b[1]
+            return (1.0 + 2.0 * n) * frobenius + 2.0 * t
+        if n + (1.0 - t) / 2 == 0:
+            return 0.0
+        plus, minus = 0.5 / math.sqrt(n + (1.0 + t) / 2), 0.5 / math.sqrt(n + (1.0 - t) / 2)
         rows = []
-        for (qu, qv), (pu, pv) in zip(jac[0::2], jac[1::2]):
+        for j in range(0, len(a), 2):
+            qu, qv, pu, pv = b[j + 1], -a[j + 1], -b[j], a[j]
             rows += [(complex(qu, pu) * plus, complex(qv, pv) * plus),
                      (complex(qu, -pu) * minus, complex(qv, -pv) * minus)]
         re, im = _inverse_gram_traces(rows)
-        return BoundResult(re + im, "RLD")
+        return re + im
     jac = model.mean_jacobian
-    a = model.probe.cov + 1j * symplectic_form(model.probe.num_modes)
-    if jac.shape[0] == jac.shape[1]:
-        jinv = np.linalg.inv(jac)
-        ginv = jinv @ a @ jinv.T
-    else:
+    a = model.probe.cov + 1j * t * symplectic_form(model.probe.num_modes)
+    if t == 1:
+        if jac.shape[0] == jac.shape[1]:
+            jinv = np.linalg.inv(jac)
+            ginv = jinv @ a @ jinv.T
+            return float(np.trace(ginv.real)) + trabs(ginv.imag)
         eigs = np.linalg.eigvalsh(a)
         if eigs.min() < _PURE_EIG_TOL * eigs.max():
-            return BoundResult(0.0, "RLD")
-        info = jac.T @ np.linalg.solve(a, jac.astype(complex))
-        ginv = np.linalg.inv(info)
-    value = float(np.trace(ginv.real)) + trabs(ginv.imag)
-    return BoundResult(value, "RLD")
+            return 0.0
+    try:
+        ginv = np.linalg.inv(jac.T @ np.linalg.solve(a, jac))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateModelError("probe covariance is singular") from exc
+    return float(np.trace(ginv.real)) + trabs(ginv.imag)
+
+
+def sld_bound(model: DisplacementModel) -> BoundResult:
+    """The SLD bound ``rho(0) = trace((J^T V^-1 J)^-1)``; see the module docstring."""
+    return BoundResult(_moment_bound(model, 0.0), "SLD")
+
+
+def rld_bound(model: DisplacementModel) -> BoundResult:
+    """The RLD bound ``rho(1)``; see the module docstring."""
+    return BoundResult(_moment_bound(model, 1.0), "RLD")
 
 
 def closed_form_bounds(r: float, mean_photons: float, probe_kind: str) -> tuple[float, float]:

@@ -61,7 +61,7 @@ PHYSICALITY_TOL = 1e-10
 
 
 # entries kept by each cache below: thermal states, one per (N, m), and
-# shared read-only vectors and identities, one per dimension
+# shared read-only zero vectors, one per dimension
 _CACHE_SIZE = 64
 
 
@@ -95,12 +95,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _zeros(dim: int) -> np.ndarray:
     """The read-only zero vector of length ``dim``, built once."""
     return _readonly(np.zeros(dim))
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _identity(dim: int) -> np.ndarray:
-    """The read-only ``dim`` x ``dim`` identity, built once."""
-    return _readonly(np.eye(dim))
 
 
 def _real_array(name: str, value) -> np.ndarray:
@@ -332,7 +326,7 @@ def _thermal(mean_photons: float, num_modes: int) -> GaussianState:
     """The thermal state of checked ``(N, m)``; see :func:`make_thermal`."""
     dim = 2 * num_modes
     return _factored(np.zeros(dim), (2.0 * mean_photons + 1.0) * np.eye(dim),
-                     Williamson(_identity(dim), mean_photons))
+                     Williamson(_readonly(np.eye(dim)), mean_photons))
 
 
 def _check_mode(mode, num_modes: int, name: str = "mode") -> int:

@@ -576,9 +576,9 @@ def solve_numeric(problem: HolevoProblem) -> HolevoSolution:
     """
     if problem.kind == "two_mode":
         return _two_mode_dual(problem)
-    _, w = _pinned_single_solution(problem.r)
+    x, w = _pinned_single_solution(problem.r)
     z = z_matrix(w)
-    return HolevoSolution(holevo_value(z), np.array([]), z, "numeric",
+    return HolevoSolution(holevo_value(z), x, z, "numeric",
                           {"constraint_residual": constraint_residual(problem, w)})
 
 

@@ -58,15 +58,17 @@ class TestSLD:
 
     def test_singular_covariance_rejected(self):
         # a valid state whose covariance is singular cannot exist, so feed
-        # the matrix factory directly
-        state = GaussianState.__new__(GaussianState)
-        object.__setattr__(state, "mean", np.zeros(2))
-        object.__setattr__(state, "cov", np.zeros((2, 2)))
-        bad = DisplacementModel.__new__(DisplacementModel)
-        object.__setattr__(bad, "probe", state)
-        object.__setattr__(bad, "displaced_mode", 0)
-        with pytest.raises(DegenerateModelError):
-            sld_bound(bad)
+        # the matrix factory directly; the SLD bound solves V on both paths
+        # (the RLD bound never solves a singular V: V + i Omega is indefinite)
+        for modes in (1, 2):
+            state = GaussianState.__new__(GaussianState)
+            object.__setattr__(state, "mean", np.zeros(2 * modes))
+            object.__setattr__(state, "cov", np.zeros((2 * modes, 2 * modes)))
+            bad = DisplacementModel.__new__(DisplacementModel)
+            object.__setattr__(bad, "probe", state)
+            object.__setattr__(bad, "displaced_mode", 0)
+            with pytest.raises(DegenerateModelError):
+                sld_bound(bad)
 
 
 class TestRLD:
@@ -77,7 +79,12 @@ class TestRLD:
 
     @pytest.mark.parametrize("r", [0.0, 0.4, 1.2])
     def test_pure_two_mode_is_vacuous(self, r):
-        assert rld_bound(model("two_mode", r, 0.0)).value == 0.0
+        m = model("two_mode", r, 0.0)
+        assert rld_bound(m).value == 0.0
+        # a bare copy of the same covariance takes the eigenvalue test for purity
+        bare = DisplacementModel(GaussianState(m.probe.mean, m.probe.cov))
+        assert bare.probe.williamson is None
+        assert rld_bound(bare).value == 0.0
 
     def test_two_mode_thermal_unsqueezed(self):
         assert np.isclose(rld_bound(model("two_mode", 0.0, 0.1)).value, 4.4, atol=1e-12)

@@ -82,6 +82,20 @@ class TestBoundsCommand:
         assert cli.main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("args, digest", [
+        ([], "3daf50e43be6932edca92a809853975650d7af23047e54bf11668082b0834869"),
+        (["--photons", "0.5"], "f8ad877dc3460e84fd79176294c9438390736b17c35d80202883582d0b561aa9"),
+        (["--probe", "single", "--photons", "0.1"],
+         "a3a54c2c98704c18aa434def322b84e63541bcc91859c66f8c3c639d6c4ad02d"),
+    ], ids=["default", "photons-0.5", "single"])
+    def test_output_pinned_across_versions(self, tmp_path, args, digest):
+        # digests of the closed-form columns, so a change in their arithmetic
+        # shows.  NumPy 2.4 on x86-64 Linux; another libm may round cosh and
+        # exp differently.
+        out = tmp_path / "pin.csv"
+        assert cli.main(["bounds", *args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("probe", ["single", "two_mode"])
     @pytest.mark.parametrize("photons", [0.0, 0.1, 0.5])
     def test_row_invariants(self, probe, photons):
@@ -177,6 +191,21 @@ class TestFigure1Command:
             assert len(series) == len(rows)
             assert len(series[0].split()) == 2
 
+    def test_output_pinned_across_versions(self, tmp_path):
+        # digests of the CSV and its four series files, on the same terms as
+        # the bounds command's
+        out = tmp_path / "fig.csv"
+        assert cli.main(["figure1", "--out", str(out)]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.iterdir()}
+        assert digests == {
+            "fig.csv": "209de32acfbe569da10130492d02c847e2d1e0bdba13fefce97eca0ff26ca558",
+            "fig_sld.dat": "b508fa0b07f93d27194041080b9e1f40411b18fcecd43ff253a2259d4fbb4478",
+            "fig_rld.dat": "5518f21e310ba64a157f19e7bd67db7d5b9428cc4a156902ad1bbbf145d7b134",
+            "fig_max.dat": "d7c70afdd4d4e71cb32ce3954d91e1d89e9de925aa35ef7e5c3924e3a9c46bc0",
+            "fig_dh.dat": "5eb089fc2ad337a7d570f870ea09ff5d76a0a4d508ce1b493a87a14c1b804ba3",
+        }
+
     def test_series_values_match_closed_forms(self, tmp_path):
         out = tmp_path / "fig.csv"
         assert cli.main(["figure1", "--out", str(out)]) == 0
@@ -222,10 +251,10 @@ class TestConfigResolution:
                 "at N = 0 overflows") in capsys.readouterr().err
 
     def test_simulate_limit_checked_before_sampling(self, monkeypatch, capsys):
-        def no_run(config):
-            raise AssertionError(f"row at r = {config.r} sampled")
+        def no_run(configs):
+            raise AssertionError(f"rows at r = {[config.r for config in configs]} sampled")
 
-        monkeypatch.setattr(cli, "run", no_run)
+        monkeypatch.setattr(cli, "run_many", no_run)
         assert cli.main(["simulate", "--samples", "1000000", "--r-max", "5"]) == cli.USAGE_ERROR
         assert "r = 4.33333 is outside the simulate limit" in capsys.readouterr().err
 

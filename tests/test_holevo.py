@@ -467,6 +467,18 @@ class TestNumericSolver:
         with pytest.raises(ValueError):
             holevo._slsqp_reference(build_problem("two_mode", 0.5), restarts=0)
 
+    def test_no_converged_restart_raises(self, monkeypatch):
+        # every restart stops where it started: the error carries the best of them
+        def stalled(fun, x0, **kwargs):
+            return type("Result", (), {"x": np.asarray(x0), "success": False})
+
+        monkeypatch.setattr(holevo, "minimize", stalled)
+        with pytest.raises(ConvergenceError, match="no restart converged out of 2") as info:
+            holevo._slsqp_reference(build_problem("two_mode", 0.5), restarts=2)
+        best = info.value.best
+        assert best is not None and best.diagnostics["converged"] == 0
+        assert np.isfinite(best.bound)
+
     @pytest.mark.parametrize("r", sorted({v for r in DUAL_GRID for v in (r, -r)}))
     def test_dual_certified_on_grid(self, r):
         with warnings.catch_warnings():
@@ -484,9 +496,12 @@ class TestNumericSolver:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_numeric(build_problem("single", r))
-        want = solve_analytic("single", r).bound
+        analytic = solve_analytic("single", r)
+        want = analytic.bound
         assert abs(sol.bound - want) <= 1e-12 * want
         assert sol.diagnostics["constraint_residual"] <= 1e-12
+        # the constraints pin every component, so both solvers return the same x
+        assert np.array_equal(sol.minimizer, analytic.minimizer)
 
     @given(st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)

@@ -18,6 +18,7 @@ from cvmb import cli
 from cvmb.bounds import (
     MAX_SQUEEZING,
     DisplacementModel,
+    check_real,
     closed_form_bounds,
     dual_homodyne_mse_analytic,
     single_mode_probe,
@@ -38,7 +39,10 @@ from cvmb.gaussian import (
 )
 from cvmb.holevo import (
     HolevoProblem,
+    HolevoSolution,
+    assemble_x_operators,
     build_problem,
+    components_to_w,
     gram_single_mode,
     gram_two_mode,
     kkt_case_audit,
@@ -112,8 +116,10 @@ INTEGER_SETTINGS = [
 BAD_INTEGERS = [True, 1.5, math.nan, "1", None]
 
 
-# one call each with an array entry or a number past its domain
+# one call each with an array entry, a number, a shape or a name past its domain
 PAST_DOMAIN = [
+    ("check_real.10**400", lambda: check_real("r", 10 ** 400)),
+    ("DisplacementModel.displaced_mode.2", lambda: DisplacementModel(two_mode_probe(0.3), 2)),
     ("single_mode_squeezer.above", lambda: single_mode_squeezer(np.nextafter(MAX_SQUEEZING, 400))),
     ("single_mode_squeezer.below", lambda: single_mode_squeezer(np.nextafter(-MAX_SQUEEZING, -400))),
     ("single_mode_squeezer.800", lambda: single_mode_squeezer(800.0)),
@@ -131,6 +137,19 @@ PAST_DOMAIN = [
     ("GaussianState.mean.inf", lambda: GaussianState([0.0, math.inf], np.eye(2))),
     ("SymplecticOp.offset.nan", lambda: SymplecticOp(np.eye(2), [0.0, math.nan])),
     ("SymplecticOp.offset.-inf", lambda: SymplecticOp(np.eye(2), [-math.inf, 0.0])),
+    ("GaussianState.mean.odd", lambda: GaussianState(np.zeros(3), np.eye(3))),
+    ("GaussianState.cov.shape", lambda: GaussianState(np.zeros(2), np.eye(4))),
+    ("SymplecticOp.matrix.odd", lambda: SymplecticOp(np.eye(3), np.zeros(3))),
+    ("SymplecticOp.offset.shape", lambda: SymplecticOp(np.eye(2), np.zeros(4))),
+    ("HolevoSolution.method", lambda: HolevoSolution(1.0, [], np.eye(2), "guess")),
+    ("components_to_w.size", lambda: components_to_w(np.zeros(3), 2)),
+    ("assemble_x_operators.block_shape",
+     lambda: assemble_x_operators(build_problem("two_mode", 0.5), np.zeros((2, 2)),
+                                  blocks=(np.eye(3), np.eye(3)))),
+    ("assemble_x_operators.non_hermitian",
+     lambda: assemble_x_operators(build_problem("two_mode", 0.5), np.zeros((2, 2)),
+                                  blocks=(np.triu(np.ones((2, 2))), np.eye(2)))),
+    ("solve_analytic.kind", lambda: solve_analytic("three_mode", 0.1)),
 ]
 
 
@@ -224,8 +243,17 @@ class TestCommandLine:
     def test_bad_flag_names_its_setting(self, capsys):
         assert cli.main(["bounds", "--r-steps", "abc"]) == cli.USAGE_ERROR
         assert "r-steps must be an integer, got 'abc'" in capsys.readouterr().err
+        assert cli.main(["bounds", "--samples", "-1"]) == cli.USAGE_ERROR
+        assert "samples must be non-negative" in capsys.readouterr().err
         assert cli.main(["bounds", "--r-min", "abc"]) == cli.USAGE_ERROR
         assert "r-min must be a real number, got 'abc'" in capsys.readouterr().err
+
+    def test_unknown_flag_is_a_usage_error(self, capsys):
+        # argparse exits 2, which the CLI reserves for a failed gate
+        with pytest.raises(SystemExit) as info:
+            cli.main(["bounds", "--no-such-flag"])
+        assert info.value.code == cli.USAGE_ERROR
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
 
     def test_probe_takes_both_spellings(self, capsys):
         outputs = []

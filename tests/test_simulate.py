@@ -261,6 +261,11 @@ class TestWorkerCount:
         return [np.asarray(getattr(res, f.name)) for f in dataclasses.fields(res)
                 if getattr(res, f.name) is not None]
 
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        # platforms without sched_getaffinity (macOS, Windows) fall back to the CPU count
+        monkeypatch.delattr(cvmb.simulate.os, "sched_getaffinity", raising=False)
+        assert cvmb.simulate._usable_cpus() == (cvmb.simulate.os.cpu_count() or 1)
+
     @pytest.mark.parametrize("case", ["direct", "two_stage"])
     def test_bitwise_equal_for_any_worker_count(self, monkeypatch, case):
         config = dataclasses.replace(self.CONFIG, mode=case)
