@@ -5,7 +5,8 @@ Subpackage map:
 
 * :mod:`cvmb.gaussian` - moment representation of Gaussian states and
   symplectic operations (hbar = 2 convention)
-* :mod:`cvmb.bounds` - classical, SLD and RLD Cramér-Rao bounds
+* :mod:`cvmb.bounds` - classical, SLD and RLD Cramér-Rao bounds, and the
+  closed-form Holevo bound where one is known
 * :mod:`cvmb.holevo` - the Holevo bound for pure probes: analytic KKT
   solution and an independent numeric solver
 * :mod:`cvmb.simulate` - seeded Monte Carlo of the dual homodyne
@@ -32,6 +33,7 @@ from cvmb.bounds import (
     DisplacementModel,
     classical_fisher_gaussian,
     closed_form_bounds,
+    closed_form_holevo,
     dual_homodyne_mse_analytic,
     rld_bound,
     single_mode_probe,

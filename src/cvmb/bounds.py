@@ -61,6 +61,10 @@ occupation N (``c = cosh 2r``):
 The two-mode RLD denominator equals ``(1 + 2N) c - 1``; written as a sum of
 non-negative terms it keeps full precision as N -> 0 at small r.
 
+The Holevo bound C_H (``closed_form_holevo``) is C_R for one mode at every
+N, and ``4 exp(-2|r|)`` for the pure two-mode probe; the mixed two-mode
+C_H has no closed form here.
+
 At N = 0 the two-mode RLD bound is vacuous: zero for every r.  At the
 origin (r, N) = (0, 0) it is pinned to 0, the limit along N = 0; the
 limit along r = 0 is 4, the value ``4 (1 + N)`` at every N > 0.
@@ -212,6 +216,7 @@ __all__ = [
     "sld_bound",
     "rld_bound",
     "closed_form_bounds",
+    "closed_form_holevo",
     "classical_fisher_gaussian",
     "dual_homodyne_mse_analytic",
 ]
@@ -410,6 +415,37 @@ def closed_form_bounds(r: float, mean_photons: float, probe_kind: str) -> tuple[
             return float(c_s), 0.0
         c_r = 8.0 * n * (1.0 + n) / (2.0 * n * c + 2.0 * np.sinh(r) ** 2)
         return float(c_s), float(c_r)
+    raise ValueError(f"unknown probe kind {probe_kind!r}")
+
+
+def closed_form_holevo(r: float, mean_photons: float, probe_kind: str) -> float | None:
+    """Closed-form Holevo bound C_H for the squeezed thermal probes, or None.
+
+    Args:
+        r (float): squeezing parameter
+        mean_photons (float): thermal occupation 0 <= N <= MAX_PHOTONS
+        probe_kind (str): "single" or "two_mode"
+
+    Returns:
+        float or None: the Holevo bound where a closed form is known
+
+    * single: the closed-form C_R at every N.  For one mode
+      ``rho(t) = nu ||S||_F^2 + 2t`` rises with t, so its maximum over
+      [0, 1] is ``rho(1)``; the dual homodyne attains it.
+    * two_mode at N = 0: ``4 exp(-2|r|)``, the paper's bound.
+    * two_mode at N > 0: None; the mixed two-mode bound has no closed form here.
+
+    The domain is that of the columns it fills: ``|r| <= squeezing_limit(N)``,
+    and for two modes also ``r >= two_mode_min_r(N)``, where the dual-homodyne
+    MSE beside it stays finite.
+    """
+    n = check_photons("mean_photons", mean_photons)
+    r = check_squeezing("r", r, n)
+    if probe_kind == "single":
+        return closed_form_bounds(r, n, "single")[1]
+    if probe_kind == "two_mode":
+        check_two_mode_r("r", r, n)
+        return float(4.0 * np.exp(-2.0 * abs(r))) if n == 0 else None
     raise ValueError(f"unknown probe kind {probe_kind!r}")
 
 

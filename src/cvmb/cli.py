@@ -33,11 +33,13 @@ from cvmb.bounds import (
     check_squeezing,
     check_two_mode_r,
     closed_form_bounds,
+    closed_form_holevo,
     dual_homodyne_mse_analytic,
 )
-from cvmb.holevo import solve_analytic
 from cvmb.simulate import SimConfig, derive_seed, run_many
-# not called here: the benchmark tracer (perfbench/tracing.py) wraps cvmb.cli:run by name
+# not called here: the benchmark tracer (perfbench/tracing.py) wraps
+# cvmb.cli:run and cvmb.cli:solve_analytic by name
+from cvmb.holevo import solve_analytic  # noqa: F401
 from cvmb.simulate import run  # noqa: F401
 
 __all__ = ["SweepSpec", "BoundSweepRow", "sweep_rows", "rows_to_csv", "gate_failures", "main"]
@@ -112,29 +114,6 @@ class BoundSweepRow:
     v_dh_se: float | None = None
 
 
-def _holevo_entry(probe: str, r: float, photons: float, c_r: float) -> float | None:
-    """C_H column policy, given the row's RLD bound ``c_r``.
-
-    Pure probes take the analytic bound.  The mixed single-mode probe
-    takes the RLD value: the dual homodyne attains it, and the Holevo
-    bound is sandwiched between the RLD bound and any attainable MSE.
-    The mixed two-mode bound is an open problem and stays empty.
-    """
-    if photons == 0:
-        return solve_analytic(probe, r).bound
-    if probe == "single":
-        return c_r
-    return None
-
-
-def _dual_homodyne_entry(probe: str, r: float, photons: float, c_r: float) -> float:
-    if probe == "two_mode":
-        return dual_homodyne_mse_analytic(r, photons).value
-    # single-mode probe: both quadratures read the same mode, and the MSE
-    # 2 + (2 + 4N) cosh 2r is the RLD bound
-    return c_r
-
-
 def sweep_rows(spec: SweepSpec) -> list[BoundSweepRow]:
     """Evaluate all bounds (and optionally the simulation) over the grid.
 
@@ -155,8 +134,11 @@ def sweep_rows(spec: SweepSpec) -> list[BoundSweepRow]:
     rows = []
     for r, result in zip(grid, results):
         c_s, c_r = closed_form_bounds(r, spec.photons, spec.probe)
-        c_h = _holevo_entry(spec.probe, r, spec.photons, c_r)
-        v_dh = _dual_homodyne_entry(spec.probe, r, spec.photons, c_r)
+        c_h = closed_form_holevo(r, spec.photons, spec.probe)
+        # on the single-mode probe both quadratures read the same mode, and
+        # the MSE 2 + (2 + 4N) cosh 2r is the RLD bound
+        v_dh = (c_r if spec.probe == "single"
+                else dual_homodyne_mse_analytic(r, spec.photons).value)
         emp = se = None
         if result is not None:
             emp, se = result.mse_sum, result.std_error

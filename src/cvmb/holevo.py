@@ -389,8 +389,9 @@ def solve_analytic(probe_kind: str, r: float) -> HolevoSolution:
     r must be finite with ``|r| <= cvmb.bounds.MAX_SQUEEZING`` (about
     354.9), where ``cosh 2r`` stays finite; the two-mode bound also needs
     ``r >= cvmb.bounds.two_mode_min_r(0)`` (about -354.2), the range of the
-    dual-homodyne MSE ``4 exp(-2r)`` that ``cvmb bounds`` prints beside it.
-    Other r raise ``ValueError``.
+    dual-homodyne MSE ``4 exp(-2r)``.  Other r raise ``ValueError``.  On
+    this domain the bound equals ``cvmb.bounds.closed_form_holevo(r, 0,
+    probe_kind)`` bit for bit; the tests check that.
     """
     if probe_kind == "single":
         r = _check_r(r, -MAX_SQUEEZING, MAX_SQUEEZING, "where cosh 2r stays finite")

@@ -12,6 +12,7 @@ from cvmb.bounds import (
     DisplacementModel,
     classical_fisher_gaussian,
     closed_form_bounds,
+    closed_form_holevo,
     dual_homodyne_mse_analytic,
     rld_bound,
     single_mode_probe,
@@ -29,6 +30,7 @@ from cvmb.gaussian import (
     single_mode_squeezer,
     two_mode_squeezer,
 )
+from cvmb.holevo import solve_analytic
 from cvmb.simulate import outcome_distribution
 
 R_GRID = np.round(np.arange(0.0, 1.51, 0.1), 10)
@@ -218,6 +220,54 @@ class TestClosedForms:
             for n in N_GRID:
                 c_s, c_r = closed_form_bounds(r, n, "single")
                 assert c_r >= c_s
+
+
+def holevo_r_set():
+    """2,124 values of r: the CLI's default grid, a 101-point grid on [0, 2],
+    2,000 seeded uniform draws on [-3, 3], and signed zeros, tiny and large r."""
+    draws = np.random.default_rng(20).uniform(-3.0, 3.0, 2000)
+    edges = [0.0, -0.0, 1e-300, -1e-300, 300.0, -300.0, 354.0]
+    return [*np.linspace(0.0, 1.5, 16), *np.linspace(0.0, 2.0, 101), *draws, *edges]
+
+
+class TestClosedFormHolevo:
+    @pytest.mark.parametrize("kind", ["single", "two_mode"])
+    def test_pure_probe_is_the_analytic_solution_bit_for_bit(self, kind):
+        r_set = holevo_r_set()
+        assert len(r_set) == 2124
+        for r in r_set:
+            got = closed_form_holevo(r, 0.0, kind)
+            assert got.hex() == solve_analytic(kind, r).bound.hex(), (kind, r)
+
+    @pytest.mark.parametrize("n", [0.0, 1e-13, 0.1, 2.0])
+    def test_single_is_the_closed_form_rld_bit_for_bit(self, n):
+        for r in holevo_r_set():
+            got = closed_form_holevo(r, n, "single")
+            assert got.hex() == closed_form_bounds(r, n, "single")[1].hex(), (r, n)
+
+    @pytest.mark.parametrize("n", [1e-13, 0.1, 2.0, MAX_PHOTONS])
+    def test_mixed_two_mode_is_empty(self, n):
+        for r in (two_mode_min_r(n), -1.0, 0.0, 0.5, squeezing_limit(n)):
+            assert closed_form_holevo(r, n, "two_mode") is None
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown probe kind 'three_mode'"):
+            closed_form_holevo(0.1, 0.0, "three_mode")
+
+    @pytest.mark.parametrize("n", [0.0, 0.1, 2.0])
+    def test_domain_is_that_of_the_columns_it_replaces(self, n):
+        # |r| <= squeezing_limit(N) for both kinds; for two modes also
+        # r >= two_mode_min_r(N), on the None branch as well
+        edges = {"single": (-squeezing_limit(n), squeezing_limit(n)),
+                 "two_mode": (two_mode_min_r(n), squeezing_limit(n))}
+        for kind, (low, high) in edges.items():
+            closed_form_holevo(low, n, kind)
+            closed_form_holevo(high, n, kind)
+            with pytest.raises(ValueError, match="is outside"):
+                closed_form_holevo(np.nextafter(high, np.inf), n, kind)
+            match = "is outside" if kind == "single" else "is below the limit"
+            with pytest.raises(ValueError, match=match):
+                closed_form_holevo(np.nextafter(low, -np.inf), n, kind)
 
 
 class TestClassicalFisher:

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from cvmb import cli
+from cvmb import cli, holevo
 from cvmb.bounds import closed_form_bounds
 
 
@@ -226,6 +226,22 @@ class TestFigure1Command:
         assert small_r
         for row in small_r:
             assert float(row[4]) > float(row[3])
+
+
+class TestWithoutHolevoSolver:
+    """The pinned outputs of ``cvmb bounds`` and ``cvmb figure1``, with the
+    Holevo solver made to raise: the CLI reads C_H from the closed forms."""
+
+    @pytest.fixture(autouse=True)
+    def no_solver(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the CLI called the Holevo solver")
+
+        monkeypatch.setattr(holevo, "solve_analytic", fail)
+        monkeypatch.setattr(cli, "solve_analytic", fail)
+
+    test_bounds_pinned = TestBoundsCommand.test_output_pinned_across_versions
+    test_figure1_pinned = TestFigure1Command.test_output_pinned_across_versions
 
 
 class TestConfigResolution:

@@ -20,9 +20,11 @@ from cvmb.bounds import (
     DisplacementModel,
     check_real,
     closed_form_bounds,
+    closed_form_holevo,
     dual_homodyne_mse_analytic,
     single_mode_probe,
     squeezing_limit,
+    two_mode_min_r,
     two_mode_probe,
 )
 from cvmb.gaussian import (
@@ -68,6 +70,8 @@ ENTRY_POINTS = [
     ("SweepSpec.photons", lambda x: _sweep(photons=x), 0.5, 1),
     ("closed_form_bounds.r", lambda x: closed_form_bounds(x, 0.1, "two_mode"), 0.5, 1),
     ("closed_form_bounds.mean_photons", lambda x: closed_form_bounds(0.1, x, "single"), 0.5, 1),
+    ("closed_form_holevo.r", lambda x: closed_form_holevo(x, 0.0, "two_mode"), 0.5, 1),
+    ("closed_form_holevo.mean_photons", lambda x: closed_form_holevo(0.1, x, "single"), 0.5, 1),
     ("dual_homodyne_mse_analytic.r", lambda x: dual_homodyne_mse_analytic(x, 0.1), 0.5, 1),
     ("dual_homodyne_mse_analytic.mean_photons",
      lambda x: dual_homodyne_mse_analytic(0.1, x), 0.5, 1),
@@ -150,6 +154,10 @@ PAST_DOMAIN = [
      lambda: assemble_x_operators(build_problem("two_mode", 0.5), np.zeros((2, 2)),
                                   blocks=(np.triu(np.ones((2, 2))), np.eye(2)))),
     ("solve_analytic.kind", lambda: solve_analytic("three_mode", 0.1)),
+    ("closed_form_holevo.kind", lambda: closed_form_holevo(0.1, 0.0, "three_mode")),
+    # the empty mixed two-mode field keeps the domain of the V_DH field beside it
+    ("closed_form_holevo.below_two_mode_min_r",
+     lambda: closed_form_holevo(np.nextafter(two_mode_min_r(0.1), -400), 0.1, "two_mode")),
 ]
 
 
