@@ -20,7 +20,6 @@ from cvmb.gaussian import (
     apply,
     beam_splitter,
     displace,
-    displacement,
     make_thermal,
     single_mode_squeezer,
     symplectic_form,

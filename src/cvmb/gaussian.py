@@ -19,13 +19,8 @@ Continuous Variables* (2017), ch. 3; Weedbrook et al., RMP 84, 621
 (2012)).  Such states carry the factors (S, N) beside the covariance, so
 ``cvmb.bounds`` can work in the thermal frame instead of inverting V.
 
-:func:`single_mode_squeezer`, :func:`two_mode_squeezer` and
-:func:`beam_splitter` build their matrix here from checked numbers and
-wrap it with ``_op``: it runs :class:`SymplecticOp`'s symplectic test,
-the same function, but none of the dtype checks and copies meant for a
-caller's arrays, and it shares one read-only zero offset per dimension.
-:func:`displacement` and every matrix a caller passes in go through the
-public constructor.  :func:`make_thermal` checks its arguments on every
+A :class:`SymplecticOp` is a linear map, so :func:`displace` is the one
+way to shift a mean.  :func:`make_thermal` checks its arguments on every
 call and then returns the state from a bounded cache keyed on ``(N, m)``.
 Sharing that state is safe from any thread: it is immutable and its
 arrays are read-only.
@@ -49,7 +44,6 @@ __all__ = [
     "single_mode_squeezer",
     "two_mode_squeezer",
     "beam_splitter",
-    "displacement",
     "displace",
     "apply",
 ]
@@ -60,8 +54,7 @@ SYMPLECTIC_TOL = 1e-12
 PHYSICALITY_TOL = 1e-10
 
 
-# entries kept by each cache below: thermal states, one per (N, m), and
-# shared read-only zero vectors, one per dimension
+# thermal states kept by the cache of make_thermal, one per (N, m)
 _CACHE_SIZE = 64
 
 
@@ -89,12 +82,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _zeros(dim: int) -> np.ndarray:
-    """The read-only zero vector of length ``dim``, built once."""
-    return _readonly(np.zeros(dim))
 
 
 def _real_array(name: str, value) -> np.ndarray:
@@ -132,8 +119,8 @@ def _num_modes(num_modes) -> int:
 def _finite(name: str, vector: np.ndarray) -> None:
     """``ValueError`` unless every entry of the short vector is finite.
 
-    A Python scan: for the few entries of a mean or offset it is cheaper
-    than a NumPy reduction.
+    A Python scan: for the few entries of a mean it is cheaper than a
+    NumPy reduction.
     """
     if not all(map(math.isfinite, vector.tolist())):
         raise ValueError(f"{name} must be finite")
@@ -233,36 +220,26 @@ def _factored(mean: np.ndarray, cov: np.ndarray, williamson: Williamson) -> Gaus
 
 @dataclass(frozen=True)
 class SymplecticOp:
-    """A linear phase-space transform: mean -> S mean + d, cov -> S cov S^T.
+    """A linear phase-space transform: mean -> S mean, cov -> S cov S^T.
 
     Args:
         matrix (array): real 2m x 2m symplectic matrix S
-        offset (array): length 2m displacement d
 
     Construction validates ``S Omega S^T = Omega`` entry by entry: to
     within ``SYMPLECTIC_TOL``, or to within ``SYMPLECTIC_TOL`` times that
     entry of ``|S| |Omega| |S|^T``, the scale of its rounding, which grows
-    like ``exp(2|r|)`` for a squeezer.  A non-finite S fails it.  The offset
-    must be finite.  The constructor copies both arrays as read-only
-    floats.  The squeezers and the beam splitter build their op through
-    ``_op``, which applies the same symplectic test to the matrix it has
-    just built and shares one read-only zero offset per dimension.
+    like ``exp(2|r|)`` for a squeezer.  A non-finite S fails it.  The
+    constructor copies the matrix as read-only floats.
     """
 
     matrix: np.ndarray
-    offset: np.ndarray
 
     def __post_init__(self):
         matrix = _real_array("matrix", self.matrix)
-        offset = np.atleast_1d(_real_array("offset", self.offset))
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
             raise ValueError("matrix must be square with even dimension")
-        if offset.shape != (matrix.shape[0],):
-            raise ValueError("offset length does not match matrix dimension")
-        _finite("offset", offset)
         _check_symplectic(matrix)
         object.__setattr__(self, "matrix", _readonly(matrix))
-        object.__setattr__(self, "offset", _readonly(offset))
 
     @property
     def num_modes(self) -> int:
@@ -281,20 +258,6 @@ def _check_symplectic(matrix: np.ndarray) -> None:
             scale = np.abs(matrix) @ np.abs(omega) @ np.abs(matrix).T
             if not (err < np.inf and np.all(dev <= SYMPLECTIC_TOL * scale)):
                 raise ValueError(f"matrix is not symplectic (S Omega S^T deviates by {err:.3e})")
-
-
-def _op(matrix: np.ndarray) -> SymplecticOp:
-    """A :class:`SymplecticOp` with zero offset from a fresh float matrix the package built.
-
-    Runs the same symplectic test as the constructor; the dtype, shape and
-    offset checks and the copies are for caller input and are skipped.
-    """
-    _check_symplectic(matrix)
-    matrix.setflags(write=False)
-    op = object.__new__(SymplecticOp)
-    object.__setattr__(op, "matrix", matrix)
-    object.__setattr__(op, "offset", _zeros(matrix.shape[0]))
-    return op
 
 
 def vacuum(num_modes: int = 1) -> GaussianState:
@@ -378,7 +341,7 @@ def single_mode_squeezer(r: float, mode: int = 0, num_modes: int = 1) -> Symplec
     matrix = np.eye(2 * num_modes)
     matrix[2 * mode, 2 * mode] = np.exp(-r)
     matrix[2 * mode + 1, 2 * mode + 1] = np.exp(r)
-    return _op(matrix)
+    return SymplecticOp(matrix)
 
 
 def two_mode_squeezer(r: float, mode_a: int = 0, mode_b: int = 1,
@@ -416,7 +379,7 @@ def two_mode_squeezer(r: float, mode_a: int = 0, mode_b: int = 1,
             [0.0, -sh, 0.0, ch],
         ]
     )
-    return _op(_embed_pair(block, mode_a, mode_b, num_modes))
+    return SymplecticOp(_embed_pair(block, mode_a, mode_b, num_modes))
 
 
 def beam_splitter(tau: float, mode_a: int = 0, mode_b: int = 1,
@@ -459,17 +422,7 @@ def beam_splitter(tau: float, mode_a: int = 0, mode_b: int = 1,
             [0.0, u, 0.0, t],
         ]
     )
-    return _op(_embed_pair(block, mode_a, mode_b, num_modes))
-
-
-def displacement(q: float, p: float, mode: int = 0, num_modes: int = 1) -> SymplecticOp:
-    """Displacement as a SymplecticOp: identity matrix, offset (q, p) on ``mode``."""
-    num_modes = _num_modes(num_modes)
-    mode = _check_mode(mode, num_modes)
-    offset = np.zeros(2 * num_modes)
-    offset[2 * mode] = _checks().check_real("q", q)
-    offset[2 * mode + 1] = _checks().check_real("p", p)
-    return SymplecticOp(np.eye(2 * num_modes), offset)
+    return SymplecticOp(_embed_pair(block, mode_a, mode_b, num_modes))
 
 
 def displace(state: GaussianState, q: float, p: float, mode: int = 0) -> GaussianState:
@@ -486,7 +439,7 @@ def displace(state: GaussianState, q: float, p: float, mode: int = 0) -> Gaussia
 def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
     """Apply a symplectic operation to a state.
 
-    Returns a new state with ``mean -> S mean + d`` and ``cov -> S cov S^T``.
+    Returns a new state with ``mean -> S mean`` and ``cov -> S cov S^T``.
     The conjugated covariance is re-symmetrized to suppress round-off drift,
     halving before adding so that entries near the top of the double range
     do not overflow.  Away from the ends of that range halving is exact, so
@@ -497,7 +450,7 @@ def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
         raise ValueError(
             f"operator acts on {op.num_modes} modes but state has {state.num_modes}"
         )
-    mean = op.matrix @ state.mean + op.offset
+    mean = op.matrix @ state.mean
     cov = op.matrix @ state.cov @ op.matrix.T
     cov = 0.5 * cov + 0.5 * cov.T
     if state.williamson is None:

@@ -48,11 +48,11 @@ SciPy's optimizer on its first call, through the module-level
 :func:`minimize`, so importing the package or calling
 :func:`solve_numeric` does not load it.
 
-Both solvers evaluate at reference point zero only: for displacement
-models the covariance and mean Jacobian are parameter independent, and a
-two-stage measurement (rough estimate, then re-centering displacement)
-transfers the result to any true parameter value.  The simulator's
-two-stage mode demonstrates this; it is not re-proved here.
+Both solvers evaluate at reference point zero only.  A displacement
+model's covariance and mean Jacobian do not depend on theta, so the
+bounds and the dual homodyne's MSE are the same at every theta (Holevo
+1982, ch. 6).  The simulator's direct runs at non-zero ``theta_true``
+check this.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cvmb.bounds import MAX_SQUEEZING, check_real, trabs, two_mode_min_r
+from cvmb.bounds import check_real, check_squeezing, check_two_mode_r, trabs
 from cvmb.gaussian import symplectic_form
 
 __all__ = [
@@ -141,7 +141,7 @@ class HolevoProblem:
     psi_coords: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        r = _check_r(self.r, -MAX_SQUEEZING, MAX_SQUEEZING, "where cosh 2r stays finite")
+        r = check_squeezing("r", self.r, 0.0)
         if self.kind == "single":
             gram = gram_single_mode(r)
             coords = np.array([[np.exp(r) / 2.0], [1j * np.exp(-r) / 2.0]])
@@ -198,7 +198,7 @@ def gram_single_mode(r: float) -> np.ndarray:
     orthogonal to both derivatives.  Non-finite r and
     ``|r| > cvmb.bounds.MAX_SQUEEZING`` raise ``ValueError``.
     """
-    r = _check_r(r, -MAX_SQUEEZING, MAX_SQUEEZING, "where cosh 2r stays finite")
+    r = check_squeezing("r", r, 0.0)
     return np.array(
         [
             [1.0, 0.0, 0.0],
@@ -218,7 +218,7 @@ def gram_two_mode(r: float) -> np.ndarray:
     single-mode Gram.  Non-finite r and ``|r| > cvmb.bounds.MAX_SQUEEZING``
     raise ``ValueError``.
     """
-    r = _check_r(r, -MAX_SQUEEZING, MAX_SQUEEZING, "where cosh 2r stays finite")
+    r = check_squeezing("r", r, 0.0)
     d = np.cosh(2.0 * r) / 4.0
     return np.array(
         [
@@ -393,8 +393,8 @@ def solve_analytic(probe_kind: str, r: float) -> HolevoSolution:
     this domain the bound equals ``cvmb.bounds.closed_form_holevo(r, 0,
     probe_kind)`` bit for bit; the tests check that.
     """
+    r = check_squeezing("r", r, 0.0)
     if probe_kind == "single":
-        r = _check_r(r, -MAX_SQUEEZING, MAX_SQUEEZING, "where cosh 2r stays finite")
         x, w = _pinned_single_solution(r)
         z = np.array(
             [[np.exp(-2.0 * r), 1.0j], [-1.0j, np.exp(2.0 * r)]], dtype=complex
@@ -402,8 +402,7 @@ def solve_analytic(probe_kind: str, r: float) -> HolevoSolution:
         bound = 2.0 + 2.0 * np.cosh(2.0 * r)
         return HolevoSolution(float(bound), x, z, "analytic-KKT")
     if probe_kind == "two_mode":
-        r = _check_r(r, two_mode_min_r(0.0), MAX_SQUEEZING,
-                     "where cosh 2r and the dual-homodyne MSE 4 exp(-2r) stay finite")
+        check_two_mode_r("r", r, 0.0)
         u = np.exp(-r) if r >= 0 else -np.exp(r)
         free = np.array([u, u, 0.0, 0.0])
         z = 2.0 * np.exp(-2.0 * abs(r)) * np.eye(2, dtype=complex)

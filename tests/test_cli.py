@@ -191,20 +191,27 @@ class TestFigure1Command:
             assert len(series) == len(rows)
             assert len(series[0].split()) == 2
 
-    def test_output_pinned_across_versions(self, tmp_path):
+    def test_output_pinned_across_versions(self, tmp_path, monkeypatch):
         # digests of the CSV and its four series files, on the same terms as
-        # the bounds command's
-        out = tmp_path / "fig.csv"
-        assert cli.main(["figure1", "--out", str(out)]) == 0
-        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                   for path in tmp_path.iterdir()}
-        assert digests == {
-            "fig.csv": "209de32acfbe569da10130492d02c847e2d1e0bdba13fefce97eca0ff26ca558",
-            "fig_sld.dat": "b508fa0b07f93d27194041080b9e1f40411b18fcecd43ff253a2259d4fbb4478",
-            "fig_rld.dat": "5518f21e310ba64a157f19e7bd67db7d5b9428cc4a156902ad1bbbf145d7b134",
-            "fig_max.dat": "d7c70afdd4d4e71cb32ce3954d91e1d89e9de925aa35ef7e5c3924e3a9c46bc0",
-            "fig_dh.dat": "5eb089fc2ad337a7d570f870ea09ff5d76a0a4d508ce1b493a87a14c1b804ba3",
+        # the bounds command's: at a given path, then without --out, at
+        # figure1.csv in the working directory
+        pinned = {
+            ".csv": "209de32acfbe569da10130492d02c847e2d1e0bdba13fefce97eca0ff26ca558",
+            "_sld.dat": "b508fa0b07f93d27194041080b9e1f40411b18fcecd43ff253a2259d4fbb4478",
+            "_rld.dat": "5518f21e310ba64a157f19e7bd67db7d5b9428cc4a156902ad1bbbf145d7b134",
+            "_max.dat": "d7c70afdd4d4e71cb32ce3954d91e1d89e9de925aa35ef7e5c3924e3a9c46bc0",
+            "_dh.dat": "5eb089fc2ad337a7d570f870ea09ff5d76a0a4d508ce1b493a87a14c1b804ba3",
         }
+        given, default = tmp_path / "given", tmp_path / "default"
+        given.mkdir()
+        default.mkdir()
+        monkeypatch.chdir(default)
+        for folder, stem, args in ((given, "fig", ["--out", str(given / "fig.csv")]),
+                                   (default, "figure1", [])):
+            assert cli.main(["figure1", *args]) == 0
+            digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                       for path in folder.iterdir()}
+            assert digests == {stem + suffix: digest for suffix, digest in pinned.items()}
 
     def test_series_values_match_closed_forms(self, tmp_path):
         out = tmp_path / "fig.csv"

@@ -624,6 +624,16 @@ def outside(r, low, high):
     return re.escape(f"r = {r:g} is outside [{low:g}, {high:g}]")
 
 
+def beyond_squeezing_limit(r):
+    """Pattern of ``cvmb.bounds.check_squeezing``'s error for |r| > MAX_SQUEEZING."""
+    return re.escape(f"r = {r:g} is outside |r| <= {MAX_SQUEEZING:g}")
+
+
+def below_two_mode_min_r(r):
+    """Pattern of ``cvmb.bounds.check_two_mode_r``'s error for r < two_mode_min_r(0)."""
+    return re.escape(f"r = {r:g} is below the limit {two_mode_min_r(0.0):g}")
+
+
 class TestDomain:
     """r outside the domain raises a ValueError naming r and the limit,
     never a RuntimeWarning or a nan result."""
@@ -647,15 +657,16 @@ class TestDomain:
             for edge in (MAX_SQUEEZING, -MAX_SQUEEZING):
                 past = np.nextafter(edge, 2 * edge)
                 assert np.isfinite(solve_analytic("single", edge).bound)
-                with pytest.raises(ValueError, match=outside(past, -MAX_SQUEEZING, MAX_SQUEEZING)):
+                with pytest.raises(ValueError, match=beyond_squeezing_limit(past)):
                     solve_analytic("single", past)
                 for kind in ("single", "two_mode"):
-                    with pytest.raises(ValueError, match=outside(past, -MAX_SQUEEZING, MAX_SQUEEZING)):
+                    with pytest.raises(ValueError, match=beyond_squeezing_limit(past)):
                         build_problem(kind, past)
-            for edge in (low2, MAX_SQUEEZING):
+            for edge, pattern in ((low2, below_two_mode_min_r),
+                                  (MAX_SQUEEZING, beyond_squeezing_limit)):
                 assert np.isfinite(solve_analytic("two_mode", edge).bound)
                 past = np.nextafter(edge, 2 * edge)
-                with pytest.raises(ValueError, match=outside(past, low2, MAX_SQUEEZING)):
+                with pytest.raises(ValueError, match=pattern(past)):
                     solve_analytic("two_mode", past)
             for edge in (_KKT_MAX_R, -_KKT_MAX_R):
                 assert np.isfinite(kkt_case_audit(edge).spurious_residual)
@@ -666,7 +677,7 @@ class TestDomain:
                 assert np.isfinite(kkt_case_audit(edge).case_2_g)
                 with pytest.raises(ValueError, match="csch\\^2 r overflows"):
                     kkt_case_audit(np.nextafter(edge, 0.0))
-            with pytest.raises(ValueError, match=outside(400, -MAX_SQUEEZING, MAX_SQUEEZING)):
+            with pytest.raises(ValueError, match=beyond_squeezing_limit(400)):
                 solve_analytic("single", 400.0)
-            with pytest.raises(ValueError, match=outside(400, -MAX_SQUEEZING, MAX_SQUEEZING)):
+            with pytest.raises(ValueError, match=beyond_squeezing_limit(400)):
                 build_problem("two_mode", 400.0)

@@ -32,7 +32,6 @@ from cvmb.gaussian import (
     SymplecticOp,
     beam_splitter,
     displace,
-    displacement,
     make_thermal,
     single_mode_squeezer,
     symplectic_form,
@@ -90,7 +89,7 @@ ENTRY_POINTS = [
     ("displace.p", lambda x: displace(vacuum(), 0.0, x), 0.5, 1),
     # np.full keeps the dtype of x, so a bool, str or None array reaches the constructor
     ("GaussianState", lambda x: GaussianState(np.zeros(2), np.diag(np.full(2, x))), 1.5, 2),
-    ("SymplecticOp", lambda x: SymplecticOp(np.diag(np.full(2, x)), np.zeros(2)), -1.0, 1),
+    ("SymplecticOp", lambda x: SymplecticOp(np.diag(np.full(2, x))), -1.0, 1),
 ]
 IDS = [entry[0] for entry in ENTRY_POINTS]
 
@@ -111,8 +110,6 @@ INTEGER_SETTINGS = [
     ("beam_splitter.mode_a", "mode_a", lambda x: beam_splitter(0.3, x, 0, 3), 2),
     ("beam_splitter.mode_b", "mode_b", lambda x: beam_splitter(0.3, 0, x, 3), 2),
     ("beam_splitter.num_modes", "num_modes", lambda x: beam_splitter(0.3, 0, 1, x), 3),
-    ("displacement.mode", "mode", lambda x: displacement(0.1, 0.2, x, 2), 1),
-    ("displacement.num_modes", "num_modes", lambda x: displacement(0.1, 0.2, 0, x), 2),
     ("displace.mode", "mode", lambda x: displace(vacuum(2), 0.1, 0.2, x), 1),
     ("DisplacementModel.displaced_mode", "displaced_mode",
      lambda x: DisplacementModel(two_mode_probe(0.3, 0.1), x), 1),
@@ -139,12 +136,9 @@ PAST_DOMAIN = [
     ("HolevoProblem.1e6", lambda: HolevoProblem("two_mode", 1e6)),
     ("GaussianState.mean.nan", lambda: GaussianState([math.nan, 0.0], np.eye(2))),
     ("GaussianState.mean.inf", lambda: GaussianState([0.0, math.inf], np.eye(2))),
-    ("SymplecticOp.offset.nan", lambda: SymplecticOp(np.eye(2), [0.0, math.nan])),
-    ("SymplecticOp.offset.-inf", lambda: SymplecticOp(np.eye(2), [-math.inf, 0.0])),
     ("GaussianState.mean.odd", lambda: GaussianState(np.zeros(3), np.eye(3))),
     ("GaussianState.cov.shape", lambda: GaussianState(np.zeros(2), np.eye(4))),
-    ("SymplecticOp.matrix.odd", lambda: SymplecticOp(np.eye(3), np.zeros(3))),
-    ("SymplecticOp.offset.shape", lambda: SymplecticOp(np.eye(2), np.zeros(4))),
+    ("SymplecticOp.matrix.odd", lambda: SymplecticOp(np.eye(3))),
     ("HolevoSolution.method", lambda: HolevoSolution(1.0, [], np.eye(2), "guess")),
     ("components_to_w.size", lambda: components_to_w(np.zeros(3), 2)),
     ("assemble_x_operators.block_shape",
