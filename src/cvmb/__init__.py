@@ -5,10 +5,11 @@ Subpackage map:
 
 * :mod:`cvmb.gaussian` - moment representation of Gaussian states and
   symplectic operations (hbar = 2 convention)
-* :mod:`cvmb.bounds` - classical, SLD and RLD Cramér-Rao bounds, and the
-  closed-form Holevo bound where one is known
-* :mod:`cvmb.holevo` - the Holevo bound for pure probes: analytic KKT
-  solution and an independent numeric solver
+* :mod:`cvmb.bounds` - classical, SLD, RLD and Holevo Cramér-Rao bounds,
+  the last as the maximum of the moment function (``holevo_bound``), and
+  the closed-form Holevo bound where one is known
+* :mod:`cvmb.holevo` - the Holevo bound for pure probes from the Gram
+  matrix: analytic KKT solution and an independent certified dual solver
 * :mod:`cvmb.simulate` - seeded Monte Carlo of the dual homodyne
   measurement
 * :mod:`cvmb.cli` - ``cvmb`` command-line harness
@@ -34,6 +35,7 @@ from cvmb.bounds import (
     closed_form_bounds,
     closed_form_holevo,
     dual_homodyne_mse_analytic,
+    holevo_bound,
     rld_bound,
     single_mode_probe,
     sld_bound,

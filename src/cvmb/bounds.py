@@ -1,17 +1,23 @@
-"""Classical, SLD and RLD Cramér-Rao bounds for Gaussian displacement models.
+"""Classical, SLD, RLD and Holevo Cramér-Rao bounds for Gaussian displacement models.
 
 The figure of merit is the summed mean squared error of the two
 displacement components (q, p).  For a probe with covariance V and mean
 Jacobian J (columns = derivative of the mean vector with respect to each
-parameter), both moment bounds are values of one function of t in [0, 1]:
+parameter), all three quantum bounds are read from one function of t in
+[0, 1]:
 
     rho(t) = trace(Re G_t) + trabs(Im G_t),   G_t = (J^T (V + i t Omega)^-1 J)^-1,
 
 where ``trabs`` is the sum of absolute eigenvalues.  The SLD bound is
-``rho(0) = trace((J^T V^-1 J)^-1)`` and the RLD bound is ``rho(1)``; the
-maximum of rho over [0, 1] is the Holevo bound of this two-parameter model
-(compare Suzuki, J. Math. Phys. 57, 042201 (2016)).  Displacement leaves
-the covariance constant, so rho is independent of the true parameter value.
+``rho(0) = trace((J^T V^-1 J)^-1)``, the RLD bound is ``rho(1)``, and the
+Holevo bound is the maximum of rho over [0, 1] (``holevo_bound``).  The
+last holds because estimators linear in the quadratures attain the Holevo
+bound of a Gaussian shift model (Genoni et al., PRA 87, 012107 (2013);
+Suzuki, J. Math. Phys. 57, 042201 (2016)): over them the bound is
+``max_t phi(t)``, and ``rho(t) = max(phi(t), phi(-t))``, where
+``phi(t) = min over K^T J = I of trace(K^T V K) + 2 t k1^T Omega k2``.
+Displacement leaves the covariance constant, so rho is independent of the
+true parameter value.
 
 ``V + i Omega`` is singular exactly for pure probes; rho(1) is then defined
 as the N -> 0 limit of the mixed-probe value.  A square J (single-mode
@@ -22,9 +28,12 @@ r != 0, but not for every pure probe, as a squeezed mode beside an
 uncoupled vacuum mode keeps its single-mode value in the limit.  At the
 unsqueezed pure two-mode probe (r, N) = (0, 0) the RLD bound is therefore
 0, the limit along N = 0; along r = 0 the limit is 4, the value
-``4 (1 + N)`` at every N > 0.  A solve that fails, as for a singular V,
-which no state has, raises ``DegenerateModelError`` from either bound; at
-t = 1 such a V is never solved, since ``V + i Omega`` is then indefinite.
+``4 (1 + N)`` at every N > 0.  ``holevo_bound`` does not inherit this
+rule: its search approaches t = 1 from below, so it returns the limit from
+below, 4 at the origin and the single-mode value beside a vacuum mode.  A
+solve that fails, as for a singular V, which no state has, raises
+``DegenerateModelError`` from every bound; at t = 1 such a V is never
+solved, since ``V + i Omega`` is then indefinite.
 
 Thermal frame.  The probes the package builds carry their Williamson
 factors, ``V = S diag(nu) S^T`` with ``nu = 1 + 2N`` (see
@@ -42,9 +51,9 @@ mode, ``diag(nu) + i t Omega`` has the eigenvalues ``nu +- t``, taken as
   bound is 0, as above.
 
 Nothing here cancels, so for the factored probes the test suite requires
-both bounds to agree with the closed forms below to a relative 1e-12 over
-the whole domain: ``|r|`` up to 340 and N from 0 through 1e-13 up to 1e6,
-for both probes.  A probe given only by its covariance is solved from
+the three bounds to agree with the closed forms below to a relative 1e-12
+over the whole domain: ``|r|`` up to 340 and N from 0 through 1e-13 up to
+1e6, for both probes.  A probe given only by its covariance is solved from
 ``V + i t Omega``, whose entries are of size ``cosh 2r`` while the smallest
 eigenvalue of V is about ``e^-2|r|``: that path loses about
 ``eps e^(4|r|)`` relative (1e-12 at |r| = 3, 1e-3 at 8), fails from |r| of
@@ -63,7 +72,9 @@ non-negative terms it keeps full precision as N -> 0 at small r.
 
 The Holevo bound C_H (``closed_form_holevo``) is C_R for one mode at every
 N, and ``4 exp(-2|r|)`` for the pure two-mode probe; the mixed two-mode
-C_H has no closed form here.
+C_H has no closed form here, and ``holevo_bound`` computes it.  The test
+suite checks it against ``(8N + 4) e^-2|r|`` for ``|r| >= ln(1 + 2N) / 2``
+and C_R below that.
 
 At N = 0 the two-mode RLD bound is vacuous: zero for every r.  At the
 origin (r, N) = (0, 0) it is pinned to 0, the limit along N = 0; the
@@ -99,7 +110,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from cvmb.gaussian import (
+    SYMMETRY_TOL,
     GaussianState,
+    _real_array,
     apply,
     make_thermal,
     single_mode_squeezer,
@@ -215,6 +228,7 @@ __all__ = [
     "trabs",
     "sld_bound",
     "rld_bound",
+    "holevo_bound",
     "closed_form_bounds",
     "closed_form_holevo",
     "classical_fisher_gaussian",
@@ -243,6 +257,8 @@ class DisplacementModel:
     displaced_mode: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.probe, GaussianState):
+            raise ValueError(f"probe must be a GaussianState, got {self.probe!r}")
         mode = check_integer("displaced_mode", self.displaced_mode)
         object.__setattr__(self, "displaced_mode", mode)
         if not 0 <= self.displaced_mode < self.probe.num_modes:
@@ -382,8 +398,48 @@ def sld_bound(model: DisplacementModel) -> BoundResult:
 
 
 def rld_bound(model: DisplacementModel) -> BoundResult:
-    """The RLD bound ``rho(1)``; see the module docstring."""
+    """The RLD bound ``rho(1)``; see the module docstring.
+
+    At N = 0 a multi-mode probe gives 0, also where the N -> 0 limit is not
+    0; :func:`holevo_bound` does not inherit that rule.
+    """
     return BoundResult(_moment_bound(model, 1.0), "RLD")
+
+
+# each golden-section step keeps this fraction of the bracket on t; 76 steps
+# shrink [0, 1] to 1.3e-16, below the spacing of doubles near 1
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 76
+
+
+def holevo_bound(model: DisplacementModel) -> BoundResult:
+    """The Holevo bound, the maximum of ``rho(t)`` over [0, 1]; see the module docstring.
+
+    ``rho(t) = max(phi(t), phi(-t))``, and phi is concave on [-1, 1], as a
+    minimum of functions affine in t.  If phi peaks at ``t* >= 0``, then on
+    ``[0, t*]`` ``phi(t) >= phi(0) >= phi(-t)``, so rho is phi and rises, and
+    on ``[t*, 1]`` both terms fall (mirrored for ``t* < 0``): rho is unimodal
+    on [0, 1].  A golden-section search of a fixed number of steps finds its
+    maximum.  Both ends are evaluated separately and the best value seen is
+    returned, so the result is never below :func:`sld_bound` or
+    :func:`rld_bound`.  At a pure multi-mode probe ``rho(1)`` is the
+    vacuous 0 of :func:`rld_bound`, and the interior steps approach t = 1
+    from below, so the result is the limit there.
+    """
+    best = max(_moment_bound(model, 0.0), _moment_bound(model, 1.0))
+    lo, hi = 0.0, 1.0
+    a, b = 1.0 - _GOLDEN, _GOLDEN
+    fa, fb = _moment_bound(model, a), _moment_bound(model, b)
+    for _ in range(_GOLDEN_STEPS):
+        if fa < fb:  # the maximum is not left of a
+            lo, a, fa = a, b, fb
+            b = lo + _GOLDEN * (hi - lo)
+            fb = _moment_bound(model, b)
+        else:  # nor right of b
+            hi, b, fb = b, a, fa
+            a = hi - _GOLDEN * (hi - lo)
+            fa = _moment_bound(model, a)
+    return BoundResult(max(best, fa, fb), "Holevo")
 
 
 def closed_form_bounds(r: float, mean_photons: float, probe_kind: str) -> tuple[float, float]:
@@ -456,14 +512,28 @@ def classical_fisher_gaussian(mean_jacobian: np.ndarray, outcome_cov: np.ndarray
     parameter-independent Sigma, the Fisher matrix is ``D^T Sigma^-1 D``.
 
     Args:
-        mean_jacobian (array): outcome-mean Jacobian D
-        outcome_cov (array): positive definite outcome covariance Sigma
+        mean_jacobian (array): k x 2 outcome-mean Jacobian D
+        outcome_cov (array): k x k positive definite outcome covariance Sigma
 
     Returns:
         array: 2x2 Fisher information matrix
+
+    A non-finite entry, a mis-shaped argument, or a Sigma that is not
+    symmetric to within ``cvmb.gaussian.SYMMETRY_TOL`` of its largest entry
+    raises ``ValueError`` naming the argument; a Sigma that is not positive
+    definite raises ``DegenerateModelError``.
     """
-    d = np.asarray(mean_jacobian, dtype=float)
-    sigma = np.asarray(outcome_cov, dtype=float)
+    d = _real_array("mean_jacobian", mean_jacobian)
+    sigma = _real_array("outcome_cov", outcome_cov)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.size == 0:
+        raise ValueError(f"outcome_cov must be a square matrix, got shape {sigma.shape}")
+    if d.shape != (sigma.shape[0], 2):
+        raise ValueError(f"mean_jacobian must have shape {(sigma.shape[0], 2)}, got {d.shape}")
+    for name, arr in (("mean_jacobian", d), ("outcome_cov", sigma)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
+    if np.max(np.abs(sigma - sigma.T)) > SYMMETRY_TOL * np.max(np.abs(sigma)):
+        raise ValueError("outcome_cov must be symmetric")
     eigs = np.linalg.eigvalsh(sigma)
     if eigs.min() <= 0:
         raise DegenerateModelError("outcome covariance must be positive definite")

@@ -24,9 +24,8 @@ The Gram matrix is a plain 3 x 3 array (:func:`gram_single_mode`,
 ``A x = b`` of :func:`assemble_constraints`, which
 :func:`constraint_residual` evaluates.  Over the real components x of W
 the objective splits as ``h = f + 2 |g|`` with ``f = x . x`` and
-``g = Im Z[1, 0] = (1/2) x^T S x``; S comes from :func:`_g_form`, built
-on ``cvmb.gaussian.symplectic_form``, and the dual solver and the SLSQP
-reference share it.
+``g = Im Z[1, 0] = (1/2) x^T S x``, where for the two-mode probe S is
+``_G_FORM``, built on ``cvmb.gaussian.symplectic_form``.
 
 For the two-mode probe the four constraints eliminate (t1, j1, t2, j2),
 leaving free variables ordered ``(s1, k2, k1, s2)``, and
@@ -42,11 +41,8 @@ eight components y for each t, so the bound is ``max_t phi(t)`` (Holevo
 of the inner minimization is diagonalized once per solve, so a bisection
 on t finds the maximum from the closed-form slope of phi, and the duality
 gap between the recovered primal point and the best ``phi`` certifies
-it.  The tests keep a private multi-start SLSQP search over all
-W components, :func:`_slsqp_reference`, as a second reference; it imports
-SciPy's optimizer on its first call, through the module-level
-:func:`minimize`, so importing the package or calling
-:func:`solve_numeric` does not load it.
+it.  The same maximum over t, read in the moment picture, is
+``cvmb.bounds.holevo_bound``, which the tests hold both solvers to.
 
 Both solvers evaluate at reference point zero only.  A displacement
 model's covariance and mean Jacobian do not depend on theta, so the
@@ -411,22 +407,14 @@ def solve_analytic(probe_kind: str, r: float) -> HolevoSolution:
     raise ValueError(f"unknown probe kind {probe_kind!r}")
 
 
-def _g_form(n: int) -> np.ndarray:
-    """S with ``g = Im Z[1, 0] = (1/2) x^T S x`` over the 4n W components x.
-
-    With x = (u, v) split into the components of X_1 and X_2,
-    ``Im Z[1, 0] = u^T Omega_n v`` for the symplectic form Omega_n of n
-    modes, so ``S = [[0, Omega_n], [Omega_n^T, 0]]``.  S has eigenvalues
-    +-1, so ``f + 2 t g = x^T (I + t S) x`` is convex in x for |t| <= 1.
-    """
-    omega = symplectic_form(n)
-    zero = np.zeros_like(omega)
-    return np.block([[zero, omega], [omega.T, zero]])
-
-
-# S over the two-mode components y = (t1, j1, s1, k1, t2, j2, s2, k2), where
-# g = j2 t1 - j1 t2 + k2 s1 - k1 s2
-_G_FORM = _g_form(2)
+# S with ``g = Im Z[1, 0] = (1/2) y^T S y`` over the two-mode components
+# y = (t1, j1, s1, k1, t2, j2, s2, k2), where g = j2 t1 - j1 t2 + k2 s1 - k1 s2.
+# With y = (u, v) split into the components of X_1 and X_2,
+# Im Z[1, 0] = u^T Omega v for the two-mode symplectic form Omega, so
+# S = [[0, Omega], [Omega^T, 0]].  S has eigenvalues +-1, so
+# f + 2 t g = y^T (I + t S) y is convex in y for |t| <= 1.
+_G_FORM = np.block([[np.zeros((4, 4)), symplectic_form(2)],
+                    [symplectic_form(2).T, np.zeros((4, 4))]])
 
 # the dual bisection stops once its bracket on t is this narrow
 _T_RESOLUTION = 2.0 ** -52
@@ -585,92 +573,14 @@ def solve_numeric(problem: HolevoProblem) -> HolevoSolution:
 def minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on the first call.
 
-    Only :func:`_slsqp_reference` needs the optimizer, and importing
-    ``scipy.optimize`` takes a large share of the package's import time and
-    memory, so ``import cvmb`` leaves it out.
+    Nothing in the package calls it.  It stays only because the benchmark
+    tracer (``perfbench/tracing.py``) wraps ``cvmb.holevo:minimize`` by
+    name, as ``cvmb.cli`` keeps its uncalled ``run`` and ``solve_analytic``
+    imports, and it goes when the tracer stops wrapping it.
     """
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)
-
-
-def _slsqp_reference(problem: HolevoProblem, seed: int = 0, restarts: int = 16) -> HolevoSolution:
-    """Multi-start SLSQP over all W components: the tests' independent reference.
-
-    The unbiasedness constraints are imposed as explicit linear equalities.
-    It minimizes the two smooth branches (g >= 0 with objective f + 2g,
-    g <= 0 with f - 2g) and keeps the best feasible result.  Each branch
-    starts from ``restarts`` uniformly random points in ``[-2, 2]``; results
-    are deterministic for a fixed (seed, restarts).  ``restarts < 1`` raises
-    ``ValueError``.
-
-    Raises:
-        ConvergenceError: no restart converged on any branch; the error's
-            ``best`` attribute carries the best point found, if any.
-    """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-
-    bd = problem.basis_dim
-    s_form = _g_form(bd - 1)
-    a_mat, b_vec = assemble_constraints(problem)
-    eq_constraint = {"type": "eq", "fun": lambda x: a_mat @ x - b_vec, "jac": lambda x: a_mat}
-
-    rng = np.random.default_rng(seed)
-    starts = rng.uniform(-2.0, 2.0, size=(restarts, 4 * (bd - 1)))
-
-    best_val = np.inf
-    best_x = None
-    fallback_val = np.inf
-    fallback_x = None
-    converged = 0
-    for sign in (1.0, -1.0):
-        # the branch objective f + 2 s g = x.x + s x^T S x and the branch
-        # constraint s g >= 0, with their gradients
-        cons = [
-            eq_constraint,
-            {
-                "type": "ineq",
-                "fun": lambda x, s=sign: s * 0.5 * (x @ s_form @ x),
-                "jac": lambda x, s=sign: s * (s_form @ x),
-            },
-        ]
-        for x0 in starts:
-            res = minimize(
-                lambda x, s=sign: x @ x + s * (x @ s_form @ x),
-                x0,
-                jac=lambda x, s=sign: 2.0 * x + 2.0 * s * (s_form @ x),
-                method="SLSQP",
-                constraints=cons,
-                options={"ftol": 1e-14, "maxiter": 500},
-            )
-            val = float(res.x @ res.x) + abs(float(res.x @ s_form @ res.x))
-            if not res.success:
-                if val < fallback_val:
-                    fallback_val, fallback_x = val, res.x
-                continue
-            converged += 1
-            if val < best_val - 1e-15:
-                best_val = val
-                best_x = res.x
-
-    def _pack(x):
-        w = components_to_w(x, bd)
-        z = z_matrix(w)
-        diagnostics = {
-            "restarts": restarts,
-            "converged": converged,
-            "constraint_residual": constraint_residual(problem, w),
-        }
-        return HolevoSolution(holevo_value(z), np.asarray(x, dtype=float), z,
-                              "numeric", diagnostics)
-
-    if best_x is None:
-        best = None if fallback_x is None else _pack(fallback_x)
-        raise ConvergenceError(
-            f"no restart converged out of {restarts} per branch", best=best
-        )
-    return _pack(best_x)
 
 
 @dataclass(frozen=True)

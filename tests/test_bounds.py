@@ -14,6 +14,7 @@ from cvmb.bounds import (
     closed_form_bounds,
     closed_form_holevo,
     dual_homodyne_mse_analytic,
+    holevo_bound,
     rld_bound,
     single_mode_probe,
     sld_bound,
@@ -155,8 +156,63 @@ class TestThermalFrame:
             factored = DisplacementModel(state, mode)
             bare = DisplacementModel(GaussianState(state.mean, state.cov), mode)
             assert factored.probe.williamson is not None and bare.probe.williamson is None
-            for bound in (sld_bound, rld_bound):
+            for bound in (sld_bound, rld_bound, holevo_bound):
                 assert bound(factored).value == pytest.approx(bound(bare).value, rel=1e-10)
+
+
+def piecewise_holevo(r, n):
+    """The two-mode C_H: ``(8N + 4) e^-2|r|`` for ``|r| >= ln(1 + 2N) / 2``, else C_R."""
+    if abs(r) >= 0.5 * np.log1p(2.0 * n):
+        return (8.0 * n + 4.0) * np.exp(-2.0 * abs(r))
+    return closed_form_bounds(r, n, "two_mode")[1]
+
+
+class TestHolevo:
+    """holevo_bound, the maximum of rho over [0, 1]."""
+
+    @pytest.mark.parametrize("n", DOMAIN_N)
+    def test_whole_domain_matches_piecewise_form(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in DOMAIN_R + [1e-14] + [-r for r in DOMAIN_R + [1e-14]]:
+                value = holevo_bound(model("two_mode", r, n)).value
+                assert value == pytest.approx(piecewise_holevo(r, n), rel=1e-12, abs=0), (r, n)
+
+    @pytest.mark.parametrize("n", DOMAIN_N)
+    def test_single_mode_is_the_rld_bound_bit_for_bit(self, n):
+        # for one mode rho(t) = nu ||S||_F^2 + 2t rises with t
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in DOMAIN_R + [-r for r in DOMAIN_R]:
+                m = model("single", r, n)
+                assert holevo_bound(m).value == rld_bound(m).value, (r, n)
+
+    @pytest.mark.parametrize("n", DOMAIN_N)
+    def test_between_the_moment_bounds_and_the_dual_homodyne(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in sorted(set(R_GRID.tolist() + DOMAIN_R)):
+                m = model("two_mode", r, n)
+                result = holevo_bound(m)
+                assert result.kind == "Holevo"
+                assert max(sld_bound(m).value, rld_bound(m).value) <= result.value, (r, n)
+                v_dh = dual_homodyne_mse_analytic(r, n).value
+                assert result.value <= v_dh * (1.0 + 1e-12), (r, n)
+
+    def test_limit_from_below_where_the_rld_bound_is_vacuous(self):
+        # rld_bound gives 0 for a multi-mode probe at N = 0; holevo_bound
+        # gives the limit t -> 1-: 4 at the origin, the single-mode value
+        # 2 + 2 cosh 2r for a squeezed mode beside a vacuum mode
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            origin = model("two_mode", 0.0, 0.0)
+            assert rld_bound(origin).value == 0.0
+            assert holevo_bound(origin).value == pytest.approx(4.0, rel=1e-12, abs=0)
+            for r in (1e-9, 0.5, 3.0):
+                m = DisplacementModel(apply(single_mode_squeezer(r, 0, 2), make_thermal(0.0, 2)))
+                assert rld_bound(m).value == 0.0
+                want = 2.0 + 2.0 * np.cosh(2.0 * r)
+                assert holevo_bound(m).value == pytest.approx(want, rel=1e-12, abs=0), r
 
 
 class TestClosedForms:

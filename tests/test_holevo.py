@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 
 import cvmb
 from cvmb import holevo
-from cvmb.bounds import MAX_SQUEEZING, closed_form_bounds, two_mode_min_r
+from cvmb.bounds import (
+    MAX_SQUEEZING,
+    DisplacementModel,
+    closed_form_bounds,
+    holevo_bound,
+    single_mode_probe,
+    two_mode_min_r,
+    two_mode_probe,
+)
 from cvmb.gaussian import apply, single_mode_squeezer, vacuum
 from cvmb.holevo import (
     _KKT_MAX_R,
@@ -261,13 +269,11 @@ class TestObjective:
                 y = eliminate_two_mode(free, r)
                 assert np.isclose(0.5 * y @ holevo._G_FORM @ y, two_mode_g(free, r),
                                   rtol=1e-12, atol=1e-12)
-        assert np.array_equal(holevo._G_FORM, holevo._g_form(2))
-        # and against Im Z[1, 0] over all W components, for both basis sizes
-        for n in (1, 2):
-            for x in rng.uniform(-2, 2, size=(10, 4 * n)):
-                assert np.isclose(0.5 * x @ holevo._g_form(n) @ x,
-                                  z_matrix(components_to_w(x, n + 1))[1, 0].imag,
-                                  rtol=1e-12, atol=1e-12)
+        # and against Im Z[1, 0] over all W components
+        for x in rng.uniform(-2, 2, size=(10, 8)):
+            assert np.isclose(0.5 * x @ holevo._G_FORM @ x,
+                              z_matrix(components_to_w(x, 3))[1, 0].imag,
+                              rtol=1e-12, atol=1e-12)
 
     def test_matches_z_matrix_route(self):
         r, free = 0.8, np.array([0.4, -0.2, 0.9, 0.1])
@@ -435,19 +441,11 @@ class TestNumericSolver:
         assert sol.method == "numeric"
         assert sol.diagnostics["constraint_residual"] < 1e-10
 
-    @pytest.mark.parametrize("parametrization", ["full"])
-    def test_two_mode_unreduced_forms(self, parametrization):
-        r = 0.6
-        problem = build_problem("two_mode", r)
-        sol = holevo._slsqp_reference(problem, seed=9, restarts=16)
-        assert abs(sol.bound - 4 * np.exp(-2 * r)) < 1e-6
-        assert sol.diagnostics["constraint_residual"] < 1e-10
-
     def test_single_mode_numeric(self):
         r = 0.7
-        problem = build_problem("single", r)
-        for sol in (solve_numeric(problem), holevo._slsqp_reference(problem, seed=4, restarts=8)):
-            assert abs(sol.bound - (2 + 2 * np.cosh(1.4))) < 1e-6
+        want = 2 + 2 * np.cosh(1.4)
+        assert abs(solve_numeric(build_problem("single", r)).bound - want) < 1e-6
+        assert abs(holevo_bound(DisplacementModel(single_mode_probe(r))).value - want) < 1e-6
 
     def test_deterministic_for_fixed_seed(self):
         problem = build_problem("two_mode", 0.45)
@@ -462,22 +460,6 @@ class TestNumericSolver:
             sol = solve_numeric(problem)
             c_s, c_r = closed_form_bounds(r, 0.0, "two_mode")
             assert sol.bound >= max(c_s, c_r) - 1e-8
-
-    def test_restart_validation(self):
-        with pytest.raises(ValueError):
-            holevo._slsqp_reference(build_problem("two_mode", 0.5), restarts=0)
-
-    def test_no_converged_restart_raises(self, monkeypatch):
-        # every restart stops where it started: the error carries the best of them
-        def stalled(fun, x0, **kwargs):
-            return type("Result", (), {"x": np.asarray(x0), "success": False})
-
-        monkeypatch.setattr(holevo, "minimize", stalled)
-        with pytest.raises(ConvergenceError, match="no restart converged out of 2") as info:
-            holevo._slsqp_reference(build_problem("two_mode", 0.5), restarts=2)
-        best = info.value.best
-        assert best is not None and best.diagnostics["converged"] == 0
-        assert np.isfinite(best.bound)
 
     @pytest.mark.parametrize("r", sorted({v for r in DUAL_GRID for v in (r, -r)}))
     def test_dual_certified_on_grid(self, r):
@@ -503,6 +485,20 @@ class TestNumericSolver:
         # the constraints pin every component, so both solvers return the same x
         assert np.array_equal(sol.minimizer, analytic.minimizer)
 
+    @pytest.mark.parametrize("r", sorted({v for r in DUAL_GRID for v in (r, -r)}))
+    @pytest.mark.parametrize("kind", ["single", "two_mode"])
+    def test_holevo_bound_matches_both_solvers_on_grid(self, kind, r):
+        probe = single_mode_probe(r) if kind == "single" else two_mode_probe(r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = holevo_bound(DisplacementModel(probe)).value
+            dual = solve_numeric(build_problem(kind, r)).bound
+        assert abs(value - dual) <= 1e-12 * dual
+        # the two-mode solve_analytic stops at two_mode_min_r(0), above -MAX_SQUEEZING
+        if kind == "single" or r >= two_mode_min_r(0.0):
+            want = solve_analytic(kind, r).bound
+            assert abs(value - want) <= 1e-12 * want
+
     @given(st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_dual_matches_analytic(self, r):
@@ -514,10 +510,10 @@ class TestNumericSolver:
 
     @pytest.mark.parametrize("r", [-0.7, 0.3, 1.2])
     def test_dual_agrees_with_slsqp_full(self, r):
-        problem = build_problem("two_mode", r)
-        dual = solve_numeric(problem)
-        full = holevo._slsqp_reference(problem, seed=3)
-        assert abs(dual.bound - full.bound) <= 1e-8
+        # the Gram-level dual against the moment-picture maximum over t
+        dual = solve_numeric(build_problem("two_mode", r))
+        moment = holevo_bound(DisplacementModel(two_mode_probe(r))).value
+        assert abs(dual.bound - moment) <= 1e-12 * moment
 
     @pytest.mark.parametrize("r", sorted({v for r in DUAL_GRID for v in (r, -r)}))
     def test_dual_matches_per_step_solve(self, r):
@@ -566,10 +562,10 @@ def run_fresh(code):
 
 
 class TestLazyOptimizerImport:
-    """SciPy is loaded only where it is used: its optimizer by the SLSQP
-    reference solve, scipy.special by sampling."""
+    """SciPy is loaded only where it is used: scipy.special by sampling, and
+    its optimizer by nothing in the package."""
 
-    def test_scipy_optimize_loaded_on_first_solve(self, tmp_path):
+    def test_scipy_optimize_never_loaded(self, tmp_path):
         out = str(tmp_path / "out.csv")
         run_fresh(
             "import cvmb, cvmb.cli\n"
@@ -579,10 +575,13 @@ class TestLazyOptimizerImport:
             "from cvmb.holevo import build_problem, solve_numeric\n"
             "solve_numeric(build_problem('two_mode', 0.5))\n"
             "solve_numeric(build_problem('single', 0.5))\n"
+            "from cvmb.bounds import DisplacementModel, single_mode_probe, two_mode_probe\n"
+            "cvmb.holevo_bound(DisplacementModel(two_mode_probe(0.5, 0.1)))\n"
+            "cvmb.holevo_bound(DisplacementModel(single_mode_probe(0.5)))\n"
             "assert not scipy_loaded(), ('loaded without sampling', scipy_loaded())\n"
-            "from cvmb.holevo import _slsqp_reference\n"
-            "_slsqp_reference(build_problem('two_mode', 0.5), restarts=1)\n"
-            "assert 'scipy.optimize' in sys.modules, 'not loaded by an SLSQP solve'\n"
+            f"assert cvmb.cli.main(['simulate', '--samples', '1000', '--r-steps', '2', "
+            f"'--out', {out!r}]) == 0\n"
+            "assert 'scipy.optimize' not in sys.modules, 'loaded by the package'\n"
         )
 
     def test_scipy_special_loaded_on_first_run(self):

@@ -19,6 +19,7 @@ from cvmb.bounds import (
     MAX_SQUEEZING,
     DisplacementModel,
     check_real,
+    classical_fisher_gaussian,
     closed_form_bounds,
     closed_form_holevo,
     dual_homodyne_mse_analytic,
@@ -121,6 +122,21 @@ BAD_INTEGERS = [True, 1.5, math.nan, "1", None]
 PAST_DOMAIN = [
     ("check_real.10**400", lambda: check_real("r", 10 ** 400)),
     ("DisplacementModel.displaced_mode.2", lambda: DisplacementModel(two_mode_probe(0.3), 2)),
+    ("DisplacementModel.probe.str", lambda: DisplacementModel("x")),
+    ("DisplacementModel.probe.None", lambda: DisplacementModel(None)),
+    ("DisplacementModel.probe.array", lambda: DisplacementModel(np.eye(2))),
+    ("classical_fisher_gaussian.outcome_cov.asymmetric",
+     lambda: classical_fisher_gaussian(np.eye(2), [[1.0, 0.5], [0.0, 1.0]])),
+    ("classical_fisher_gaussian.outcome_cov.inf",
+     lambda: classical_fisher_gaussian(np.eye(2), [[math.inf, 0.0], [0.0, 1.0]])),
+    ("classical_fisher_gaussian.outcome_cov.nan",
+     lambda: classical_fisher_gaussian(np.eye(2), [[1.0, math.nan], [math.nan, 1.0]])),
+    ("classical_fisher_gaussian.outcome_cov.shape",
+     lambda: classical_fisher_gaussian(np.eye(2), np.ones((2, 3)))),
+    ("classical_fisher_gaussian.mean_jacobian.nan",
+     lambda: classical_fisher_gaussian([[math.nan, 0.0], [0.0, 1.0]], np.eye(2))),
+    ("classical_fisher_gaussian.mean_jacobian.shape",
+     lambda: classical_fisher_gaussian(np.eye(3), np.eye(2))),
     ("single_mode_squeezer.above", lambda: single_mode_squeezer(np.nextafter(MAX_SQUEEZING, 400))),
     ("single_mode_squeezer.below", lambda: single_mode_squeezer(np.nextafter(-MAX_SQUEEZING, -400))),
     ("single_mode_squeezer.800", lambda: single_mode_squeezer(800.0)),
@@ -183,6 +199,13 @@ def test_past_domain_raises_value_error(call):
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
             call()
+
+
+def test_array_and_model_errors_name_their_argument():
+    for name, call in PAST_DOMAIN:
+        if name.startswith(("classical_fisher_gaussian.", "DisplacementModel.probe.")):
+            with pytest.raises(ValueError, match=name.split(".")[1]):
+                call()
 
 
 def test_domain_edges_are_accepted():
