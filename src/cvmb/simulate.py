@@ -25,6 +25,11 @@ thread ran which batch, or on which other configs shared the call.
 Batches hold ``BATCH_SIZE`` shots; another batch size would change
 nothing but the grouping of the compensated sums, i.e. results would
 move at most at the level of floating-point rounding.
+
+Neither ``numpy.random`` nor ``scipy.special`` is imported with this
+module: the bit generators load on the first sampling call or derived
+seed, and ``ndtri`` on the first sampling call, so a run that only
+computes bounds loads neither.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
 from cvmb.bounds import check_integer, check_photons, check_real, check_seed, two_mode_probe
 from cvmb.gaussian import apply, beam_splitter, displace
@@ -75,6 +79,8 @@ def derive_seed(seed: int, index: int) -> int:
     Streams keyed by different indices, and by ``seed`` itself, are
     statistically independent.
     """
+    from numpy.random import SeedSequence
+
     return int(SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1, np.uint64)[0])
 
 
@@ -192,7 +198,8 @@ def ndtri(*args, **kwargs):
     """``scipy.special.ndtri``, imported on the first call.
 
     Only sampling needs SciPy, and importing ``scipy.special`` takes most of
-    the package's import time, so ``import cvmb`` leaves it out.
+    the package's import time, so ``import cvmb`` leaves it out, as it does
+    ``numpy.random``.
     """
     from scipy.special import ndtri as scipy_ndtri
 
@@ -205,6 +212,8 @@ def _shot_normals(key: int, start: int, count: int, words_per_shot: int) -> np.n
     Each shot consumes exactly ``words_per_shot`` 64-bit words; ``start``
     must land on a 4-word counter tick.
     """
+    from numpy.random import Generator, Philox
+
     offset = start * words_per_shot
     if offset % _WORDS_PER_TICK:
         raise ValueError("batch start is not aligned to the Philox counter")
@@ -313,8 +322,9 @@ def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[lis
     worker ran which batch.  Every batch draws into a fresh array, so a
     wrapped kernel may keep its ``z``.
     """
-    # load SciPy's ndtri here, before any worker starts, so no pool thread
-    # imports it inside a draw
+    # load NumPy's bit generators and SciPy's ndtri here, before any worker
+    # starts, so no pool thread imports inside a draw
+    import numpy.random  # noqa: F401
     import scipy.special  # noqa: F401
 
     starts = [range(0, count, BATCH_SIZE) for _, count, _, _ in jobs]

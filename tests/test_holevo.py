@@ -588,9 +588,41 @@ class TestLazyOptimizerImport:
         run_fresh(
             "from cvmb.simulate import SimConfig, run\n"
             "assert not scipy_loaded(), ('loaded at import', scipy_loaded())\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random loaded at import'\n"
             "run(SimConfig(r=0.5, photons=0.0, samples=1000))\n"
             "assert 'scipy.special' in sys.modules, 'not loaded by run'\n"
+            "assert 'numpy.random' in sys.modules, 'numpy.random not loaded by run'\n"
             "assert 'scipy.optimize' not in sys.modules, 'loaded by run'\n"
+        )
+
+
+class TestLazyRandomImport:
+    """NumPy's random module is loaded only by what draws or derives seeds;
+    ``test_scipy_special_loaded_on_first_run`` checks that ``run`` loads it."""
+
+    def test_bounds_never_load_it(self, tmp_path):
+        out = str(tmp_path / "out.csv")
+        check = "assert 'numpy.random' not in sys.modules, 'loaded by {}'\n".format
+        run_fresh(
+            "import cvmb, cvmb.cli\n"
+            + check("import")
+            + f"assert cvmb.cli.main(['bounds', '--out', {out!r}]) == 0\n"
+            + check("cvmb bounds")
+            + f"assert cvmb.cli.main(['figure1', '--out', {out!r}]) == 0\n"
+            + check("cvmb figure1")
+            + "model = cvmb.DisplacementModel(cvmb.two_mode_probe(0.5, 0.1))\n"
+            "cvmb.sld_bound(model), cvmb.rld_bound(model), cvmb.holevo_bound(model)\n"
+            + check("the bounds")
+            + "cvmb.solve_numeric(cvmb.build_problem('two_mode', 0.5))\n"
+            + check("solve_numeric")
+        )
+
+    def test_derive_seed_loads_only_it(self):
+        run_fresh(
+            "from cvmb.simulate import derive_seed\n"
+            "derive_seed(1, 0)\n"
+            "assert 'numpy.random' in sys.modules, 'not loaded by derive_seed'\n"
+            "assert 'scipy.special' not in sys.modules, 'loaded by derive_seed'\n"
         )
 
 
