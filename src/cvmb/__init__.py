@@ -3,6 +3,8 @@ displacement estimation on Gaussian optical probes.
 
 Subpackage map:
 
+* :mod:`cvmb.inputs` - the input domain: one check function per input
+  rule, imported by the other modules and importing none of them
 * :mod:`cvmb.gaussian` - moment representation of Gaussian states and
   symplectic operations (hbar = 2 convention)
 * :mod:`cvmb.bounds` - classical, SLD, RLD and Holevo Cramér-Rao bounds,

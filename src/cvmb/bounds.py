@@ -80,31 +80,14 @@ At N = 0 the two-mode RLD bound is vacuous: zero for every r.  At the
 origin (r, N) = (0, 0) it is pinned to 0, the limit along N = 0; the
 limit along r = 0 is 4, the value ``4 (1 + N)`` at every N > 0.
 
-Domain.  The thermal occupation is at most ``MAX_PHOTONS`` (1e100), far
-beyond any physical probe; below it ``8N(1 + N)`` and the simulator's fourth
-moments stay finite (the simulator overflows from about N = 1e150).  The
-closed forms accept ``|r| <= squeezing_limit(N)``: the largest of them,
-``(2 + 4N) cosh 2r``, is about ``(1 + 2N) exp(2|r|)`` and overflows a double
-beyond it.  At N = 0 the limit is ``MAX_SQUEEZING`` (about 354.9).  The
-two-mode dual-homodyne MSE ``(8N + 4) exp(-2r)``, at N = 0 also the Holevo
-bound, is four times larger at negative r and needs
-``r >= two_mode_min_r(N)`` (about -354.2 at N = 0).  Each of these rules,
-and the type rules below them, is written once, in a check function here
-that names the setting, converts the value and raises ``ValueError`` otherwise:
-``check_real`` (a finite real, not a ``bool``, returned as a Python float,
-so NumPy scalars compute exactly as the equal Python number),
-``check_integer``, ``check_photons`` (``0 <= N <= MAX_PHOTONS``),
-``check_squeezing`` (``|r| <= squeezing_limit(N)``), ``check_two_mode_r``
-(``r >= two_mode_min_r(N)``) and ``check_seed`` (64-bit unsigned).  Every
-entry point of the package that takes these numbers calls them, and the
-``cvmb`` command turns the ``ValueError`` into exit code 1.
+Domain.  The bounds accept the inputs of :mod:`cvmb.inputs`, which states
+each rule once: ``0 <= N <= MAX_PHOTONS``, ``|r| <= squeezing_limit(N)``,
+and for the two-mode dual-homodyne MSE ``r >= two_mode_min_r(N)``.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,114 +95,21 @@ import numpy as np
 from cvmb.gaussian import (
     SYMMETRY_TOL,
     GaussianState,
-    _real_array,
     apply,
     make_thermal,
     single_mode_squeezer,
     symplectic_form,
     two_mode_squeezer,
 )
-
-MAX_PHOTONS = 1e100
-
-_LN_DBL_MAX = math.log(sys.float_info.max)
-# keeps the rounding of r, 2r and cosh 2r from overflowing at the very edge
-_EDGE_MARGIN = 1e-12
-
-
-def squeezing_limit(mean_photons: float = 0.0) -> float:
-    """Largest |r| at which the closed forms stay finite at occupation N.
-
-    ``(ln DBL_MAX - ln(1 + 2N)) / 2``, less a margin of 1e-12 for rounding;
-    see the module docstring.
-    """
-    return 0.5 * (_LN_DBL_MAX - math.log1p(2.0 * mean_photons)) - _EDGE_MARGIN
-
-
-def two_mode_min_r(mean_photons: float = 0.0) -> float:
-    """Most negative r at which ``(8N + 4) exp(-2r)`` stays finite."""
-    return math.log(2.0) - squeezing_limit(mean_photons)
-
-
-MAX_SQUEEZING = squeezing_limit(0.0)
-
-
-def check_real(name: str, value) -> float:
-    """``value`` as a Python float; ``ValueError`` unless it is a finite real.
-
-    ``bool`` is rejected although Python counts it as a number.
-    """
-    # float first: it decides the common case without the slower ABC check
-    if not isinstance(value, (float, numbers.Real)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:  # an int beyond the double range
-        x = math.inf
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x}")
-    return x
-
-
-def check_integer(name: str, value) -> int:
-    """``value`` as an int; ``ValueError`` unless it is a (NumPy) integer.
-
-    ``bool`` is rejected although Python counts it as an integer.
-    """
-    if not isinstance(value, (int, numbers.Integral)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def check_photons(name: str, value) -> float:
-    """A thermal occupation N as a float, checked for ``0 <= N <= MAX_PHOTONS``."""
-    n = check_real(name, value)
-    if n < 0:
-        raise ValueError(f"{name} must be non-negative, got {n:g}")
-    if n > MAX_PHOTONS:
-        raise ValueError(f"{name} = {n:g} is above the limit {MAX_PHOTONS:g}")
-    return n
-
-
-def check_squeezing(name: str, value, mean_photons: float) -> float:
-    """A squeezing r as a float, checked for ``|r| <= squeezing_limit(N)``."""
-    r = check_real(name, value)
-    limit = squeezing_limit(mean_photons)
-    if abs(r) > limit:
-        raise ValueError(f"{name} = {r:g} is outside |r| <= {limit:g}, "
-                         f"where the closed forms at N = {mean_photons:g} stay finite")
-    return r
-
-
-def check_two_mode_r(name: str, value, mean_photons: float) -> float:
-    """A squeezing r as a float, checked for ``r >= two_mode_min_r(N)``."""
-    r = check_real(name, value)
-    limit = two_mode_min_r(mean_photons)
-    if r < limit:
-        raise ValueError(f"{name} = {r:g} is below the limit {limit:g}, past which "
-                         f"(8N + 4) exp(-2r) at N = {mean_photons:g} overflows")
-    return r
-
-
-def check_seed(name: str, value) -> int:
-    """A seed as an int, checked to be a 64-bit unsigned integer."""
-    seed = check_integer(name, value)
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"{name} must be a 64-bit unsigned integer")
-    return seed
-
+from cvmb.inputs import (
+    check_mode,
+    check_photons,
+    check_real_array,
+    check_squeezing,
+    check_two_mode_r,
+)
 
 __all__ = [
-    "MAX_PHOTONS",
-    "MAX_SQUEEZING",
-    "squeezing_limit",
-    "two_mode_min_r",
-    "check_real",
-    "check_integer",
-    "check_photons",
-    "check_squeezing",
-    "check_two_mode_r",
-    "check_seed",
     "BoundResult",
     "DisplacementModel",
     "DegenerateModelError",
@@ -259,13 +149,8 @@ class DisplacementModel:
     def __post_init__(self):
         if not isinstance(self.probe, GaussianState):
             raise ValueError(f"probe must be a GaussianState, got {self.probe!r}")
-        mode = check_integer("displaced_mode", self.displaced_mode)
+        mode = check_mode("displaced_mode", self.displaced_mode, self.probe.num_modes)
         object.__setattr__(self, "displaced_mode", mode)
-        if not 0 <= self.displaced_mode < self.probe.num_modes:
-            raise ValueError(
-                f"mode {self.displaced_mode} out of range for "
-                f"{self.probe.num_modes}-mode probe"
-            )
 
     @property
     def mean_jacobian(self) -> np.ndarray:
@@ -523,8 +408,8 @@ def classical_fisher_gaussian(mean_jacobian: np.ndarray, outcome_cov: np.ndarray
     raises ``ValueError`` naming the argument; a Sigma that is not positive
     definite raises ``DegenerateModelError``.
     """
-    d = _real_array("mean_jacobian", mean_jacobian)
-    sigma = _real_array("outcome_cov", outcome_cov)
+    d = check_real_array("mean_jacobian", mean_jacobian)
+    sigma = check_real_array("outcome_cov", outcome_cov)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.size == 0:
         raise ValueError(f"outcome_cov must be a square matrix, got shape {sigma.shape}")
     if d.shape != (sigma.shape[0], 2):

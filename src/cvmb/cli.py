@@ -25,16 +25,14 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from cvmb.bounds import (
+from cvmb.bounds import closed_form_bounds, closed_form_holevo, dual_homodyne_mse_analytic
+from cvmb.inputs import (
     check_integer,
     check_photons,
     check_real,
     check_seed,
     check_squeezing,
     check_two_mode_r,
-    closed_form_bounds,
-    closed_form_holevo,
-    dual_homodyne_mse_analytic,
 )
 from cvmb.simulate import SimConfig, derive_seed, run_many
 # not called here: the benchmark tracer (perfbench/tracing.py) wraps

@@ -35,6 +35,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from cvmb.inputs import (
+    check_integer,
+    check_mode,
+    check_photons,
+    check_real,
+    check_real_array,
+    check_squeezing,
+)
+
 __all__ = [
     "GaussianState",
     "SymplecticOp",
@@ -84,33 +93,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _real_array(name: str, value) -> np.ndarray:
-    """``value`` as a float array; ``ValueError`` unless its dtype is integer or float.
-
-    Only the dtype is inspected, so bool, string, object and complex input is
-    rejected without a pass over the entries.
-    """
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be real numbers, got dtype {arr.dtype}")
-    return arr.astype(float, copy=False)
-
-
-@functools.cache
-def _checks():
-    """``cvmb.bounds``, home of the input checks.
-
-    It imports this module, so it is imported on first use; the cache
-    spares each later call the ``from ... import`` machinery.
-    """
-    import cvmb.bounds
-
-    return cvmb.bounds
-
-
 def _num_modes(num_modes) -> int:
     """A mode count as an int, checked to be at least 1."""
-    num_modes = _checks().check_integer("num_modes", num_modes)
+    num_modes = check_integer("num_modes", num_modes)
     if num_modes < 1:
         raise ValueError("number of modes must be at least 1")
     return num_modes
@@ -156,7 +141,7 @@ class GaussianState:
     argument.  A factored
     state skips the ``eigvalsh`` test of the uncertainty relation:
     ``cov + i Omega = S (diag(1 + 2N) + i Omega) S^T`` is positive
-    semidefinite because N >= 0 (``cvmb.bounds.check_photons`` in
+    semidefinite because N >= 0 (``cvmb.inputs.check_photons`` in
     :func:`make_thermal`) and each S is a product of matrices that passed
     :class:`SymplecticOp`'s check.  Its mean and covariance are still
     checked to be finite.
@@ -167,8 +152,8 @@ class GaussianState:
     williamson: Williamson | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(_real_array("mean", self.mean))
-        cov = _real_array("cov", self.cov)
+        mean = np.atleast_1d(check_real_array("mean", self.mean))
+        cov = check_real_array("cov", self.cov)
         if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
             raise ValueError("mean must be a vector of even, positive length")
         if cov.shape != (mean.size, mean.size):
@@ -235,7 +220,7 @@ class SymplecticOp:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = _real_array("matrix", self.matrix)
+        matrix = check_real_array("matrix", self.matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
             raise ValueError("matrix must be square with even dimension")
         _check_symplectic(matrix)
@@ -280,7 +265,7 @@ def make_thermal(mean_photons: float, num_modes: int = 1) -> GaussianState:
     repeated calls return the same immutable instance.
     """
     num_modes = _num_modes(num_modes)
-    mean_photons = _checks().check_photons("mean_photons", mean_photons)
+    mean_photons = check_photons("mean_photons", mean_photons)
     return _thermal(mean_photons + 0.0, num_modes)  # + 0.0 maps -0.0 to 0.0
 
 
@@ -292,19 +277,11 @@ def _thermal(mean_photons: float, num_modes: int) -> GaussianState:
                      Williamson(_readonly(np.eye(dim)), mean_photons))
 
 
-def _check_mode(mode, num_modes: int, name: str = "mode") -> int:
-    """``mode`` as an int, checked to index one of ``num_modes`` modes."""
-    mode = _checks().check_integer(name, mode)
-    if not 0 <= mode < num_modes:
-        raise ValueError(f"{name} {mode} out of range for {num_modes} modes")
-    return mode
-
-
 def _check_pair(mode_a, mode_b, num_modes, what: str) -> tuple[int, int, int]:
     """Two distinct mode indices and the mode count of a two-mode op, as ints."""
     num_modes = _num_modes(num_modes)
-    mode_a = _check_mode(mode_a, num_modes, "mode_a")
-    mode_b = _check_mode(mode_b, num_modes, "mode_b")
+    mode_a = check_mode("mode_a", mode_a, num_modes)
+    mode_b = check_mode("mode_b", mode_b, num_modes)
     if mode_a == mode_b:
         raise ValueError(f"{what} requires two distinct modes")
     return mode_a, mode_b, num_modes
@@ -336,8 +313,8 @@ def single_mode_squeezer(r: float, mode: int = 0, num_modes: int = 1) -> Symplec
         SymplecticOp
     """
     num_modes = _num_modes(num_modes)
-    mode = _check_mode(mode, num_modes)
-    r = _checks().check_squeezing("r", r, 0.0)
+    mode = check_mode("mode", mode, num_modes)
+    r = check_squeezing("r", r, 0.0)
     matrix = np.eye(2 * num_modes)
     matrix[2 * mode, 2 * mode] = np.exp(-r)
     matrix[2 * mode + 1, 2 * mode + 1] = np.exp(r)
@@ -369,7 +346,7 @@ def two_mode_squeezer(r: float, mode_a: int = 0, mode_b: int = 1,
         SymplecticOp
     """
     mode_a, mode_b, num_modes = _check_pair(mode_a, mode_b, num_modes, "two-mode squeezer")
-    r = _checks().check_squeezing("r", r, 0.0)
+    r = check_squeezing("r", r, 0.0)
     ch, sh = np.cosh(r), np.sinh(r)
     block = np.array(
         [
@@ -409,7 +386,7 @@ def beam_splitter(tau: float, mode_a: int = 0, mode_b: int = 1,
     Returns:
         SymplecticOp
     """
-    tau = _checks().check_real("tau", tau)
+    tau = check_real("tau", tau)
     if not 0.0 <= tau <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
     mode_a, mode_b, num_modes = _check_pair(mode_a, mode_b, num_modes, "beam splitter")
@@ -427,10 +404,10 @@ def beam_splitter(tau: float, mode_a: int = 0, mode_b: int = 1,
 
 def displace(state: GaussianState, q: float, p: float, mode: int = 0) -> GaussianState:
     """Shift the mean of ``mode`` by (q, p); the covariance and its factors are unchanged."""
-    mode = _check_mode(mode, state.num_modes)
+    mode = check_mode("mode", mode, state.num_modes)
     mean = state.mean.copy()
-    mean[2 * mode] += _checks().check_real("q", q)
-    mean[2 * mode + 1] += _checks().check_real("p", p)
+    mean[2 * mode] += check_real("q", q)
+    mean[2 * mode + 1] += check_real("p", p)
     if state.williamson is None:
         return GaussianState(mean, state.cov)
     return _factored(mean, state.cov, state.williamson)

@@ -60,8 +60,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cvmb.bounds import check_real, check_squeezing, check_two_mode_r, trabs
+from cvmb.bounds import trabs
 from cvmb.gaussian import symplectic_form
+from cvmb.inputs import check_real, check_squeezing, check_two_mode_r
 
 __all__ = [
     "HolevoProblem",
@@ -96,7 +97,7 @@ _KKT_MIN_R = 1.0 / math.sqrt(sys.float_info.max)
 
 
 def _check_r(r: float, low: float, high: float, reason: str) -> float:
-    """r as a float, checked by ``cvmb.bounds.check_real`` and for ``low <= r <= high``."""
+    """r as a float, checked by ``cvmb.inputs.check_real`` and for ``low <= r <= high``."""
     r = check_real("r", r)
     if not low <= r <= high:
         raise ValueError(f"r = {r:g} is outside [{low:g}, {high:g}], {reason}")
@@ -128,7 +129,7 @@ class HolevoProblem:
 
     The reconstructed Gram is verified against the probe's Gram data to
     within 1e-12 of each entry's scale (see :func:`_check_basis`).
-    Non-finite r, ``|r| > cvmb.bounds.MAX_SQUEEZING`` and an unknown kind
+    Non-finite r, ``|r| > cvmb.inputs.MAX_SQUEEZING`` and an unknown kind
     raise ``ValueError``.
     """
 
@@ -192,7 +193,7 @@ def gram_single_mode(r: float) -> np.ndarray:
     point.  The derivative overlaps are ``<psi_1|psi_1> = e^2r / 4``,
     ``<psi_2|psi_2> = e^-2r / 4`` and ``<psi_1|psi_2> = i/4``; the state is
     orthogonal to both derivatives.  Non-finite r and
-    ``|r| > cvmb.bounds.MAX_SQUEEZING`` raise ``ValueError``.
+    ``|r| > cvmb.inputs.MAX_SQUEEZING`` raise ``ValueError``.
     """
     r = check_squeezing("r", r, 0.0)
     return np.array(
@@ -211,7 +212,7 @@ def gram_two_mode(r: float) -> np.ndarray:
     Returns the 3 x 3 complex array, laid out as in
     :func:`gram_single_mode`.  Both derivative norms are ``cosh 2r / 4``
     and the cross overlap is ``i/4``; at r = 0 this coincides with the
-    single-mode Gram.  Non-finite r and ``|r| > cvmb.bounds.MAX_SQUEEZING``
+    single-mode Gram.  Non-finite r and ``|r| > cvmb.inputs.MAX_SQUEEZING``
     raise ``ValueError``.
     """
     r = check_squeezing("r", r, 0.0)
@@ -382,9 +383,9 @@ def solve_analytic(probe_kind: str, r: float) -> HolevoSolution:
       value.  At r = 0 the problem degenerates to the single-mode
       (coherent-probe) case and the same expression applies.
 
-    r must be finite with ``|r| <= cvmb.bounds.MAX_SQUEEZING`` (about
+    r must be finite with ``|r| <= cvmb.inputs.MAX_SQUEEZING`` (about
     354.9), where ``cosh 2r`` stays finite; the two-mode bound also needs
-    ``r >= cvmb.bounds.two_mode_min_r(0)`` (about -354.2), the range of the
+    ``r >= cvmb.inputs.two_mode_min_r(0)`` (about -354.2), the range of the
     dual-homodyne MSE ``4 exp(-2r)``.  Other r raise ``ValueError``.  On
     this domain the bound equals ``cvmb.bounds.closed_form_holevo(r, 0,
     probe_kind)`` bit for bit; the tests check that.

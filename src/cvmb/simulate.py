@@ -42,8 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cvmb.bounds import check_integer, check_photons, check_real, check_seed, two_mode_probe
+from cvmb.bounds import two_mode_probe
 from cvmb.gaussian import apply, beam_splitter, displace
+from cvmb.inputs import check_integer, check_photons, check_real, check_seed
 
 __all__ = [
     "SIMULATE_MAX_SQUEEZING",
@@ -68,6 +69,16 @@ _MIN_UNIFORM = 2.0 ** -53  # guard against ndtri(0) = -inf
 # below the standard error of any feasible shot count.
 SIMULATE_MAX_SQUEEZING = 4.0
 
+
+def _check_simulate_r(value) -> float:
+    """A squeezing r as a float, checked for ``|r| <= SIMULATE_MAX_SQUEEZING``."""
+    r = check_real("r", value)
+    if abs(r) > SIMULATE_MAX_SQUEEZING:
+        raise ValueError(f"r = {r:g} is outside the simulate limit "
+                         f"|r| <= {SIMULATE_MAX_SQUEEZING:g}")
+    return r
+
+
 # shots per accumulation batch; even, so that at 2 words per shot every
 # batch starts on a Philox counter tick
 BATCH_SIZE = 65536
@@ -77,8 +88,13 @@ def derive_seed(seed: int, index: int) -> int:
     """Philox key of the ``index``-th stream derived from ``seed``.
 
     Streams keyed by different indices, and by ``seed`` itself, are
-    statistically independent.
+    statistically independent.  ``seed`` must be a 64-bit unsigned integer
+    and ``index`` a non-negative integer; otherwise ``ValueError``.
     """
+    seed = check_seed("seed", seed)
+    index = check_integer("index", index)
+    if index < 0:
+        raise ValueError(f"index must be non-negative, got {index}")
     from numpy.random import SeedSequence
 
     return int(SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1, np.uint64)[0])
@@ -89,9 +105,9 @@ class SimConfig:
     """Settings for one simulation run.
 
     ``|r|`` is at most ``SIMULATE_MAX_SQUEEZING`` and ``photons`` at most
-    ``cvmb.bounds.MAX_PHOTONS``; ``theta_true`` is a pair of finite reals;
+    ``cvmb.inputs.MAX_PHOTONS``; ``theta_true`` is a pair of finite reals;
     ``mode="two_stage"`` needs at least 4 samples.  The numbers are checked
-    and converted by the check functions of :mod:`cvmb.bounds`, so they are
+    and converted by the check functions of :mod:`cvmb.inputs`, so they are
     stored as Python floats and ints.
     """
 
@@ -103,10 +119,7 @@ class SimConfig:
     mode: str = "direct"
 
     def __post_init__(self):
-        object.__setattr__(self, "r", check_real("r", self.r))
-        if abs(self.r) > SIMULATE_MAX_SQUEEZING:
-            raise ValueError(f"r = {self.r:g} is outside the simulate limit "
-                             f"|r| <= {SIMULATE_MAX_SQUEEZING:g}")
+        object.__setattr__(self, "r", _check_simulate_r(self.r))
         object.__setattr__(self, "photons", check_photons("photons", self.photons))
         object.__setattr__(self, "samples", check_integer("samples", self.samples))
         if self.samples < 1:
@@ -170,9 +183,11 @@ def outcome_distribution(r: float, photons: float,
 
     Built by pushing the displaced probe through the balanced splitter and
     marginalizing, not from the closed form; the closed form
-    ``cov = (2N + 1) e^-2r I`` is enforced by the tests instead.
+    ``cov = (2N + 1) e^-2r I`` is enforced by the tests instead.  ``|r|`` is
+    at most ``SIMULATE_MAX_SQUEEZING``, as in :class:`SimConfig`: beyond it
+    the marginal loses its accuracy to cancellation.
     """
-    probe = two_mode_probe(r, photons)
+    probe = two_mode_probe(_check_simulate_r(r), photons)
     splitter = beam_splitter(0.5)
     state = apply(splitter, displace(probe, theta[0], theta[1], mode=0))
     idx = [0, 3]  # Q of output mode 0, P of output mode 1
@@ -262,6 +277,8 @@ def accumulate_affine_moments(z, a, c, *, scratch):
         raise ValueError(f"a must have shape (2, {k}), got {a.shape}")
     if c.shape != (2,):
         raise ValueError(f"c must have shape (2,), got {c.shape}")
+    if not (isinstance(scratch, (tuple, list)) and len(scratch) == 2):
+        raise ValueError("scratch must be a pair of float64 arrays, shapes (2, m) and (m,)")
     errors, tmp = scratch
     if not (isinstance(errors, np.ndarray) and errors.dtype == np.float64 and errors.ndim == 2
             and errors.shape[0] == 2 and errors.shape[1] >= n):

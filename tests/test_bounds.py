@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from cvmb.bounds import (
-    MAX_PHOTONS,
-    MAX_SQUEEZING,
     BoundResult,
     DegenerateModelError,
     DisplacementModel,
@@ -18,9 +16,7 @@ from cvmb.bounds import (
     rld_bound,
     single_mode_probe,
     sld_bound,
-    squeezing_limit,
     trabs,
-    two_mode_min_r,
     two_mode_probe,
 )
 from cvmb.gaussian import (
@@ -32,6 +28,7 @@ from cvmb.gaussian import (
     two_mode_squeezer,
 )
 from cvmb.holevo import solve_analytic
+from cvmb.inputs import MAX_PHOTONS, MAX_SQUEEZING, squeezing_limit, two_mode_min_r
 from cvmb.simulate import outcome_distribution
 
 R_GRID = np.round(np.arange(0.0, 1.51, 0.1), 10)

@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 import cvmb
 from cvmb import holevo
 from cvmb.bounds import (
-    MAX_SQUEEZING,
     DisplacementModel,
     closed_form_bounds,
     holevo_bound,
     single_mode_probe,
-    two_mode_min_r,
     two_mode_probe,
 )
 from cvmb.gaussian import apply, single_mode_squeezer, vacuum
@@ -44,6 +42,7 @@ from cvmb.holevo import (
     two_mode_objective,
     z_matrix,
 )
+from cvmb.inputs import MAX_SQUEEZING, two_mode_min_r
 
 finite_floats = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -656,12 +655,12 @@ def outside(r, low, high):
 
 
 def beyond_squeezing_limit(r):
-    """Pattern of ``cvmb.bounds.check_squeezing``'s error for |r| > MAX_SQUEEZING."""
+    """Pattern of ``cvmb.inputs.check_squeezing``'s error for |r| > MAX_SQUEEZING."""
     return re.escape(f"r = {r:g} is outside |r| <= {MAX_SQUEEZING:g}")
 
 
 def below_two_mode_min_r(r):
-    """Pattern of ``cvmb.bounds.check_two_mode_r``'s error for r < two_mode_min_r(0)."""
+    """Pattern of ``cvmb.inputs.check_two_mode_r``'s error for r < two_mode_min_r(0)."""
     return re.escape(f"r = {r:g} is below the limit {two_mode_min_r(0.0):g}")
 
 

@@ -1,7 +1,7 @@
 """One input contract across the public entry points.
 
 Every number that enters the package goes through the check functions of
-``cvmb.bounds``: a bool, NaN, an infinity, a string or None raises
+``cvmb.inputs``: a bool, NaN, an infinity, a string or None raises
 ``ValueError`` naming the setting, never another exception and never a
 RuntimeWarning, and a NumPy scalar computes exactly as the equal Python
 number.  The command line turns the ``ValueError`` into exit code 1.
@@ -16,16 +16,12 @@ import pytest
 
 from cvmb import cli
 from cvmb.bounds import (
-    MAX_SQUEEZING,
     DisplacementModel,
-    check_real,
     classical_fisher_gaussian,
     closed_form_bounds,
     closed_form_holevo,
     dual_homodyne_mse_analytic,
     single_mode_probe,
-    squeezing_limit,
-    two_mode_min_r,
     two_mode_probe,
 )
 from cvmb.gaussian import (
@@ -50,7 +46,8 @@ from cvmb.holevo import (
     kkt_case_audit,
     solve_analytic,
 )
-from cvmb.simulate import SimConfig
+from cvmb.inputs import MAX_SQUEEZING, check_real, squeezing_limit, two_mode_min_r
+from cvmb.simulate import SimConfig, derive_seed
 
 BAD_VALUES = [True, math.nan, math.inf, -math.inf, "0.1", None]
 
@@ -114,6 +111,8 @@ INTEGER_SETTINGS = [
     ("displace.mode", "mode", lambda x: displace(vacuum(2), 0.1, 0.2, x), 1),
     ("DisplacementModel.displaced_mode", "displaced_mode",
      lambda x: DisplacementModel(two_mode_probe(0.3, 0.1), x), 1),
+    ("derive_seed.seed", "seed", lambda x: derive_seed(x, 0), 1),
+    ("derive_seed.index", "index", lambda x: derive_seed(1, x), 1),
 ]
 BAD_INTEGERS = [True, 1.5, math.nan, "1", None]
 
@@ -122,6 +121,10 @@ BAD_INTEGERS = [True, 1.5, math.nan, "1", None]
 PAST_DOMAIN = [
     ("check_real.10**400", lambda: check_real("r", 10 ** 400)),
     ("DisplacementModel.displaced_mode.2", lambda: DisplacementModel(two_mode_probe(0.3), 2)),
+    ("derive_seed.seed.float", lambda: derive_seed(1.0, 0)),
+    ("derive_seed.seed.2**64", lambda: derive_seed(2 ** 64, 0)),
+    ("derive_seed.seed.negative", lambda: derive_seed(-1, 0)),
+    ("derive_seed.index.negative", lambda: derive_seed(1, -1)),
     ("DisplacementModel.probe.str", lambda: DisplacementModel("x")),
     ("DisplacementModel.probe.None", lambda: DisplacementModel(None)),
     ("DisplacementModel.probe.array", lambda: DisplacementModel(np.eye(2))),

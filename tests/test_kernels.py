@@ -90,6 +90,9 @@ class TestNumpyKernel:
             r"scratch\[1\]": [np.empty(n, np.float32), np.empty(n, complex),
                               np.empty(n - 1), np.empty((1, n)), [0.0] * n],
         }
+        for bad in (None, scratch[:1], scratch + (scratch[1],), scratch[0]):
+            with pytest.raises(ValueError, match="scratch must be a pair"):
+                accumulate_affine_moments(z, a, c, scratch=bad)
         for index, (name, bad) in enumerate(bad_scratch.items()):
             for arr in bad:
                 pair = list(scratch)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from cvmb import cli
-from cvmb.bounds import MAX_PHOTONS, classical_fisher_gaussian, dual_homodyne_mse_analytic
+from cvmb.bounds import classical_fisher_gaussian, dual_homodyne_mse_analytic
 from cvmb.gaussian import apply, beam_splitter, displace, make_thermal, two_mode_squeezer
+from cvmb.inputs import MAX_PHOTONS
 import cvmb.simulate
 from cvmb.simulate import (
     SIMULATE_MAX_SQUEEZING,
@@ -54,6 +55,15 @@ class TestOutcomeDistribution:
     def test_negative_photons_rejected(self):
         with pytest.raises(ValueError):
             outcome_distribution(0.1, -0.5)
+
+    def test_squeezing_past_simulate_limit_rejected(self):
+        # past the limit the marginal loses its accuracy to cancellation:
+        # at r = 10 the covariance came out negative
+        for r in (SIMULATE_MAX_SQUEEZING, -SIMULATE_MAX_SQUEEZING):
+            outcome_distribution(r, 0.0)
+            for bad in (np.nextafter(r, 2 * r), 2 * r, 2.5 * r):
+                with pytest.raises(ValueError, match="outside the simulate limit"):
+                    outcome_distribution(bad, 0.0)
 
 
 class TestEstimate:
