@@ -41,7 +41,6 @@ from cvmb.bounds import (
     rld_bound,
     single_mode_probe,
     sld_bound,
-    trabs,
     two_mode_probe,
 )
 from cvmb.holevo import (
@@ -59,7 +58,6 @@ from cvmb.simulate import (
     OutcomeModel,
     SimConfig,
     SimResult,
-    estimate,
     outcome_distribution,
     run,
     run_many,

@@ -8,7 +8,9 @@ parameter), all three quantum bounds are read from one function of t in
 
     rho(t) = trace(Re G_t) + trabs(Im G_t),   G_t = (J^T (V + i t Omega)^-1 J)^-1,
 
-where ``trabs`` is the sum of absolute eigenvalues.  The SLD bound is
+where ``trabs`` is the sum of absolute eigenvalues; for the 2 x 2
+antisymmetric ``Im G_t`` of two parameters it is ``|Im G_01 - Im G_10|``,
+twice the modulus of either off-diagonal entry.  The SLD bound is
 ``rho(0) = trace((J^T V^-1 J)^-1)``, the RLD bound is ``rho(1)``, and the
 Holevo bound is the maximum of rho over [0, 1] (``holevo_bound``).  The
 last holds because estimators linear in the quadratures attain the Holevo
@@ -115,7 +117,6 @@ __all__ = [
     "DegenerateModelError",
     "single_mode_probe",
     "two_mode_probe",
-    "trabs",
     "sld_bound",
     "rld_bound",
     "holevo_bound",
@@ -183,15 +184,6 @@ def single_mode_probe(r: float, mean_photons: float = 0.0) -> GaussianState:
 def two_mode_probe(r: float, mean_photons: float = 0.0) -> GaussianState:
     """Two-mode squeezed thermal state (EPR state for N = 0)."""
     return apply(two_mode_squeezer(r), make_thermal(mean_photons, 2))
-
-
-def trabs(matrix: np.ndarray) -> float:
-    """Sum of the absolute eigenvalues, computed as the sum of singular values.
-
-    The two agree for the normal (Hermitian or real antisymmetric)
-    matrices this package produces.
-    """
-    return float(np.linalg.svd(matrix, compute_uv=False).sum())
 
 
 def _inverse_gram_traces(rows: list[tuple[complex, complex]]) -> tuple[float, float]:
@@ -262,19 +254,20 @@ def _moment_bound(model: DisplacementModel, t: float) -> float:
         return re + im
     jac = model.mean_jacobian
     a = model.probe.cov + 1j * t * symplectic_form(model.probe.num_modes)
-    if t == 1:
-        if jac.shape[0] == jac.shape[1]:
-            jinv = np.linalg.inv(jac)
-            ginv = jinv @ a @ jinv.T
-            return float(np.trace(ginv.real)) + trabs(ginv.imag)
-        eigs = np.linalg.eigvalsh(a)
-        if eigs.min() < _PURE_EIG_TOL * eigs.max():
-            return 0.0
-    try:
-        ginv = np.linalg.inv(jac.T @ np.linalg.solve(a, jac))
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateModelError("probe covariance is singular") from exc
-    return float(np.trace(ginv.real)) + trabs(ginv.imag)
+    if t == 1 and jac.shape[0] == jac.shape[1]:
+        jinv = np.linalg.inv(jac)
+        ginv = jinv @ a @ jinv.T
+    else:
+        if t == 1:
+            eigs = np.linalg.eigvalsh(a)
+            if eigs.min() < _PURE_EIG_TOL * eigs.max():
+                return 0.0
+        try:
+            ginv = np.linalg.inv(jac.T @ np.linalg.solve(a, jac))
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateModelError("probe covariance is singular") from exc
+    # Im G_t is 2 x 2 antisymmetric, so trabs(Im G_t) = |Im G_01 - Im G_10|
+    return float(np.trace(ginv.real) + abs(ginv.imag[0, 1] - ginv.imag[1, 0]))
 
 
 def sld_bound(model: DisplacementModel) -> BoundResult:

@@ -10,7 +10,9 @@ observable ``X_j`` to the complex entries ``W[j, n] = <e_0|X_j|e_n>``
 or do not enter the objective.  In terms of ``W``:
 
 * ``Z = W W^H`` (Hermitian, positive semidefinite),
-* objective ``h = trace(Re Z) + trabs(Im Z)``,
+* objective ``h = trace(Re Z) + trabs(Im Z)``, where ``Im Z`` is 2 x 2
+  antisymmetric, so trabs, the sum of its absolute eigenvalues, is
+  ``|Im Z[0, 1] - Im Z[1, 0]|`` (:func:`holevo_value`),
 * local unbiasedness is the linear system ``2 Re(sum_n c[j, n] W[k, n]) =
   delta_jk`` where ``c[j, n]`` are the basis coordinates of ``psi_j``.
 
@@ -60,7 +62,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cvmb.bounds import trabs
 from cvmb.gaussian import symplectic_form
 from cvmb.inputs import check_real, check_squeezing, check_two_mode_r
 
@@ -94,14 +95,6 @@ GRAM_TOL = 1e-12
 # (ln DBL_MAX - ln 2) / 3, less 1e-12 for rounding).
 _KKT_MAX_R = (math.log(sys.float_info.max) - math.log(2.0)) / 3.0 - 1e-12
 _KKT_MIN_R = 1.0 / math.sqrt(sys.float_info.max)
-
-
-def _check_r(r: float, low: float, high: float, reason: str) -> float:
-    """r as a float, checked by ``cvmb.inputs.check_real`` and for ``low <= r <= high``."""
-    r = check_real("r", r)
-    if not low <= r <= high:
-        raise ValueError(f"r = {r:g} is outside [{low:g}, {high:g}], {reason}")
-    return r
 
 
 class ConvergenceError(RuntimeError):
@@ -323,9 +316,15 @@ def z_matrix(w: np.ndarray) -> np.ndarray:
 
 
 def holevo_value(z: np.ndarray) -> float:
-    """Objective value trace(Re Z) + trabs(Im Z) of a candidate Z."""
+    """Objective value trace(Re Z) + trabs(Im Z) of a candidate 2 x 2 Hermitian Z.
+
+    ``Im Z`` is antisymmetric, so ``trabs(Im Z) = |Im Z[0, 1] - Im Z[1, 0]|``.
+    A z of another shape raises ``ValueError``.
+    """
     z = np.asarray(z, dtype=complex)
-    return float(np.trace(z.real)) + trabs(z.imag)
+    if z.shape != (2, 2):
+        raise ValueError(f"z must be a 2 x 2 matrix, got shape {z.shape}")
+    return float(np.trace(z.real) + abs(z.imag[0, 1] - z.imag[1, 0]))
 
 
 def assemble_x_operators(
@@ -638,8 +637,10 @@ def kkt_case_audit(r: float) -> KKTCaseAudit:
     order ``exp(3|r|)`` overflow, raise ``ValueError``, as do r = 0 and
     ``0 < |r| < 7.5e-155``, where ``csch^2 r`` overflows.
     """
-    r = _check_r(r, -_KKT_MAX_R, _KKT_MAX_R,
-                 "where the spurious point's exp(3|r|) terms stay finite")
+    r = check_real("r", r)
+    if not -_KKT_MAX_R <= r <= _KKT_MAX_R:
+        raise ValueError(f"r = {r:g} is outside [{-_KKT_MAX_R:g}, {_KKT_MAX_R:g}], "
+                         "where the spurious point's exp(3|r|) terms stay finite")
     if r == 0:
         raise ValueError("the case analysis assumes r != 0; at r = 0 the problem "
                          "reduces to the coherent single-mode case")

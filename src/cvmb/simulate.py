@@ -54,7 +54,6 @@ __all__ = [
     "outcome_distribution",
     "accumulate_affine_moments",
     "derive_seed",
-    "estimate",
     "run",
     "run_many",
 ]
@@ -195,18 +194,6 @@ def outcome_distribution(r: float, photons: float,
     cov = state.cov[np.ix_(idx, idx)]
     jac = splitter.matrix[np.ix_(idx, [0, 1])]
     return OutcomeModel(mean, cov, jac)
-
-
-def estimate(outcomes: np.ndarray, jacobian: np.ndarray | None = None) -> np.ndarray:
-    """Invert the outcome-mean map: ``theta_hat = jacobian^-1 @ outcome``.
-
-    Unbiased by construction since the outcome mean is ``jacobian @ theta``.
-    ``outcomes`` may be a single pair or an (n, 2) batch.
-    """
-    if jacobian is None:
-        jacobian = outcome_distribution(0.0, 0.0).jacobian
-    outcomes = np.asarray(outcomes, dtype=float)
-    return np.linalg.solve(jacobian, outcomes.T).T
 
 
 def ndtri(*args, **kwargs):

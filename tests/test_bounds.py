@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import cvmb.bounds
 from cvmb.bounds import (
     BoundResult,
     DegenerateModelError,
@@ -16,7 +17,6 @@ from cvmb.bounds import (
     rld_bound,
     single_mode_probe,
     sld_bound,
-    trabs,
     two_mode_probe,
 )
 from cvmb.gaussian import (
@@ -25,9 +25,10 @@ from cvmb.gaussian import (
     beam_splitter,
     make_thermal,
     single_mode_squeezer,
+    symplectic_form,
     two_mode_squeezer,
 )
-from cvmb.holevo import solve_analytic
+from cvmb.holevo import build_problem, holevo_value, solve_analytic, solve_numeric
 from cvmb.inputs import MAX_PHOTONS, MAX_SQUEEZING, squeezing_limit, two_mode_min_r
 from cvmb.simulate import outcome_distribution
 
@@ -382,9 +383,51 @@ class TestResultType:
         with pytest.raises(ValueError):
             BoundResult(-0.5, "SLD")
 
-    def test_trabs_matches_eigenvalues(self):
-        m = np.array([[0.0, 0.7], [-0.7, 0.0]])
-        assert np.isclose(trabs(m), sum(abs(np.linalg.eigvals(m))), atol=1e-12)
+    def test_trabs_matches_svd_sum(self, monkeypatch):
+        # trabs of a 2 x 2 Im G is |Im G_01 - Im G_10| in the package; the
+        # reference is the sum of singular values, to 2 ulp relative, on
+        # bare covariances (the thermal frame forms no G) and on solver Zs
+        def svd_value(ginv):
+            return float(np.trace(ginv.real)) + float(np.linalg.svd(ginv.imag, compute_uv=False).sum())
+
+        def close(value, reference):
+            return abs(value - reference) <= 2 * np.finfo(float).eps * abs(reference)
+
+        def reference_rho(m, t):
+            jac = m.mean_jacobian
+            a = m.probe.cov + 1j * t * symplectic_form(m.probe.num_modes)
+            if t == 1 and jac.shape[0] == jac.shape[1]:
+                jinv = np.linalg.inv(jac)
+                return svd_value(jinv @ a @ jinv.T)
+            if t == 1:
+                eigs = np.linalg.eigvalsh(a)
+                if eigs.min() < cvmb.bounds._PURE_EIG_TOL * eigs.max():
+                    return 0.0
+            return svd_value(np.linalg.inv(jac.T @ np.linalg.solve(a, jac)))
+
+        moment_bound = cvmb.bounds._moment_bound
+        checked = []
+
+        def checked_moment_bound(m, t):
+            value = moment_bound(m, t)
+            assert close(value, reference_rho(m, t)), (t, value)
+            checked.append(t)
+            return value
+
+        monkeypatch.setattr(cvmb.bounds, "_moment_bound", checked_moment_bound)
+        for kind in ("single", "two_mode"):
+            for r in (0.0, 1e-9, 0.1, 0.5, 1.0, 2.0, 3.0, -0.7):
+                for n in (0.0, 1e-13, 0.1, 0.5, 2.0):
+                    probe = model(kind, r, n).probe
+                    bare = DisplacementModel(GaussianState(probe.mean, probe.cov))
+                    for t in (0.0, 0.3, 0.77, 1.0):
+                        cvmb.bounds._moment_bound(bare, t)
+                    holevo_bound(bare)
+        assert len(checked) == 2 * 8 * 5 * (4 + 80)
+        for kind in ("single", "two_mode"):
+            for r in np.linspace(-3.0, 3.0, 121):
+                z = solve_numeric(build_problem(kind, r)).z_matrix
+                assert close(holevo_value(z), svd_value(z)), (kind, r)
 
     def test_jacobian_columns(self):
         m = model("two_mode", 0.3, 0.0)

@@ -49,3 +49,5 @@ def test_package_imports_are_acyclic():
     except graphlib.CycleError as exc:
         raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
     assert graph["cvmb.inputs"] == set(), "cvmb.inputs must import nothing from cvmb"
+    # holevo_value reads trabs(Im Z) off two entries, so no bounds import is needed
+    assert graph["cvmb.holevo"] == {"cvmb.gaussian", "cvmb.inputs"}

@@ -43,6 +43,7 @@ from cvmb.holevo import (
     components_to_w,
     gram_single_mode,
     gram_two_mode,
+    holevo_value,
     kkt_case_audit,
     solve_analytic,
 )
@@ -160,6 +161,8 @@ PAST_DOMAIN = [
     ("SymplecticOp.matrix.odd", lambda: SymplecticOp(np.eye(3))),
     ("HolevoSolution.method", lambda: HolevoSolution(1.0, [], np.eye(2), "guess")),
     ("components_to_w.size", lambda: components_to_w(np.zeros(3), 2)),
+    # trabs(Im Z) is read off the two off-diagonal entries of a 2 x 2 z
+    ("holevo_value.z.shape", lambda: holevo_value(np.eye(3))),
     ("assemble_x_operators.block_shape",
      lambda: assemble_x_operators(build_problem("two_mode", 0.5), np.zeros((2, 2)),
                                   blocks=(np.eye(3), np.eye(3)))),
@@ -206,7 +209,8 @@ def test_past_domain_raises_value_error(call):
 
 def test_array_and_model_errors_name_their_argument():
     for name, call in PAST_DOMAIN:
-        if name.startswith(("classical_fisher_gaussian.", "DisplacementModel.probe.")):
+        if name.startswith(("classical_fisher_gaussian.", "DisplacementModel.probe.",
+                            "holevo_value.")):
             with pytest.raises(ValueError, match=name.split(".")[1]):
                 call()
 

@@ -16,7 +16,6 @@ import cvmb.simulate
 from cvmb.simulate import (
     SIMULATE_MAX_SQUEEZING,
     SimConfig,
-    estimate,
     outcome_distribution,
     run,
     run_many,
@@ -66,18 +65,7 @@ class TestOutcomeDistribution:
                     outcome_distribution(bad, 0.0)
 
 
-class TestEstimate:
-    def test_noiseless_inversion(self):
-        theta = (1.7, -0.4)
-        model = outcome_distribution(0.6, 0.2, theta)
-        assert np.allclose(estimate(model.mean), theta, atol=1e-12)
-
-    def test_batch_shape(self):
-        outcomes = np.array([[1.0, 0.0], [0.0, 1.0]])
-        est = estimate(outcomes)
-        assert est.shape == (2, 2)
-        assert np.allclose(est, np.sqrt(2.0) * outcomes, atol=1e-14)
-
+class TestRun:
     def test_unbiased_and_efficient(self):
         config = SimConfig(r=0.4, photons=0.0, theta_true=(2.0, -1.0),
                            samples=400_000, seed=31)
@@ -89,8 +77,6 @@ class TestEstimate:
         target = dual_homodyne_mse_analytic(config.r, config.photons).value
         assert abs(res.mse_sum - target) < 3 * res.std_error
 
-
-class TestRun:
     def test_matches_analytic_at_origin(self):
         res = run(SimConfig(r=0.0, photons=0.0, samples=1_000_000, seed=5))
         assert abs(res.mse_sum - 4.0) < 3 * res.std_error
