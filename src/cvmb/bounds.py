@@ -22,8 +22,8 @@ Displacement leaves the covariance constant, so rho is independent of the
 true parameter value.
 
 ``V + i Omega`` is singular exactly for pure probes; rho(1) is then defined
-as the N -> 0 limit of the mixed-probe value.  A square J (single-mode
-model) gives ``G_1 = J^-1 (V + i Omega) J^-T`` directly, which continues
+as the N -> 0 limit of the mixed-probe value.  A single-mode model, whose
+J is the identity, gives ``G_1 = V + i Omega`` directly, which continues
 the formula across the singularity.  A non-square J gives 0 (vacuous): the
 limit when the inverse information vanishes, as for the two-mode probe at
 r != 0, but not for every pure probe, as a squeezed mode beside an
@@ -170,7 +170,7 @@ class BoundResult:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in {"classical", "SLD", "RLD", "Holevo", "dual-homodyne-analytic"}:
+        if self.kind not in {"SLD", "RLD", "Holevo", "dual-homodyne-analytic"}:
             raise ValueError(f"unknown bound kind {self.kind!r}")
         if not math.isfinite(self.value) or self.value < 0:
             raise ValueError(f"bound value must be finite and non-negative, got {self.value}")
@@ -229,9 +229,10 @@ def _moment_bound(model: DisplacementModel, t: float) -> float:
     ``(Q - iP) w-``, with ``w+- = 0.5 / sqrt(N + (1 +- t) / 2)``.
 
     A bare covariance is solved from ``A = V + i t Omega``.  At t = 1 a
-    square J takes ``J^-1 A J^-T``, and a non-square J counts A as pure,
-    and gives 0, when its smallest eigenvalue is below ``1e-12`` of its
-    largest.  A solve that fails raises ``DegenerateModelError``.
+    one-mode model, whose J is the identity, takes ``G_1 = A``, and a
+    model of more modes counts A as pure, and gives 0, when its smallest
+    eigenvalue is below ``1e-12`` of its largest.  A solve that fails
+    raises ``DegenerateModelError``.
     """
     frame = model.probe.williamson
     if frame is not None:
@@ -254,9 +255,8 @@ def _moment_bound(model: DisplacementModel, t: float) -> float:
         return re + im
     jac = model.mean_jacobian
     a = model.probe.cov + 1j * t * symplectic_form(model.probe.num_modes)
-    if t == 1 and jac.shape[0] == jac.shape[1]:
-        jinv = np.linalg.inv(jac)
-        ginv = jinv @ a @ jinv.T
+    if t == 1 and model.probe.num_modes == 1:
+        ginv = a
     else:
         if t == 1:
             eigs = np.linalg.eigvalsh(a)

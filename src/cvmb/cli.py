@@ -27,6 +27,9 @@ import numpy as np
 
 from cvmb.bounds import closed_form_bounds, closed_form_holevo, dual_homodyne_mse_analytic
 from cvmb.inputs import (
+    MAX_R_STEPS,
+    MAX_SAMPLES,
+    check_count,
     check_integer,
     check_photons,
     check_real,
@@ -72,6 +75,9 @@ class SweepSpec:
         """This spec with its numbers checked and converted to Python floats and ints.
 
         ``ValueError`` names the offending setting as its flag is spelled.
+        ``r_steps`` is at most ``cvmb.inputs.MAX_R_STEPS`` and ``samples`` at
+        most ``cvmb.inputs.MAX_SAMPLES``, so neither the grid nor a draw is
+        sized past them.
         """
         photons = check_photons("photons", self.photons)
         r_min = check_squeezing("r-min", self.r_min, photons)
@@ -82,10 +88,10 @@ class SweepSpec:
             check_two_mode_r("r-min", r_min, photons)
         if r_min > r_max:
             raise ValueError("r-min must not exceed r-max")
-        r_steps = check_integer("r-steps", self.r_steps)
+        r_steps = check_count("r-steps", self.r_steps, MAX_R_STEPS)
         if r_steps < 1:
             raise ValueError("r-steps must be at least 1")
-        samples = check_integer("samples", self.samples)
+        samples = check_count("samples", self.samples, MAX_SAMPLES)
         if samples < 0:
             raise ValueError("samples must be non-negative")
         return replace(self, r_min=r_min, r_max=r_max, r_steps=r_steps, photons=photons,

@@ -35,7 +35,7 @@ leaving free variables ordered ``(s1, k2, k1, s2)``, and
 scalar formula).  The analytic solver resolves the Karush-Kuhn-Tucker case
 analysis of this non-smooth problem, which gives ``4 exp(-2|r|)``.
 
-The numeric solver, :func:`solve_numeric`, checks that result
+The numeric solver, :func:`solve_numeric`, checks the two-mode result
 independently.  It solves the Lagrangian dual of the eliminated problem
 exactly: ``f + 2|g| = max_{|t| <= 1} y^T (I + t S) y`` is convex in the
 eight components y for each t, so the bound is ``max_t phi(t)`` (Holevo
@@ -327,16 +327,12 @@ def holevo_value(z: np.ndarray) -> float:
     return float(np.trace(z.real) + abs(z.imag[0, 1] - z.imag[1, 0]))
 
 
-def assemble_x_operators(
-    problem: HolevoProblem,
-    w: np.ndarray,
-    blocks: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def assemble_x_operators(problem: HolevoProblem, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Build the full Hermitian X_1, X_2 in the orthonormal basis.
 
-    Row/column 0 carries the W components (with ``<e_0|X_j|e_0> = 0``);
-    ``blocks`` optionally fills the remaining Hermitian block on the
-    derivative subspace, which does not enter Z for a pure state.
+    Row/column 0 carries the W components (with ``<e_0|X_j|e_0> = 0``).
+    The block on the derivative subspace does not enter Z for a pure state
+    and is left zero.
     """
     bd = problem.basis_dim
     ops = []
@@ -344,13 +340,6 @@ def assemble_x_operators(
         x = np.zeros((bd, bd), dtype=complex)
         x[0, 1:] = w[j]
         x[1:, 0] = w[j].conj()
-        if blocks is not None:
-            block = np.asarray(blocks[j], dtype=complex)
-            if block.shape != (bd - 1, bd - 1):
-                raise ValueError("block shape must match the derivative subspace")
-            if np.max(np.abs(block - block.conj().T)) > GRAM_TOL:
-                raise ValueError("blocks must be Hermitian")
-            x[1:, 1:] = block
         ops.append(x)
     return ops[0], ops[1]
 
@@ -363,17 +352,11 @@ def constraint_residual(problem: HolevoProblem, w: np.ndarray) -> float:
     return float(np.max(np.abs(a @ x - b)))
 
 
-def _pinned_single_solution(r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Single-mode probes leave no freedom: the constraints pin W entirely."""
-    x = np.array([np.exp(-r), 0.0, 0.0, -np.exp(r)])
-    return x, components_to_w(x, 2)
-
-
 def solve_analytic(probe_kind: str, r: float) -> HolevoSolution:
     """Closed-form Holevo bound from the KKT case analysis.
 
-    * single: the constraints fix everything; bound ``2 + 2 cosh 2r`` with
-      ``Z = [[e^-2r, i], [-i, e^2r]]``.
+    * single: the constraints fix everything, ``x = (e^-r, 0, 0, -e^r)``;
+      bound ``2 + 2 cosh 2r`` with ``Z = [[e^-2r, i], [-i, e^2r]]``.
     * two_mode: the only KKT point that survives the case analysis (see
       :func:`kkt_case_audit`) sits on the g = 0 boundary at
       ``s1 = k2 = sign(r) e^-|r|``, ``k1 = s2 = 0``; bound ``4 exp(-2|r|)``
@@ -391,7 +374,7 @@ def solve_analytic(probe_kind: str, r: float) -> HolevoSolution:
     """
     r = check_squeezing("r", r, 0.0)
     if probe_kind == "single":
-        x, w = _pinned_single_solution(r)
+        x = np.array([np.exp(-r), 0.0, 0.0, -np.exp(r)])
         z = np.array(
             [[np.exp(-2.0 * r), 1.0j], [-1.0j, np.exp(2.0 * r)]], dtype=complex
         )
@@ -545,29 +528,28 @@ def _two_mode_dual(problem: HolevoProblem) -> HolevoSolution:
 
 
 def solve_numeric(problem: HolevoProblem) -> HolevoSolution:
-    """Minimize the Holevo objective numerically, independently of the KKT analysis.
+    """Minimize the two-mode Holevo objective numerically, independently of the KKT analysis.
 
-    Single-mode probes leave no free variables: the constraints pin the
-    solution.  The two-mode problem is solved exactly through its
-    Lagrangian dual: one factorization of the dual's matrix pencil per
-    solve, then bisection on the multiplier t in (-1, 1) by the sign of the
-    closed-form slope (see :func:`_two_mode_dual`); its diagnostics report
-    ``t``, ``g`` (``Im Z[1, 0]`` at the minimizer) and ``duality_gap``.
-    Every solve reports ``constraint_residual``.  The Hermitian blocks of
-    the X operators on the derivative subspace do not enter Z for a pure
-    state, so the solve does not carry them.
+    The problem is solved exactly through its Lagrangian dual: one
+    factorization of the dual's matrix pencil per solve, then bisection on
+    the multiplier t in (-1, 1) by the sign of the closed-form slope (see
+    :func:`_two_mode_dual`).  The diagnostics report ``t``, ``g``
+    (``Im Z[1, 0]`` at the minimizer), ``duality_gap`` and
+    ``constraint_residual``.  The Hermitian blocks of the X operators on
+    the derivative subspace do not enter Z for a pure state, so the solve
+    does not carry them.
 
     Raises:
+        ValueError: the problem is single-mode, where the constraints leave
+            no free variable; :func:`solve_analytic` states its solution.
         ConvergenceError: the dual solve left a duality gap above 1e-12 of
             the bound, and the error's ``best`` attribute carries the point
             found; or the slope of the dual was not finite.
     """
-    if problem.kind == "two_mode":
-        return _two_mode_dual(problem)
-    x, w = _pinned_single_solution(problem.r)
-    z = z_matrix(w)
-    return HolevoSolution(holevo_value(z), x, z, "numeric",
-                          {"constraint_residual": constraint_residual(problem, w)})
+    if problem.kind != "two_mode":
+        raise ValueError(f"a {problem.kind!r} problem has no free variables to solve for; "
+                         "solve_analytic states its solution")
+    return _two_mode_dual(problem)
 
 
 def minimize(*args, **kwargs):

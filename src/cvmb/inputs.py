@@ -8,13 +8,17 @@ closed forms accept ``|r| <= squeezing_limit(N)``: the largest of them,
 beyond it.  At N = 0 the limit is ``MAX_SQUEEZING`` (about 354.9).  The
 two-mode dual-homodyne MSE ``(8N + 4) exp(-2r)``, at N = 0 also the Holevo
 bound, is four times larger at negative r and needs
-``r >= two_mode_min_r(N)`` (about -354.2 at N = 0).  Each of these rules,
-and the type rules below them, is written once, in a check function here
-that names the setting, converts the value and raises ``ValueError`` otherwise:
-``check_real`` (a finite real, not a ``bool``, returned as a Python float,
-so NumPy scalars compute exactly as the equal Python number),
-``check_integer``, ``check_photons`` (``0 <= N <= MAX_PHOTONS``),
-``check_squeezing`` (``|r| <= squeezing_limit(N)``), ``check_two_mode_r``
+``r >= two_mode_min_r(N)`` (about -354.2 at N = 0).  A simulation draws at
+most ``MAX_SAMPLES`` (2**32) shots per config, 65,536 batches whose sums
+take about 16 MB, and a sweep has at most ``MAX_R_STEPS`` (10**5) rows;
+both caps are checked before any grid is built or any shot drawn.  Each of
+these rules, and the type rules below them, is written once, in a check
+function here that names the setting, converts the value and raises
+``ValueError`` otherwise: ``check_real`` (a finite real, not a ``bool``,
+returned as a Python float, so NumPy scalars compute exactly as the equal
+Python number), ``check_integer``, ``check_count`` (an integer at most a
+cap), ``check_photons`` (``0 <= N <= MAX_PHOTONS``), ``check_squeezing``
+(``|r| <= squeezing_limit(N)``), ``check_two_mode_r``
 (``r >= two_mode_min_r(N)``), ``check_seed`` (64-bit unsigned),
 ``check_mode`` (an index of one of m modes) and ``check_real_array`` (an
 integer or float array, as floats).  Every entry point of the package that
@@ -36,10 +40,13 @@ import numpy as np
 __all__ = [
     "MAX_PHOTONS",
     "MAX_SQUEEZING",
+    "MAX_SAMPLES",
+    "MAX_R_STEPS",
     "squeezing_limit",
     "two_mode_min_r",
     "check_real",
     "check_integer",
+    "check_count",
     "check_photons",
     "check_squeezing",
     "check_two_mode_r",
@@ -49,6 +56,8 @@ __all__ = [
 ]
 
 MAX_PHOTONS = 1e100
+MAX_SAMPLES = 2 ** 32
+MAX_R_STEPS = 10 ** 5
 
 _LN_DBL_MAX = math.log(sys.float_info.max)
 # keeps the rounding of r, 2r and cosh 2r from overflowing at the very edge
@@ -97,6 +106,14 @@ def check_integer(name: str, value) -> int:
     if not isinstance(value, (int, numbers.Integral)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_count(name: str, value, limit: int) -> int:
+    """A count as an int, checked for ``count <= limit``."""
+    count = check_integer(name, value)
+    if count > limit:
+        raise ValueError(f"{name} = {count} is above the limit {limit}")
+    return count
 
 
 def check_photons(name: str, value) -> float:

@@ -44,7 +44,14 @@ import numpy as np
 
 from cvmb.bounds import two_mode_probe
 from cvmb.gaussian import apply, beam_splitter, displace
-from cvmb.inputs import check_integer, check_photons, check_real, check_seed
+from cvmb.inputs import (
+    MAX_SAMPLES,
+    check_count,
+    check_integer,
+    check_photons,
+    check_real,
+    check_seed,
+)
 
 __all__ = [
     "SIMULATE_MAX_SQUEEZING",
@@ -59,6 +66,8 @@ __all__ = [
 ]
 
 _WORDS_PER_TICK = 4  # Philox advances its counter in 4-word blocks
+# each shot draws two standard normals, one per entry of the (Q_out0, P_out1) pair
+_WORDS_PER_SHOT = 2
 _MIN_UNIFORM = 2.0 ** -53  # guard against ndtri(0) = -inf
 
 # Squeezing accepted by SimConfig (34.7 dB).  The outcome covariance
@@ -78,7 +87,7 @@ def _check_simulate_r(value) -> float:
     return r
 
 
-# shots per accumulation batch; even, so that at 2 words per shot every
+# shots per accumulation batch; even, so that at _WORDS_PER_SHOT = 2 every
 # batch starts on a Philox counter tick
 BATCH_SIZE = 65536
 
@@ -103,8 +112,9 @@ def derive_seed(seed: int, index: int) -> int:
 class SimConfig:
     """Settings for one simulation run.
 
-    ``|r|`` is at most ``SIMULATE_MAX_SQUEEZING`` and ``photons`` at most
-    ``cvmb.inputs.MAX_PHOTONS``; ``theta_true`` is a pair of finite reals;
+    ``|r|`` is at most ``SIMULATE_MAX_SQUEEZING``, ``photons`` at most
+    ``cvmb.inputs.MAX_PHOTONS`` and ``samples`` at most
+    ``cvmb.inputs.MAX_SAMPLES``; ``theta_true`` is a pair of finite reals;
     ``mode="two_stage"`` needs at least 4 samples.  The numbers are checked
     and converted by the check functions of :mod:`cvmb.inputs`, so they are
     stored as Python floats and ints.
@@ -120,7 +130,7 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "r", _check_simulate_r(self.r))
         object.__setattr__(self, "photons", check_photons("photons", self.photons))
-        object.__setattr__(self, "samples", check_integer("samples", self.samples))
+        object.__setattr__(self, "samples", check_count("samples", self.samples, MAX_SAMPLES))
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         object.__setattr__(self, "seed", check_seed("seed", self.seed))
@@ -208,19 +218,19 @@ def ndtri(*args, **kwargs):
     return scipy_ndtri(*args, **kwargs)
 
 
-def _shot_normals(key: int, start: int, count: int, words_per_shot: int) -> np.ndarray:
-    """Standard normals for shots [start, start + count), shot-indexed.
+def _shot_normals(key: int, start: int, count: int) -> np.ndarray:
+    """Standard normals for shots [start, start + count), shot-indexed, shape (count, 2).
 
-    Each shot consumes exactly ``words_per_shot`` 64-bit words; ``start``
+    Each shot consumes exactly ``_WORDS_PER_SHOT`` 64-bit words; ``start``
     must land on a 4-word counter tick.
     """
     from numpy.random import Generator, Philox
 
-    offset = start * words_per_shot
+    offset = start * _WORDS_PER_SHOT
     if offset % _WORDS_PER_TICK:
         raise ValueError("batch start is not aligned to the Philox counter")
     gen = Generator(Philox(key=key).advance(offset // _WORDS_PER_TICK))
-    u = gen.random((count, words_per_shot))
+    u = gen.random((count, _WORDS_PER_SHOT))
     np.maximum(u, _MIN_UNIFORM, out=u)
     return ndtri(u, out=u)
 
@@ -349,7 +359,7 @@ def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[lis
             # no reference to the draws outlives the call, so the next
             # batch's draws can take their freed memory
             sums[j][b] = accumulate_affine_moments(
-                _shot_normals(key, s, min(BATCH_SIZE, count - s), transform.shape[1]),
+                _shot_normals(key, s, min(BATCH_SIZE, count - s)),
                 transform, offset, scratch=scratch)
 
     if workers == 1:

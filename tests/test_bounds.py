@@ -28,7 +28,14 @@ from cvmb.gaussian import (
     symplectic_form,
     two_mode_squeezer,
 )
-from cvmb.holevo import build_problem, holevo_value, solve_analytic, solve_numeric
+from cvmb.holevo import (
+    build_problem,
+    components_to_w,
+    holevo_value,
+    solve_analytic,
+    solve_numeric,
+    z_matrix,
+)
 from cvmb.inputs import MAX_PHOTONS, MAX_SQUEEZING, squeezing_limit, two_mode_min_r
 from cvmb.simulate import outcome_distribution
 
@@ -424,9 +431,11 @@ class TestResultType:
                         cvmb.bounds._moment_bound(bare, t)
                     holevo_bound(bare)
         assert len(checked) == 2 * 8 * 5 * (4 + 80)
-        for kind in ("single", "two_mode"):
-            for r in np.linspace(-3.0, 3.0, 121):
-                z = solve_numeric(build_problem(kind, r)).z_matrix
+        for r in np.linspace(-3.0, 3.0, 121):
+            # the single-mode Z = W W^H of the x that the constraints pin
+            single = z_matrix(components_to_w(solve_analytic("single", r).minimizer, 2))
+            for kind, z in (("single", single),
+                            ("two_mode", solve_numeric(build_problem("two_mode", r)).z_matrix)):
                 assert close(holevo_value(z), svd_value(z)), (kind, r)
 
     def test_jacobian_columns(self):

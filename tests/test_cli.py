@@ -5,6 +5,7 @@ import pytest
 
 from cvmb import cli, holevo
 from cvmb.bounds import closed_form_bounds
+from cvmb.inputs import MAX_R_STEPS, MAX_SAMPLES
 
 
 def read_rows(path):
@@ -280,6 +281,30 @@ class TestConfigResolution:
         monkeypatch.setattr(cli, "run_many", no_run)
         assert cli.main(["simulate", "--samples", "1000000", "--r-max", "5"]) == cli.USAGE_ERROR
         assert "r = 4.33333 is outside the simulate limit" in capsys.readouterr().err
+
+    def test_count_caps_checked_before_grid_and_sampling(self, monkeypatch, capsys):
+        # a count past its cap once allocated a list, or a grid, of that size
+        # before the first draw, or overflowed len(range(...)) in the sampler
+        def no_grid(spec):
+            raise AssertionError(f"grid of {spec.r_steps} rows built")
+
+        def no_run(configs):
+            raise AssertionError(f"{len(configs)} rows sampled")
+
+        monkeypatch.setattr(cli.SweepSpec, "r_grid", no_grid)
+        monkeypatch.setattr(cli, "run_many", no_run)
+        huge = "1" + "0" * 30
+        for argv, message in [
+            (["simulate", "--samples", str(MAX_SAMPLES + 1), "--r-steps", "1"],
+             f"samples = {MAX_SAMPLES + 1} is above the limit {MAX_SAMPLES}"),
+            (["simulate", "--samples", huge, "--r-steps", "1"],
+             f"samples = {huge} is above the limit {MAX_SAMPLES}"),
+            (["bounds", "--r-steps", str(MAX_R_STEPS + 1)],
+             f"r-steps = {MAX_R_STEPS + 1} is above the limit {MAX_R_STEPS}"),
+            (["bounds", "--r-steps", huge], f"r-steps = {huge} is above the limit {MAX_R_STEPS}"),
+        ]:
+            assert cli.main(argv) == cli.USAGE_ERROR
+            assert capsys.readouterr().err == f"cvmb: error: {message}\n"
 
     def test_usage_error_on_negative_steps(self):
         assert cli.main(["bounds", "--r-steps", "0"]) == cli.USAGE_ERROR

@@ -129,7 +129,11 @@ class TestProblem:
         problem = HolevoProblem(kind, 0.5)
         assert problem.psi_coords.shape == shape
         assert not problem.psi_coords.flags.writeable
-        assert solve_numeric(problem).diagnostics["constraint_residual"] < 1e-12
+        if kind == "single":  # the constraints pin the solution; solve_analytic states it
+            w = components_to_w(solve_analytic(kind, 0.5).minimizer, 2)
+            assert constraint_residual(problem, w) < 1e-12
+        else:
+            assert solve_numeric(problem).diagnostics["constraint_residual"] < 1e-12
 
     @pytest.mark.parametrize("kind", ["single", "two_mode"])
     @pytest.mark.parametrize("r", [5.2, 5.6, 20.0, MAX_SQUEEZING])
@@ -308,11 +312,10 @@ class TestOperatorOracle:
         w = components_to_w(eliminate_two_mode(rng.uniform(-2, 2, 4), r), 3)
         rho = np.zeros((3, 3), dtype=complex)
         rho[0, 0] = 1.0
-        blocks = []
-        for _ in range(2):
+        x1, x2 = assemble_x_operators(problem, w)
+        for x in (x1, x2):
             raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            blocks.append(raw + raw.conj().T)
-        x1, x2 = assemble_x_operators(problem, w, blocks=tuple(blocks))
+            x[1:, 1:] += raw + raw.conj().T
         z_ref = np.array([[np.trace(rho @ a @ b) for b in (x1, x2)] for a in (x1, x2)])
         assert np.max(np.abs(z_ref - z_matrix(w))) < 1e-12
 
@@ -441,9 +444,13 @@ class TestNumericSolver:
         assert sol.diagnostics["constraint_residual"] < 1e-10
 
     def test_single_mode_numeric(self):
+        # no free variables to solve for: the numeric checks of the
+        # single-mode bound are holevo_bound's moment route and the grid below
         r = 0.7
+        with pytest.raises(ValueError, match="'single' problem has no free variables"):
+            solve_numeric(build_problem("single", r))
         want = 2 + 2 * np.cosh(1.4)
-        assert abs(solve_numeric(build_problem("single", r)).bound - want) < 1e-6
+        assert abs(solve_analytic("single", r).bound - want) < 1e-6
         assert abs(holevo_bound(DisplacementModel(single_mode_probe(r))).value - want) < 1e-6
 
     def test_deterministic_for_fixed_seed(self):
@@ -474,15 +481,15 @@ class TestNumericSolver:
 
     @pytest.mark.parametrize("r", sorted({v for r in DUAL_GRID for v in (r, -r)}))
     def test_single_mode_pinned_on_grid(self, r):
+        # the constraints pin every component: solve_analytic's x meets them,
+        # and its Z = W W^H gives its bound
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol = solve_numeric(build_problem("single", r))
-        analytic = solve_analytic("single", r)
-        want = analytic.bound
-        assert abs(sol.bound - want) <= 1e-12 * want
-        assert sol.diagnostics["constraint_residual"] <= 1e-12
-        # the constraints pin every component, so both solvers return the same x
-        assert np.array_equal(sol.minimizer, analytic.minimizer)
+            analytic = solve_analytic("single", r)
+            w = components_to_w(analytic.minimizer, 2)
+            assert constraint_residual(build_problem("single", r), w) <= 1e-12
+            value = holevo_value(z_matrix(w))
+        assert abs(value - analytic.bound) <= 1e-12 * analytic.bound
 
     @pytest.mark.parametrize("r", sorted({v for r in DUAL_GRID for v in (r, -r)}))
     @pytest.mark.parametrize("kind", ["single", "two_mode"])
@@ -491,8 +498,9 @@ class TestNumericSolver:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = holevo_bound(DisplacementModel(probe)).value
-            dual = solve_numeric(build_problem(kind, r)).bound
-        assert abs(value - dual) <= 1e-12 * dual
+            if kind == "two_mode":
+                dual = solve_numeric(build_problem(kind, r)).bound
+                assert abs(value - dual) <= 1e-12 * dual
         # the two-mode solve_analytic stops at two_mode_min_r(0), above -MAX_SQUEEZING
         if kind == "single" or r >= two_mode_min_r(0.0):
             want = solve_analytic(kind, r).bound
@@ -571,9 +579,9 @@ class TestLazyOptimizerImport:
             "assert not scipy_loaded(), ('loaded at import', scipy_loaded())\n"
             f"assert cvmb.cli.main(['bounds', '--out', {out!r}]) == 0\n"
             f"assert cvmb.cli.main(['figure1', '--out', {out!r}]) == 0\n"
-            "from cvmb.holevo import build_problem, solve_numeric\n"
+            "from cvmb.holevo import build_problem, solve_analytic, solve_numeric\n"
             "solve_numeric(build_problem('two_mode', 0.5))\n"
-            "solve_numeric(build_problem('single', 0.5))\n"
+            "solve_analytic('single', 0.5)\n"
             "from cvmb.bounds import DisplacementModel, single_mode_probe, two_mode_probe\n"
             "cvmb.holevo_bound(DisplacementModel(two_mode_probe(0.5, 0.1)))\n"
             "cvmb.holevo_bound(DisplacementModel(single_mode_probe(0.5)))\n"

@@ -38,7 +38,6 @@ from cvmb.gaussian import (
 from cvmb.holevo import (
     HolevoProblem,
     HolevoSolution,
-    assemble_x_operators,
     build_problem,
     components_to_w,
     gram_single_mode,
@@ -46,8 +45,16 @@ from cvmb.holevo import (
     holevo_value,
     kkt_case_audit,
     solve_analytic,
+    solve_numeric,
 )
-from cvmb.inputs import MAX_SQUEEZING, check_real, squeezing_limit, two_mode_min_r
+from cvmb.inputs import (
+    MAX_R_STEPS,
+    MAX_SAMPLES,
+    MAX_SQUEEZING,
+    check_real,
+    squeezing_limit,
+    two_mode_min_r,
+)
 from cvmb.simulate import SimConfig, derive_seed
 
 BAD_VALUES = [True, math.nan, math.inf, -math.inf, "0.1", None]
@@ -163,12 +170,12 @@ PAST_DOMAIN = [
     ("components_to_w.size", lambda: components_to_w(np.zeros(3), 2)),
     # trabs(Im Z) is read off the two off-diagonal entries of a 2 x 2 z
     ("holevo_value.z.shape", lambda: holevo_value(np.eye(3))),
-    ("assemble_x_operators.block_shape",
-     lambda: assemble_x_operators(build_problem("two_mode", 0.5), np.zeros((2, 2)),
-                                  blocks=(np.eye(3), np.eye(3)))),
-    ("assemble_x_operators.non_hermitian",
-     lambda: assemble_x_operators(build_problem("two_mode", 0.5), np.zeros((2, 2)),
-                                  blocks=(np.triu(np.ones((2, 2))), np.eye(2)))),
+    # a single-mode problem has no free variables; solve_analytic states its solution
+    ("solve_numeric.single", lambda: solve_numeric(build_problem("single", 0.5))),
+    # the count caps, checked where the counts enter: before any draw or grid
+    ("SimConfig.samples.cap", lambda: SimConfig(r=0.1, photons=0.0, samples=MAX_SAMPLES + 1)),
+    ("SweepSpec.samples.cap", lambda: cli.SweepSpec(samples=MAX_SAMPLES + 1).validate()),
+    ("SweepSpec.r_steps.cap", lambda: cli.SweepSpec(r_steps=MAX_R_STEPS + 1).validate()),
     ("solve_analytic.kind", lambda: solve_analytic("three_mode", 0.1)),
     ("closed_form_holevo.kind", lambda: closed_form_holevo(0.1, 0.0, "three_mode")),
     # the empty mixed two-mode field keeps the domain of the V_DH field beside it
@@ -210,9 +217,22 @@ def test_past_domain_raises_value_error(call):
 def test_array_and_model_errors_name_their_argument():
     for name, call in PAST_DOMAIN:
         if name.startswith(("classical_fisher_gaussian.", "DisplacementModel.probe.",
-                            "holevo_value.")):
+                            "holevo_value.", "solve_numeric.")):
             with pytest.raises(ValueError, match=name.split(".")[1]):
                 call()
+
+
+def test_count_caps():
+    # the caps themselves are accepted, with nothing drawn and no grid built
+    config = SimConfig(r=0.1, photons=0.0, samples=np.int64(MAX_SAMPLES))
+    assert type(config.samples) is int and config.samples == MAX_SAMPLES
+    spec = cli.SweepSpec(r_steps=MAX_R_STEPS, samples=MAX_SAMPLES).validate()
+    assert (spec.r_steps, spec.samples) == (MAX_R_STEPS, MAX_SAMPLES)
+    for name, setting, cap in [("SimConfig.samples.cap", "samples", MAX_SAMPLES),
+                               ("SweepSpec.samples.cap", "samples", MAX_SAMPLES),
+                               ("SweepSpec.r_steps.cap", "r-steps", MAX_R_STEPS)]:
+        with pytest.raises(ValueError, match=f"^{setting} = {cap + 1} is above the limit {cap}$"):
+            dict(PAST_DOMAIN)[name]()
 
 
 def test_domain_edges_are_accepted():

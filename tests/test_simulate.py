@@ -140,7 +140,7 @@ class TestRun:
     def test_unaligned_batch_start_rejected(self, monkeypatch):
         # shot 1 at 2 words per shot starts mid-way through a counter tick
         with pytest.raises(ValueError, match="not aligned to the Philox counter"):
-            cvmb.simulate._shot_normals(1, 1, 10, 2)
+            cvmb.simulate._shot_normals(1, 1, 10)
         monkeypatch.setattr(cvmb.simulate, "BATCH_SIZE", 3)
         with pytest.raises(ValueError, match="not aligned to the Philox counter"):
             run(SimConfig(r=0.1, photons=0.0, samples=10, seed=1))
@@ -328,7 +328,7 @@ class TestWorkerCount:
         configs = [self.CONFIG, dataclasses.replace(self.CONFIG, seed=100)]
         expected = [self.fields(run(config)) for config in configs]
         total = 2 * 25
-        first = cvmb.simulate._shot_normals(self.CONFIG.seed, 0, self.BATCH, 2)
+        first = cvmb.simulate._shot_normals(self.CONFIG.seed, 0, self.BATCH)
         kernel = cvmb.simulate.accumulate_affine_moments
         finished = []
 
@@ -369,7 +369,7 @@ class TestWorkerCount:
 
     def test_out_of_order_completion(self, monkeypatch):
         # batch 0 finishes last: its sums must still be combined first
-        first = cvmb.simulate._shot_normals(self.CONFIG.seed, 0, self.BATCH, 2)
+        first = cvmb.simulate._shot_normals(self.CONFIG.seed, 0, self.BATCH)
         kernel = cvmb.simulate.accumulate_affine_moments
         finished = []
 
