@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 usage error, 2 statistical gate failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -43,7 +44,8 @@ from cvmb.simulate import SimConfig, derive_seed, run_many
 from cvmb.holevo import solve_analytic  # noqa: F401
 from cvmb.simulate import run  # noqa: F401
 
-__all__ = ["SweepSpec", "BoundSweepRow", "sweep_rows", "rows_to_csv", "gate_failures", "main"]
+__all__ = ["SweepSpec", "BoundSweepRow", "sweep_rows", "rows_to_csv", "gate_failures", "main",
+           "console_main"]
 
 CSV_HEADER = "r,N,C_S,C_R,C_H,V_DH,V_DH_emp,V_DH_se"
 
@@ -338,5 +340,18 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
 
 
+def console_main():
+    """Run :func:`main` on ``sys.argv`` and exit the process with its code.
+
+    The entry of the ``cvmb`` script and of ``python -m cvmb.cli``.  It
+    freezes the garbage collector before exiting, so the interpreter's
+    final collections skip the objects the imports made.  atexit handlers
+    still run and stdout and stderr are still flushed.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

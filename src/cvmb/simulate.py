@@ -19,12 +19,15 @@ generated independently.  One call (``run``, or ``run_many`` over several
 configs) puts the batches of all its configs in one queue: threads across
 the usable CPUs take them one at a time as they come free, each reusing
 its own kernel scratch, and go on from one config's last batch to the
-next config's first.  Each config's batch sums are combined in its own
-batch-index order.  Results do not depend on the worker count, on which
-thread ran which batch, or on which other configs shared the call.
-Batches hold ``BATCH_SIZE`` shots; another batch size would change
-nothing but the grouping of the compensated sums, i.e. results would
-move at most at the level of floating-point rounding.
+next config's first.  Each batch's sums are added to its config's
+compensated total as the batch finishes, in the config's batch-index
+order; a batch that finishes before an earlier one of its config waits
+for it.  Results do not depend on the worker count, on which thread ran
+which batch, or on which other configs shared the call, and the memory
+a call holds does not grow with its shot count.  Batches hold
+``BATCH_SIZE`` shots; another batch size would change nothing but the
+grouping of the compensated sums, i.e. results would move at most at the
+level of floating-point rounding.
 
 Neither ``numpy.random`` nor ``scipy.special`` is imported with this
 module: the bit generators load on the first sampling call or derived
@@ -89,7 +92,7 @@ def _check_simulate_r(value) -> float:
 
 # shots per accumulation batch; even, so that at _WORDS_PER_SHOT = 2 every
 # batch starts on a Philox counter tick
-BATCH_SIZE = 65536
+BATCH_SIZE = 32768
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -331,9 +334,12 @@ def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[lis
     threads) take ``(job, batch)`` pairs one at a time, under a lock, from
     one shared iterator over all jobs in order, each with one kernel scratch
     for the whole call, so a worker that finishes one job's last batch goes
-    straight on to the next job.  Each job's batch sums are combined in
-    batch-index order, so the results depend neither on W nor on which
-    worker ran which batch.  Every batch draws into a fresh array, so a
+    straight on to the next job.  Under the same lock, a worker adds each
+    batch's sums to its job's total as the batch finishes, in batch-index
+    order: sums that finish before an earlier batch of their job wait until
+    it is added.  So the results depend neither on W nor on which worker ran
+    which batch, and no sums are kept per batch: only those waiting for an
+    earlier batch still running.  Every batch draws into a fresh array, so a
     wrapped kernel may keep its ``z``.
     """
     # load NumPy's bit generators and SciPy's ndtri here, before any worker
@@ -346,19 +352,30 @@ def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[lis
     size = min(BATCH_SIZE, max(count for _, count, _, _ in jobs))
     batches = ((j, b, s) for j, job_starts in enumerate(starts) for b, s in enumerate(job_starts))
     lock = threading.Lock()
-    sums: list[list[tuple | None]] = [[None] * len(job_starts) for job_starts in starts]
+    totals = [_KahanSums(6) for _ in jobs]
+    added = [0] * len(jobs)  # per job, the index of the next batch its total takes
+    waiting: dict[tuple[int, int], tuple] = {}  # finished batches whose turn has not come
+
+    def combine(j, b, batch_sums):
+        waiting[j, b] = batch_sums
+        while (j, added[j]) in waiting:
+            totals[j].add(waiting.pop((j, added[j])))
+            added[j] += 1
 
     def work():
         scratch = (np.empty((2, size)), np.empty(size))
+        done = None
         while True:
             with lock:
+                if done is not None:
+                    combine(*done)
                 j, b, s = next(batches, (None, None, None))
             if j is None:
                 return
             key, count, transform, offset = jobs[j]
             # no reference to the draws outlives the call, so the next
             # batch's draws can take their freed memory
-            sums[j][b] = accumulate_affine_moments(
+            done = j, b, accumulate_affine_moments(
                 _shot_normals(key, s, min(BATCH_SIZE, count - s)),
                 transform, offset, scratch=scratch)
 
@@ -370,13 +387,7 @@ def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[lis
             work()
             for f in futures:
                 f.result()
-    totals = []
-    for job_sums in sums:
-        agg = _KahanSums(6)
-        for batch_sums in job_sums:
-            agg.add(batch_sums)
-        totals.append(agg.total)
-    return totals
+    return [agg.total for agg in totals]
 
 
 def _second_moment_stats(sums: list[float], n: int) -> tuple[float, np.ndarray, float, np.ndarray]:

@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvmb
 from cvmb import cli, holevo
 from cvmb.bounds import closed_form_bounds
 from cvmb.inputs import MAX_R_STEPS, MAX_SAMPLES
@@ -130,7 +135,7 @@ class TestSimulateCommand:
 
     def test_output_pinned_across_versions(self, tmp_path):
         # digest of the single-threaded sampler's output, so a change in
-        # how batches are split or combined shows; four batches per row, the
+        # how batches are split or combined shows; seven batches per row, the
         # last one partial.  NumPy 2.4 / SciPy 1.17 on x86-64 Linux; another
         # libm may round ndtri differently.
         out = tmp_path / "pin.csv"
@@ -176,6 +181,40 @@ class TestSimulateCommand:
         no_sim = cli.BoundSweepRow(0.0, 0.0, 1.0, 1.0, None, 4.0)
         assert cli.gate_failures([good, bad, no_sim]) == [bad]
 
+
+class TestModuleEntry:
+    """``python -m cvmb.cli``, the entry the benchmark starts, run in a fresh process."""
+
+    @staticmethod
+    def run_module(*args):
+        src = str(Path(cvmb.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "cvmb.cli", *args], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=60)
+
+    def test_bounds_output_equals_in_process(self, tmp_path):
+        out = tmp_path / "bounds.csv"
+        assert cli.main(["bounds", "--r-steps", "2", "--out", str(out)]) == 0
+        proc = self.run_module("bounds", "--r-steps", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out.read_bytes()
+
+    def test_usage_error_exits_1_without_traceback(self):
+        proc = self.run_module("bounds", "--photons", "nan")
+        assert proc.returncode == cli.USAGE_ERROR
+        assert b"cvmb: error:" in proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+    def test_console_main_freezes_then_exits_with_main_code(self, monkeypatch, capsys):
+        # in-process, with the freeze stubbed so the test run's collector keeps working
+        frozen = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(True))
+        monkeypatch.setattr(sys, "argv", ["cvmb", "bounds", "--photons", "nan"])
+        with pytest.raises(SystemExit) as exc:
+            cli.console_main()
+        assert exc.value.code == cli.USAGE_ERROR
+        assert frozen == [True]
+        assert "cvmb: error:" in capsys.readouterr().err
 
 class TestFigure1Command:
     def test_outputs(self, tmp_path):

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -426,3 +427,23 @@ class TestWorkerCount:
         self.force_workers(monkeypatch, 2)
         with pytest.raises(FloatingPointError, match="worker failed"):
             run(self.CONFIG)
+
+    def test_memory_does_not_grow_with_batch_count(self, monkeypatch):
+        # 20,000 batches on 2 workers: the sums held while they run must not
+        # grow with the batch count (each stubbed batch returns a fresh tuple)
+        import numpy.random  # noqa: F401  (loaded before tracing starts)
+        import scipy.special  # noqa: F401
+
+        monkeypatch.setattr(cvmb.simulate, "BATCH_SIZE", 2)
+        monkeypatch.setattr(cvmb.simulate, "_shot_normals", lambda key, start, count: None)
+        monkeypatch.setattr(cvmb.simulate, "accumulate_affine_moments",
+                            lambda z, a, c, scratch: tuple([1.0] * 6))
+        self.force_workers(monkeypatch, 2)
+        tracemalloc.start()
+        try:
+            totals = cvmb.simulate._accumulate([(0, 40_000, None, None)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert totals == [[20_000.0] * 6]
+        assert peak < 0.5e6, f"tracemalloc peak {peak} bytes"
