@@ -41,9 +41,10 @@ exactly: ``f + 2|g| = max_{|t| <= 1} y^T (I + t S) y`` is convex in the
 eight components y for each t, so the bound is ``max_t phi(t)`` (Holevo
 1982, ch. 6; Suzuki, J. Math. Phys. 57, 042201 (2016)).  The 4 x 4 pencil
 of the inner minimization is diagonalized once per solve, so a bisection
-on t finds the maximum from the closed-form slope of phi, and the duality
-gap between the recovered primal point and the best ``phi`` certifies
-it.  The same maximum over t, read in the moment picture, is
+on t finds the maximum from the closed-form slope of phi.  The primal
+point is the minimizer at the lower-valued bracket end, and the duality
+gap between its value and the best ``phi`` certifies the bound.  The same
+maximum over t, read in the moment picture, is
 ``cvmb.bounds.holevo_bound``, which the tests hold both solvers to.
 
 Both solvers evaluate at reference point zero only.  A displacement
@@ -460,26 +461,46 @@ def _dual_pencil(r: float):
     return slope, point
 
 
-def _two_mode_dual(problem: HolevoProblem) -> HolevoSolution:
-    """Solve the reduced two-mode problem through its Lagrangian dual.
+def solve_numeric(problem: HolevoProblem) -> HolevoSolution:
+    """Minimize the two-mode Holevo objective numerically, independently of the KKT analysis.
 
-    For each t, ``phi(t) = min_x y^T (I + t S) y`` over the free variables
-    x, with ``y = E x + d`` the eliminated components.  As
+    The problem is solved exactly through its Lagrangian dual.  For each t,
+    ``phi(t) = min_x y^T (I + t S) y`` over the free variables x, with
+    ``y = E x + d`` the eliminated components.  As
     ``f + 2|g| = max_{|t| <= 1} (f + 2 t g)`` and ``f + 2 t g`` is convex
     in x for each such t, ``C_H = max_t phi(t)`` (Sion's minimax theorem).
     phi is concave with ``phi'(t) = 2 g(x(t))``, so its maximum is found by
     bisection on the sign of g.  The pencil ``m0 + t m1`` of the inner
     minimization is factored once per solve (:func:`_dual_pencil`); each
     bisection step then evaluates g in closed form on four scalars.  The
-    ends t = +-1 are never evaluated: the pencil is singular there.  A
-    slope that is not finite raises ``ConvergenceError``.
+    ends t = +-1 are never evaluated: the pencil is singular there.
 
-    The primal point is the zero of g on the segment between the
-    minimizers at the final bracket ends (g is quadratic along it), or the
-    minimizer at the one evaluated end when the bracket collapses onto
-    t = +-1, as it does at r = 0.  Its value exceeds the best phi seen by
-    the duality gap, which certifies the bound.
+    Every minimizer x(t) meets the constraints, so its value ``f + 2|g|``
+    bounds C_H from above, as each phi(t) bounds it from below.  At an end
+    of the final bracket the value exceeds phi there by ``2 (|g| - t g)``,
+    which vanishes with g.  g changes sign across the bracket, but where
+    t* nears -1, as it does for small |r|, it can differ by orders of
+    magnitude between the two ends (2.2e-7 and -4.4e-16 at r = 1e-9).  The
+    primal point is therefore the minimizer at the evaluated end with the
+    lower value; the bracket leaves one end where g was exactly 0 at a step
+    or where it collapsed onto t = +-1, as at r = 0.  The duality gap, that
+    value less the best phi seen, certifies the bound.
+
+    The diagnostics report ``t``, ``g`` (``Im Z[1, 0]`` at the minimizer),
+    ``duality_gap`` and ``constraint_residual``.  The Hermitian blocks of
+    the X operators on the derivative subspace do not enter Z for a pure
+    state, so the solve does not carry them.
+
+    Raises:
+        ValueError: the problem is single-mode, where the constraints leave
+            no free variable; :func:`solve_analytic` states its solution.
+        ConvergenceError: the dual solve left a duality gap above 1e-12 of
+            the bound, and the error's ``best`` attribute carries the point
+            found; or the slope of the dual was not finite.
     """
+    if problem.kind != "two_mode":
+        raise ValueError(f"a {problem.kind!r} problem has no free variables to solve for; "
+                         "solve_analytic states its solution")
     r = problem.r
     slope, point = _dual_pencil(r)
 
@@ -494,23 +515,8 @@ def _two_mode_dual(problem: HolevoProblem) -> HolevoSolution:
         if g <= 0:
             t_hi = t
 
-    # the minimizers at the evaluated bracket ends: one when g was exactly 0
-    # at a step or the bracket collapsed onto t = +-1
     ends = [point(t) for t in dict.fromkeys((t_lo, t_hi)) if -1.0 < t < 1.0]
-    if len(ends) == 1:
-        x = ends[0].x
-    else:
-        # g(x_lo + s (x_hi - x_lo)) = c0 + c1 s + c2 s^2 with c0 > 0 > c0 + c1 + c2,
-        # so this is its one root in (0, 1); scaling the coefficients to O(1)
-        # keeps them from underflowing at large |r|
-        lo, hi = ends
-        dy = hi.y - lo.y
-        c = np.array([lo.g, float(lo.y @ _G_FORM @ dy), 0.5 * float(dy @ _G_FORM @ dy)])
-        c0, c1, c2 = c / np.max(np.abs(c))
-        root = -c1 + math.sqrt(max(c1 * c1 - 4.0 * c0 * c2, 0.0))
-        s = min(2.0 * c0 / root, 1.0) if root > 0 else 1.0
-        x = lo.x + s * (hi.x - lo.x)
-
+    x = min(ends, key=lambda end: float(end.y @ end.y) + 2.0 * abs(end.g)).x
     w = components_to_w(eliminate_two_mode(x, r), problem.basis_dim)
     z = z_matrix(w)
     bound = holevo_value(z)
@@ -525,31 +531,6 @@ def _two_mode_dual(problem: HolevoProblem) -> HolevoSolution:
         raise ConvergenceError(f"duality gap {gap:.3e} exceeds {_GAP_RTOL:g} of the "
                                f"bound {bound:.6e} at r = {r:g}", best=solution)
     return solution
-
-
-def solve_numeric(problem: HolevoProblem) -> HolevoSolution:
-    """Minimize the two-mode Holevo objective numerically, independently of the KKT analysis.
-
-    The problem is solved exactly through its Lagrangian dual: one
-    factorization of the dual's matrix pencil per solve, then bisection on
-    the multiplier t in (-1, 1) by the sign of the closed-form slope (see
-    :func:`_two_mode_dual`).  The diagnostics report ``t``, ``g``
-    (``Im Z[1, 0]`` at the minimizer), ``duality_gap`` and
-    ``constraint_residual``.  The Hermitian blocks of the X operators on
-    the derivative subspace do not enter Z for a pure state, so the solve
-    does not carry them.
-
-    Raises:
-        ValueError: the problem is single-mode, where the constraints leave
-            no free variable; :func:`solve_analytic` states its solution.
-        ConvergenceError: the dual solve left a duality gap above 1e-12 of
-            the bound, and the error's ``best`` attribute carries the point
-            found; or the slope of the dual was not finite.
-    """
-    if problem.kind != "two_mode":
-        raise ValueError(f"a {problem.kind!r} problem has no free variables to solve for; "
-                         "solve_analytic states its solution")
-    return _two_mode_dual(problem)
 
 
 def minimize(*args, **kwargs):

@@ -9,9 +9,11 @@ beyond it.  At N = 0 the limit is ``MAX_SQUEEZING`` (about 354.9).  The
 two-mode dual-homodyne MSE ``(8N + 4) exp(-2r)``, at N = 0 also the Holevo
 bound, is four times larger at negative r and needs
 ``r >= two_mode_min_r(N)`` (about -354.2 at N = 0).  A simulation draws at
-most ``MAX_SAMPLES`` (2**32) shots per config, 65,536 batches whose sums
-take about 16 MB, and a sweep has at most ``MAX_R_STEPS`` (10**5) rows;
-both caps are checked before any grid is built or any shot drawn.  Each of
+most ``MAX_SAMPLES`` (2**32) shots per config, 131,072 batches of
+``cvmb.simulate.BATCH_SIZE`` (32,768) shots whose sums are added as each
+batch finishes, so the memory a run holds does not grow with its shot
+count; a sweep has at most ``MAX_R_STEPS`` (10**5) rows.  Both caps are
+checked before any grid is built or any shot drawn.  Each of
 these rules, and the type rules below them, is written once, in a check
 function here that names the setting, converts the value and raises
 ``ValueError`` otherwise: ``check_real`` (a finite real, not a ``bool``,

@@ -421,15 +421,7 @@ def per_step_dual(r):
         if mid[3] <= 0:
             hi, t_hi = mid, mid[0]
     ends = [end for end in (lo, hi) if end is not None]
-    if lo is None or hi is None or lo is hi:
-        x = ends[0][1]
-    else:
-        dy = hi[2] - lo[2]
-        c = np.array([lo[3], float(lo[2] @ holevo._G_FORM @ dy),
-                      0.5 * float(dy @ holevo._G_FORM @ dy)])
-        c0, c1, c2 = c / np.max(np.abs(c))
-        root = -c1 + np.sqrt(max(c1 * c1 - 4.0 * c0 * c2, 0.0))
-        x = lo[1] + (min(2.0 * c0 / root, 1.0) if root > 0 else 1.0) * (hi[1] - lo[1])
+    x = min(ends, key=lambda end: float(end[2] @ end[2]) + 2.0 * abs(end[3]))[1]
     bound = holevo_value(z_matrix(components_to_w(eliminate_two_mode(x, r), 3)))
     return max(ends, key=lambda end: end[4])[0], bound
 
@@ -491,7 +483,8 @@ class TestNumericSolver:
             value = holevo_value(z_matrix(w))
         assert abs(value - analytic.bound) <= 1e-12 * analytic.bound
 
-    @pytest.mark.parametrize("r", sorted({v for r in DUAL_GRID for v in (r, -r)}))
+    @pytest.mark.parametrize("r", sorted({v for r in DUAL_GRID for v in (r, -r)}
+                                         | {-0.7, 0.3, 1.2}))
     @pytest.mark.parametrize("kind", ["single", "two_mode"])
     def test_holevo_bound_matches_both_solvers_on_grid(self, kind, r):
         probe = single_mode_probe(r) if kind == "single" else two_mode_probe(r)
@@ -514,13 +507,6 @@ class TestNumericSolver:
         assert abs(bound - want) <= 1e-12 * want
         # C_H / C_S = 1 + exp(-4|r|), which rounds to 1 from |r| of about 9
         assert bound >= max(closed_form_bounds(r, 0.0, "two_mode")) * (1.0 - 1e-15)
-
-    @pytest.mark.parametrize("r", [-0.7, 0.3, 1.2])
-    def test_dual_agrees_with_slsqp_full(self, r):
-        # the Gram-level dual against the moment-picture maximum over t
-        dual = solve_numeric(build_problem("two_mode", r))
-        moment = holevo_bound(DisplacementModel(two_mode_probe(r))).value
-        assert abs(dual.bound - moment) <= 1e-12 * moment
 
     @pytest.mark.parametrize("r", sorted({v for r in DUAL_GRID for v in (r, -r)}))
     def test_dual_matches_per_step_solve(self, r):
