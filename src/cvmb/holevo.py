@@ -64,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cvmb.gaussian import symplectic_form
-from cvmb.inputs import check_real, check_squeezing, check_two_mode_r
+from cvmb.inputs import check_real, check_real_array, check_squeezing, check_two_mode_r
 
 __all__ = [
     "HolevoProblem",
@@ -272,8 +272,12 @@ def eliminate_two_mode(free_vars: np.ndarray, r: float) -> np.ndarray:
 
         t1 = sech r - s1 tanh r        j1 = k1 tanh r
         t2 = -s2 tanh r                j2 = -sech r + k2 tanh r
+
+    ``free_vars`` must hold integers or floats and r must satisfy
+    ``|r| <= MAX_SQUEEZING``; otherwise ``ValueError``.
     """
-    s1, k2, k1, s2 = np.asarray(free_vars, dtype=float)
+    s1, k2, k1, s2 = check_real_array("free_vars", free_vars)
+    r = check_squeezing("r", r, 0.0)
     th = np.tanh(r)
     sc = 1.0 / np.cosh(r)
     t1 = sc - s1 * th
@@ -290,19 +294,28 @@ def _branch_g(x: np.ndarray) -> float:
 
 
 def two_mode_g(free_vars: np.ndarray, r: float) -> float:
-    """Branch function g = j2 t1 - j1 t2 + k2 s1 - k1 s2 (= Im Z[1, 0])."""
+    """Branch function g = j2 t1 - j1 t2 + k2 s1 - k1 s2 (= Im Z[1, 0]).
+
+    Inputs are checked as in :func:`eliminate_two_mode`.
+    """
     return _branch_g(eliminate_two_mode(free_vars, r))
 
 
 def two_mode_objective(free_vars: np.ndarray, r: float) -> float:
-    """Objective h = f + 2 |g| over the eliminated two-mode variables."""
+    """Objective h = f + 2 |g| over the eliminated two-mode variables.
+
+    Inputs are checked as in :func:`eliminate_two_mode`.
+    """
     x = eliminate_two_mode(free_vars, r)
     return float(x @ x) + 2.0 * abs(_branch_g(x))
 
 
 def components_to_w(x: np.ndarray, basis_dim: int) -> np.ndarray:
-    """Pack the real component vector into the complex 2 x (basis_dim - 1) W."""
-    x = np.asarray(x, dtype=float)
+    """Pack the real component vector into the complex 2 x (basis_dim - 1) W.
+
+    ``x`` must hold integers or floats; otherwise ``ValueError``.
+    """
+    x = check_real_array("x", x)
     n = basis_dim - 1
     if x.size != 4 * n:
         raise ValueError(f"expected {4 * n} components, got {x.size}")

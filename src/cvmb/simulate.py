@@ -29,10 +29,11 @@ a call holds does not grow with its shot count.  Batches hold
 grouping of the compensated sums, i.e. results would move at most at the
 level of floating-point rounding.
 
-Neither ``numpy.random`` nor ``scipy.special`` is imported with this
-module: the bit generators load on the first sampling call or derived
-seed, and ``ndtri`` on the first sampling call, so a run that only
-computes bounds loads neither.
+Neither ``numpy.random`` nor ``scipy.special`` nor the thread pool of
+``concurrent.futures`` is imported with this module: the bit generators
+load on the first sampling call or derived seed, and ``ndtri`` and the
+pool on the first sampling call, so a run that only computes bounds loads
+none of them.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +53,7 @@ from cvmb.inputs import (
     check_integer,
     check_photons,
     check_real,
+    check_real_array,
     check_seed,
 )
 
@@ -265,11 +266,12 @@ def accumulate_affine_moments(z, a, c, *, scratch):
                 sum (e1^2 + e2^2)^2)
 
     Raises:
-        ValueError: naming the argument whose shape or dtype is wrong
+        ValueError: naming the argument whose shape or dtype is wrong; z, a
+            and c must hold integers or floats
     """
-    z = np.asarray(z, dtype=float)
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
+    z = check_real_array("z", z)
+    a = check_real_array("a", a)
+    c = check_real_array("c", c)
     if z.ndim != 2:
         raise ValueError(f"z must be an (n, k) array, got shape {z.shape}")
     n, k = z.shape
@@ -342,8 +344,10 @@ def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[lis
     earlier batch still running.  Every batch draws into a fresh array, so a
     wrapped kernel may keep its ``z``.
     """
-    # load NumPy's bit generators and SciPy's ndtri here, before any worker
-    # starts, so no pool thread imports inside a draw
+    # load NumPy's bit generators, SciPy's ndtri and the thread pool here,
+    # before any worker starts, so no pool thread imports inside a draw
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy.random  # noqa: F401
     import scipy.special  # noqa: F401
 

@@ -582,6 +582,7 @@ class TestLazyOptimizerImport:
             "from cvmb.simulate import SimConfig, run\n"
             "assert not scipy_loaded(), ('loaded at import', scipy_loaded())\n"
             "assert 'numpy.random' not in sys.modules, 'numpy.random loaded at import'\n"
+            "assert 'concurrent.futures' not in sys.modules, 'thread pool loaded at import'\n"
             "run(SimConfig(r=0.5, photons=0.0, samples=1000))\n"
             "assert 'scipy.special' in sys.modules, 'not loaded by run'\n"
             "assert 'numpy.random' in sys.modules, 'numpy.random not loaded by run'\n"
@@ -590,12 +591,15 @@ class TestLazyOptimizerImport:
 
 
 class TestLazyRandomImport:
-    """NumPy's random module is loaded only by what draws or derives seeds;
-    ``test_scipy_special_loaded_on_first_run`` checks that ``run`` loads it."""
+    """NumPy's random module is loaded only by what draws or derives seeds,
+    and the thread pool only by what samples;
+    ``test_scipy_special_loaded_on_first_run`` checks that ``run`` loads the
+    random module."""
 
     def test_bounds_never_load_it(self, tmp_path):
         out = str(tmp_path / "out.csv")
-        check = "assert 'numpy.random' not in sys.modules, 'loaded by {}'\n".format
+        check = ("assert 'numpy.random' not in sys.modules, 'loaded by {0}'\n"
+                 "assert 'concurrent.futures' not in sys.modules, 'pool loaded by {0}'\n").format
         run_fresh(
             "import cvmb, cvmb.cli\n"
             + check("import")

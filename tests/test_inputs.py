@@ -40,12 +40,15 @@ from cvmb.holevo import (
     HolevoSolution,
     build_problem,
     components_to_w,
+    eliminate_two_mode,
     gram_single_mode,
     gram_two_mode,
     holevo_value,
     kkt_case_audit,
     solve_analytic,
     solve_numeric,
+    two_mode_g,
+    two_mode_objective,
 )
 from cvmb.inputs import (
     MAX_R_STEPS,
@@ -87,6 +90,9 @@ ENTRY_POINTS = [
     ("solve_analytic.single", lambda x: solve_analytic("single", x), 0.5, 1),
     ("solve_analytic.two_mode", lambda x: solve_analytic("two_mode", x), 0.5, 1),
     ("kkt_case_audit", kkt_case_audit, 0.5, 1),
+    ("eliminate_two_mode.r", lambda x: eliminate_two_mode(np.zeros(4), x), 0.5, 1),
+    ("two_mode_g.r", lambda x: two_mode_g(np.zeros(4), x), 0.5, 1),
+    ("two_mode_objective.r", lambda x: two_mode_objective(np.zeros(4), x), 0.5, 1),
     ("make_thermal", make_thermal, 0.5, 1),
     ("single_mode_squeezer", single_mode_squeezer, 0.5, 1),
     ("two_mode_squeezer", two_mode_squeezer, 0.5, 1),
@@ -168,6 +174,17 @@ PAST_DOMAIN = [
     ("SymplecticOp.matrix.odd", lambda: SymplecticOp(np.eye(3))),
     ("HolevoSolution.method", lambda: HolevoSolution(1.0, [], np.eye(2), "guess")),
     ("components_to_w.size", lambda: components_to_w(np.zeros(3), 2)),
+    # component vectors are read by their dtype: complex is not truncated,
+    # and bool, string and object arrays are not converted
+    ("components_to_w.x.complex", lambda: components_to_w(np.zeros(4, complex), 2)),
+    ("components_to_w.x.bool", lambda: components_to_w(np.ones(4, bool), 2)),
+    ("components_to_w.x.str", lambda: components_to_w(np.full(4, "1"), 2)),
+    ("eliminate_two_mode.free_vars.complex",
+     lambda: eliminate_two_mode(np.zeros(4, complex), 0.5)),
+    ("eliminate_two_mode.free_vars.str", lambda: eliminate_two_mode(["1"] * 4, 0.5)),
+    ("eliminate_two_mode.free_vars.object",
+     lambda: eliminate_two_mode(np.zeros(4, object), 0.5)),
+    ("eliminate_two_mode.r.800", lambda: eliminate_two_mode(np.zeros(4), 800.0)),
     # trabs(Im Z) is read off the two off-diagonal entries of a 2 x 2 z
     ("holevo_value.z.shape", lambda: holevo_value(np.eye(3))),
     # a single-mode problem has no free variables; solve_analytic states its solution
@@ -217,7 +234,8 @@ def test_past_domain_raises_value_error(call):
 def test_array_and_model_errors_name_their_argument():
     for name, call in PAST_DOMAIN:
         if name.startswith(("classical_fisher_gaussian.", "DisplacementModel.probe.",
-                            "holevo_value.", "solve_numeric.")):
+                            "holevo_value.", "solve_numeric.", "components_to_w.x.",
+                            "eliminate_two_mode.")):
             with pytest.raises(ValueError, match=name.split(".")[1]):
                 call()
 

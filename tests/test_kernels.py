@@ -99,3 +99,10 @@ class TestNumpyKernel:
                 pair[index] = arr
                 with pytest.raises(ValueError, match=name):
                     accumulate_affine_moments(z, a, c, scratch=tuple(pair))
+        # complex input is not truncated, and bool, string ('1' would sum as
+        # 1.0) and object input is not converted
+        inputs = {"z": z, "a": a, "c": c}
+        for name, good in inputs.items():
+            for arr in (good.astype(complex), good > 0, good.astype(str), good.astype(object)):
+                with pytest.raises(ValueError, match=f"^{name} must be real numbers"):
+                    accumulate_affine_moments(**{**inputs, name: arr}, scratch=scratch)

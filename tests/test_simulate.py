@@ -1,10 +1,10 @@
+import concurrent.futures
 import dataclasses
 import math
 import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -268,12 +268,12 @@ class TestWorkerCount:
         config = dataclasses.replace(self.CONFIG, mode=case)
         pools = []
 
-        class CountingPool(ThreadPoolExecutor):
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(cvmb.simulate, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
@@ -362,7 +362,7 @@ class TestWorkerCount:
         def no_pool(*args, **kwargs):
             raise AssertionError("a single batch must not start a thread")
 
-        monkeypatch.setattr(cvmb.simulate, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         self.force_workers(monkeypatch, 8)
         before = threading.active_count()
         run(dataclasses.replace(self.CONFIG, samples=self.BATCH))
