@@ -273,10 +273,15 @@ def eliminate_two_mode(free_vars: np.ndarray, r: float) -> np.ndarray:
         t1 = sech r - s1 tanh r        j1 = k1 tanh r
         t2 = -s2 tanh r                j2 = -sech r + k2 tanh r
 
-    ``free_vars`` must hold integers or floats and r must satisfy
+    ``free_vars`` must hold integers or floats, with length 4 along its first
+    axis (a 4 x k array maps each column), and r must satisfy
     ``|r| <= MAX_SQUEEZING``; otherwise ``ValueError``.
     """
-    s1, k2, k1, s2 = check_real_array("free_vars", free_vars)
+    free_vars = check_real_array("free_vars", free_vars)
+    if free_vars.shape[:1] != (4,):
+        raise ValueError(f"free_vars must have length 4 along its first axis, "
+                         f"got shape {free_vars.shape}")
+    s1, k2, k1, s2 = free_vars
     r = check_squeezing("r", r, 0.0)
     th = np.tanh(r)
     sc = 1.0 / np.cosh(r)

@@ -29,18 +29,24 @@ a call holds does not grow with its shot count.  Batches hold
 grouping of the compensated sums, i.e. results would move at most at the
 level of floating-point rounding.
 
-Neither ``numpy.random`` nor ``scipy.special`` nor the thread pool of
+Neither ``numpy.random`` nor SciPy nor the thread pool of
 ``concurrent.futures`` is imported with this module: the bit generators
 load on the first sampling call or derived seed, and ``ndtri`` and the
 pool on the first sampling call, so a run that only computes bounds loads
-none of them.
+none of them.  Sampling loads SciPy's compiled ``scipy.special._ufuncs``,
+which defines ``ndtri``, and not the ``scipy.special`` package, whose
+``__init__`` also loads SciPy's array-API layer and with it most of NumPy's
+lazy submodules.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import sys
 import threading
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,15 +217,56 @@ def outcome_distribution(r: float, photons: float,
 
 
 def ndtri(*args, **kwargs):
-    """``scipy.special.ndtri``, imported on the first call.
+    """SciPy's ``ndtri`` ufunc, loaded on the first call by :func:`_scipy_ndtri`.
 
-    Only sampling needs SciPy, and importing ``scipy.special`` takes most of
-    the package's import time, so ``import cvmb`` leaves it out, as it does
-    ``numpy.random``.
+    Only sampling needs SciPy, so ``import cvmb`` leaves it out, as it does
+    ``numpy.random``; and sampling loads the compiled
+    ``scipy.special._ufuncs`` that defines the ufunc, not the
+    ``scipy.special`` package.
     """
-    from scipy.special import ndtri as scipy_ndtri
+    return _scipy_ndtri()(*args, **kwargs)
 
-    return scipy_ndtri(*args, **kwargs)
+
+_ndtri_lock = threading.Lock()
+
+
+@functools.cache
+def _scipy_ndtri():
+    """``scipy.special.ndtri``, loaded without running ``scipy/special/__init__.py``.
+
+    That ``__init__`` takes most of the time and memory of importing the
+    package (SciPy's array-API layer reads every attribute of NumPy, which
+    loads ``numpy.f2py``, ``numpy.testing``, ``numpy.ma`` and more), while
+    the package's ``ndtri`` is the plain ufunc of ``scipy.special._ufuncs``.
+    A package already imported is used as it is.  Otherwise ``_ufuncs`` is
+    imported under a bare stand-in for its package, which its relative
+    imports of its sibling extension modules need, and the stand-in is
+    removed before returning, so a later ``import scipy.special`` runs the
+    real ``__init__``; that reuses the loaded ``_ufuncs``, so its ``ndtri``
+    is this one.  That package binds ``_ufuncs`` as an attribute but not the
+    four sibling extension modules, which stay reachable by import.
+    Another thread importing ``scipy.special`` while the stand-in is in
+    place would get the stand-in.
+    """
+    with _ndtri_lock:
+        if "scipy.special" in sys.modules:
+            from scipy.special import ndtri as scipy_ndtri
+
+            return scipy_ndtri
+        import scipy
+
+        stub = types.ModuleType("scipy.special")
+        stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
+        sys.modules["scipy.special"] = stub
+        try:
+            from scipy.special._ufuncs import ndtri as scipy_ndtri
+        finally:
+            if sys.modules.get("scipy.special") is stub:
+                del sys.modules["scipy.special"]
+            # vars, not getattr: SciPy's module __getattr__ would import the package
+            if vars(scipy).get("special") is stub:
+                del scipy.special
+        return scipy_ndtri
 
 
 def _shot_normals(key: int, start: int, count: int) -> np.ndarray:
@@ -344,12 +391,15 @@ def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[lis
     earlier batch still running.  Every batch draws into a fresh array, so a
     wrapped kernel may keep its ``z``.
     """
-    # load NumPy's bit generators, SciPy's ndtri and the thread pool here,
-    # before any worker starts, so no pool thread imports inside a draw
+    # load NumPy's bit generators, SciPy's ndtri (from the compiled
+    # scipy.special._ufuncs, not the scipy.special package) and the thread
+    # pool here, before any worker starts, so no pool thread imports inside
+    # a draw
     from concurrent.futures import ThreadPoolExecutor
 
     import numpy.random  # noqa: F401
-    import scipy.special  # noqa: F401
+
+    _scipy_ndtri()
 
     starts = [range(0, count, BATCH_SIZE) for _, count, _, _ in jobs]
     workers = min(_usable_cpus(), sum(map(len, starts)))

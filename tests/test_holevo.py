@@ -555,8 +555,9 @@ def run_fresh(code):
 
 
 class TestLazyOptimizerImport:
-    """SciPy is loaded only where it is used: scipy.special by sampling, and
-    its optimizer by nothing in the package."""
+    """SciPy is loaded only where it is used: the compiled
+    scipy.special._ufuncs by sampling, and its optimizer by nothing in the
+    package."""
 
     def test_scipy_optimize_never_loaded(self, tmp_path):
         out = str(tmp_path / "out.csv")
@@ -584,9 +585,62 @@ class TestLazyOptimizerImport:
             "assert 'numpy.random' not in sys.modules, 'numpy.random loaded at import'\n"
             "assert 'concurrent.futures' not in sys.modules, 'thread pool loaded at import'\n"
             "run(SimConfig(r=0.5, photons=0.0, samples=1000))\n"
-            "assert 'scipy.special' in sys.modules, 'not loaded by run'\n"
+            "assert 'scipy.special._ufuncs' in sys.modules, 'ndtri not loaded by run'\n"
             "assert 'numpy.random' in sys.modules, 'numpy.random not loaded by run'\n"
-            "assert 'scipy.optimize' not in sys.modules, 'loaded by run'\n"
+            # ndtri comes without the scipy.special package and the
+            # array-API layer its __init__ loads
+            "for name in ('scipy.special', 'scipy._lib._array_api', 'numpy.f2py',\n"
+            "             'scipy.optimize'):\n"
+            "    assert name not in sys.modules, (name, 'loaded by run')\n"
+        )
+
+    def test_scipy_special_imported_before_run_is_used(self):
+        run_fresh(
+            "import scipy, scipy.special\n"
+            "package = sys.modules['scipy.special']\n"
+            "import cvmb.simulate\n"
+            "cvmb.simulate.run(cvmb.simulate.SimConfig(r=0.5, photons=0.0, samples=1000))\n"
+            "assert cvmb.simulate._scipy_ndtri() is package.ndtri\n"
+            "assert sys.modules['scipy.special'] is package and scipy.special is package\n"
+        )
+
+    def test_scipy_special_imported_after_run_is_the_package(self):
+        run_fresh(
+            "import cvmb.simulate\n"
+            "cvmb.simulate.run(cvmb.simulate.SimConfig(r=0.5, photons=0.0, samples=1000))\n"
+            "import scipy\n"
+            "assert 'special' not in vars(scipy), 'stand-in bound to scipy'\n"
+            "import scipy.special\n"
+            "assert scipy.special.__file__.endswith('__init__.py'), scipy.special\n"
+            "assert abs(scipy.special.erf(0.5) - 0.5204998778130465) < 1e-15\n"
+            "assert cvmb.simulate._scipy_ndtri() is scipy.special.ndtri\n"
+        )
+
+    def test_failed_load_leaves_no_stand_in(self):
+        # a finder that refuses the compiled ufuncs: the error reaches the
+        # caller, no scipy.special is left behind, and a later call loads it
+        run_fresh(
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'scipy.special._ufuncs':\n"
+            "            raise ImportError('refused')\n"
+            "refuse = Refuse()\n"
+            "sys.meta_path.insert(0, refuse)\n"
+            "import scipy\n"
+            "from cvmb.simulate import SimConfig, run, _scipy_ndtri\n"
+            "config = SimConfig(r=0.5, photons=0.0, samples=1000)\n"
+            "try:\n"
+            "    run(config)\n"
+            "except ImportError as error:\n"
+            "    assert str(error) == 'refused', error\n"
+            "else:\n"
+            "    raise AssertionError('run did not raise')\n"
+            "assert 'scipy.special' not in sys.modules, sys.modules['scipy.special']\n"
+            "assert 'special' not in vars(scipy), 'stand-in bound to scipy'\n"
+            "sys.meta_path.remove(refuse)\n"
+            "run(config)\n"
+            "assert 'scipy.special._ufuncs' in sys.modules and 'scipy.special' not in sys.modules\n"
+            "assert _scipy_ndtri() is sys.modules['scipy.special._ufuncs'].ndtri\n"
         )
 
 

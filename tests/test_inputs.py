@@ -185,6 +185,10 @@ PAST_DOMAIN = [
     ("eliminate_two_mode.free_vars.object",
      lambda: eliminate_two_mode(np.zeros(4, object), 0.5)),
     ("eliminate_two_mode.r.800", lambda: eliminate_two_mode(np.zeros(4), 800.0)),
+    # free variables are four rows, one per variable: a 4 x k array maps each column
+    ("eliminate_two_mode.free_vars.shape_3", lambda: eliminate_two_mode(np.zeros(3), 0.5)),
+    ("eliminate_two_mode.free_vars.shape_5", lambda: eliminate_two_mode(np.zeros(5), 0.5)),
+    ("eliminate_two_mode.free_vars.shape_3x2", lambda: eliminate_two_mode(np.zeros((3, 2)), 0.5)),
     # trabs(Im Z) is read off the two off-diagonal entries of a 2 x 2 z
     ("holevo_value.z.shape", lambda: holevo_value(np.eye(3))),
     # a single-mode problem has no free variables; solve_analytic states its solution

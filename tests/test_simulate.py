@@ -66,6 +66,24 @@ class TestOutcomeDistribution:
                     outcome_distribution(bad, 0.0)
 
 
+class TestNdtri:
+    def test_is_scipys_ufunc(self):
+        # the loader's ufunc is the package's, bit for bit, on the ends of the
+        # draws and on both sides of the cephes split points exp(-2) and
+        # 1 - exp(-2)
+        import scipy.special
+
+        splits = [math.exp(-2), 1 - math.exp(-2)]
+        u = np.array([cvmb.simulate._MIN_UNIFORM, 0.5, 1 - 2.0 ** -53]
+                     + [np.nextafter(x, d) for x in splits for d in (0.0, 1.0)] + splits)
+        want = scipy.special.ndtri(u)
+        assert cvmb.simulate._scipy_ndtri() is scipy.special.ndtri
+        assert cvmb.simulate.ndtri(u).tobytes() == want.tobytes()
+        out = u.copy()
+        assert cvmb.simulate.ndtri(out, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+
 class TestRun:
     def test_unbiased_and_efficient(self):
         config = SimConfig(r=0.4, photons=0.0, theta_true=(2.0, -1.0),
