@@ -18,7 +18,8 @@ these rules, and the type rules below them, is written once, in a check
 function here that names the setting, converts the value and raises
 ``ValueError`` otherwise: ``check_real`` (a finite real, not a ``bool``,
 returned as a Python float, so NumPy scalars compute exactly as the equal
-Python number), ``check_integer``, ``check_count`` (an integer at most a
+Python number), ``check_real_pair`` (a pair of them, as a tuple),
+``check_integer``, ``check_count`` (an integer at most a
 cap), ``check_photons`` (``0 <= N <= MAX_PHOTONS``), ``check_squeezing``
 (``|r| <= squeezing_limit(N)``), ``check_two_mode_r``
 (``r >= two_mode_min_r(N)``), ``check_seed`` (64-bit unsigned),
@@ -47,6 +48,7 @@ __all__ = [
     "squeezing_limit",
     "two_mode_min_r",
     "check_real",
+    "check_real_pair",
     "check_integer",
     "check_count",
     "check_photons",
@@ -98,6 +100,15 @@ def check_real(name: str, value) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x}")
     return x
+
+
+def check_real_pair(name: str, value) -> tuple[float, float]:
+    """``value`` as a pair of Python floats; ``ValueError`` unless it is two finite reals."""
+    try:
+        q, p = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair (q, p), got {value!r}") from None
+    return check_real(name, q), check_real(name, p)
 
 
 def check_integer(name: str, value) -> int:

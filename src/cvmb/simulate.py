@@ -19,7 +19,11 @@ generated independently.  One call (``run``, or ``run_many`` over several
 configs) puts the batches of all its configs in one queue: threads across
 the usable CPUs take them one at a time as they come free, each reusing
 its own kernel scratch, and go on from one config's last batch to the
-next config's first.  Each batch's sums are added to its config's
+next config's first.  A two-stage config puts both its stages in that
+queue: stage 2 re-centres the probe on the stage-1 estimate, but the
+outcome covariance does not depend on the displacement, so stage 2's
+error does not depend on that estimate and its batches need not wait for
+stage 1's.  Each batch's sums are added to its config's
 compensated total as the batch finishes, in the config's batch-index
 order; a batch that finishes before an earlier one of its config waits
 for it.  Results do not depend on the worker count, on which thread ran
@@ -60,6 +64,7 @@ from cvmb.inputs import (
     check_photons,
     check_real,
     check_real_array,
+    check_real_pair,
     check_seed,
 )
 
@@ -148,11 +153,7 @@ class SimConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "two_stage" and self.samples < 4:
             raise ValueError("two-stage estimation needs at least 4 shots")
-        try:
-            q, p = self.theta_true
-        except (TypeError, ValueError):
-            raise ValueError(f"theta_true must be a pair (q, p), got {self.theta_true!r}") from None
-        object.__setattr__(self, "theta_true", tuple(check_real("theta_true", t) for t in (q, p)))
+        object.__setattr__(self, "theta_true", check_real_pair("theta_true", self.theta_true))
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,9 @@ class SimResult:
     in direct mode that is the per-shot estimator, in two-stage mode the
     pooled final estimator (so the value scales like 1/n).  ``mse_sum`` is
     its trace and ``std_error`` the standard error of ``mse_sum``.
+    ``bias`` is the mean error of the shots in ``samples``, in two-stage
+    mode the stage-2 shots, whose error does not depend on the stage-1
+    estimate ``rough_estimate`` (None in direct mode).
     """
 
     mse_sum: float
@@ -170,11 +174,10 @@ class SimResult:
     std_error: float
     bias: np.ndarray
     samples: int
-    final_estimate: np.ndarray
     rough_estimate: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("mse_matrix", "bias", "final_estimate", "rough_estimate"):
+        for name in ("mse_matrix", "bias", "rough_estimate"):
             val = getattr(self, name)
             if val is None:
                 continue
@@ -204,11 +207,13 @@ def outcome_distribution(r: float, photons: float,
     marginalizing, not from the closed form; the closed form
     ``cov = (2N + 1) e^-2r I`` is enforced by the tests instead.  ``|r|`` is
     at most ``SIMULATE_MAX_SQUEEZING``, as in :class:`SimConfig`: beyond it
-    the marginal loses its accuracy to cancellation.
+    the marginal loses its accuracy to cancellation.  ``theta`` is a pair
+    of finite reals, the displacement (q, p) of mode 0.
     """
     probe = two_mode_probe(_check_simulate_r(r), photons)
+    q, p = check_real_pair("theta", theta)
     splitter = beam_splitter(0.5)
-    state = apply(splitter, displace(probe, theta[0], theta[1], mode=0))
+    state = apply(splitter, displace(probe, q, p, mode=0))
     idx = [0, 3]  # Q of output mode 0, P of output mode 1
     mean = state.mean[idx]
     cov = state.cov[np.ix_(idx, idx)]
@@ -391,6 +396,8 @@ def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[lis
     earlier batch still running.  Every batch draws into a fresh array, so a
     wrapped kernel may keep its ``z``.
     """
+    if not jobs:
+        return []
     # load NumPy's bit generators, SciPy's ndtri (from the compiled
     # scipy.special._ufuncs, not the scipy.special package) and the thread
     # pool here, before any worker starts, so no pool thread imports inside
@@ -444,17 +451,41 @@ def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[lis
     return [agg.total for agg in totals]
 
 
-def _second_moment_stats(sums: list[float], n: int) -> tuple[float, np.ndarray, float, np.ndarray]:
+def _direct_result(sums: list[float], n: int) -> SimResult:
+    """The SimResult of ``n`` per-shot errors with the accumulated ``sums``."""
     s1, s2, q11, q22, q12, q4 = sums
-    mse_matrix = np.array([[q11, q12], [q12, q22]]) / n
     mse_sum = (q11 + q22) / n
-    bias = np.array([s1, s2]) / n
     if n > 1:
         var = max(q4 / n - mse_sum * mse_sum, 0.0)
         std_error = math.sqrt(var / (n - 1))
     else:
         std_error = math.inf
-    return mse_sum, mse_matrix, std_error, bias
+    return SimResult(
+        mse_sum=mse_sum,
+        mse_matrix=np.array([[q11, q12], [q12, q22]]) / n,
+        std_error=std_error,
+        bias=np.array([s1, s2]) / n,
+        samples=n,
+    )
+
+
+def _two_stage_result(sums1: list[float], sums2: list[float], samples: int) -> SimResult:
+    """The SimResult of a two-stage run of ``samples`` shots, from the sums of its two stages."""
+    n1 = math.isqrt(samples)
+    n2 = samples - n1
+    stage2 = _direct_result(sums2, n2)
+    # covariance about the empirical mean, then scaled to the pooled estimator
+    # (n2 >= 2, as SimConfig asks for at least 4 shots)
+    centered = (stage2.mse_matrix - np.outer(stage2.bias, stage2.bias)) * (n2 / (n2 - 1))
+    pooled_cov = centered / n2
+    return SimResult(
+        mse_sum=float(np.trace(pooled_cov)),
+        mse_matrix=pooled_cov,
+        std_error=stage2.std_error / n2,
+        bias=stage2.bias,
+        samples=n2,
+        rough_estimate=np.array(sums1[:2]) / n1,
+    )
 
 
 def run(config: SimConfig) -> SimResult:
@@ -466,16 +497,21 @@ def run(config: SimConfig) -> SimResult:
     identical configs give bitwise-identical results.
 
     With ``config.mode == "two_stage"`` the estimation is adaptive: stage 1
-    spends ``floor(sqrt(samples))`` shots on a rough estimate theta_rough;
-    stage 2 displaces by -theta_rough (a mean shift) and estimates the
-    residual with the remaining shots, drawn from the stream keyed by
-    ``derive_seed(seed, 1)``.  The final estimate is theta_rough +
-    pooled residual estimate.  ``mse_matrix`` estimates the covariance of
-    that pooled estimator (empirical per-shot covariance divided by the
-    stage-2 shot count), so ``mse_sum * n2 -> (8N + 4) e^-2r``.
-    ``std_error`` is scaled the same way and neglects the O(1/n) shift from
-    centering, which is below its own resolution.  ``rough_estimate`` is
-    filled in.
+    spends ``n1 = floor(sqrt(samples))`` shots on a rough estimate
+    theta_rough, returned as ``rough_estimate``; stage 2 displaces by
+    -theta_rough (a mean shift) and estimates the residual with the
+    remaining n2 shots, drawn from the stream keyed by
+    ``derive_seed(seed, 1)``.  The outcome covariance does not depend on
+    the displacement, so stage 2's error does not depend on theta_rough:
+    its shots err exactly as those of a direct run of n2 shots at
+    ``theta_true`` on that key, and both stages are sampled together in
+    the call's one batch queue.  ``bias`` is the mean stage-2 error, that
+    of the final estimate theta_rough + pooled residual estimate.
+    ``mse_matrix`` estimates the covariance of that pooled estimator
+    (empirical per-shot covariance about the mean, divided by n2), so
+    ``mse_sum * n2 -> (8N + 4) e^-2r``.  ``std_error`` is the direct run's
+    divided by n2, and neglects the O(1/n) shift from centering, which is
+    below its own resolution.
 
     Args:
         config: simulation settings (``theta_true`` is the unknown target)
@@ -490,11 +526,12 @@ def run_many(configs: list[SimConfig]) -> list[SimResult]:
     """Run the simulations described by ``configs``, sampling them through one batch queue.
 
     Each result is bitwise the one ``run`` gives for that config alone.  All
-    outcome models are built first; then the batches of every config are
-    handed out from one queue, so no worker waits at the end of one config
-    while batches of the next are left.  Stage 2 of a two-stage config needs
-    its stage-1 estimate, so the stage-2 batches of all two-stage configs
-    form a second queue after the first.
+    outcome models are built first, as one accumulation job per direct
+    config and two per two-stage config (stage 2's error does not depend
+    on the stage-1 estimate, so it need not wait for it); then one
+    ``_accumulate`` call hands out the batches of every job from one
+    queue, so no worker waits at the end of one config while batches of
+    the next are left.
 
     Args:
         configs: simulation settings, one per result
@@ -502,75 +539,23 @@ def run_many(configs: list[SimConfig]) -> list[SimResult]:
     Returns:
         list of SimResult, in the order of ``configs``
     """
-    steps = [_simulation(config) for config in configs]
-    results: list[SimResult | None] = [None] * len(steps)
-    pending = {i: next(step) for i, step in enumerate(steps)}
-    while pending:
-        for i, sums in zip(list(pending), _accumulate(list(pending.values()))):
-            try:
-                pending[i] = steps[i].send(sums)
-            except StopIteration as done:
-                del pending[i]
-                results[i] = done.value
-    return results
-
-
-def _simulation(config: SimConfig):
-    """The simulation of ``config`` as a generator for :func:`run_many`.
-
-    It yields each accumulation job ``(key, count, transform, offset)`` it
-    needs, is sent that job's sums, and returns the SimResult.
-    """
-    theta = np.array(config.theta_true)
-    model = outcome_distribution(config.r, config.photons, config.theta_true)
-    jinv = np.linalg.inv(model.jacobian)
-    transform = jinv @ np.linalg.cholesky(model.cov)
-    if config.mode == "two_stage":
-        return (yield from _two_stage(config, model, jinv, transform))
-
-    sums = yield config.seed, config.samples, transform, jinv @ model.mean - theta
-    mse_sum, mse_matrix, std_error, bias = _second_moment_stats(sums, config.samples)
-    return SimResult(
-        mse_sum=mse_sum,
-        mse_matrix=mse_matrix,
-        std_error=std_error,
-        bias=bias,
-        samples=config.samples,
-        final_estimate=theta + bias,
-    )
-
-
-def _two_stage(config: SimConfig, model: OutcomeModel, jinv: np.ndarray, transform: np.ndarray):
-    """The two-stage branch of :func:`_simulation`, given the model it built at theta_true."""
-    n1 = math.isqrt(config.samples)
-    n2 = config.samples - n1
-    theta = np.array(config.theta_true)
-
-    # stage 1: accumulate raw per-shot estimates (offset referenced to zero)
-    sums1 = yield config.seed, n1, transform, jinv @ model.mean
-    rough = np.array([sums1[0], sums1[1]]) / n1
-
-    # stage 2: probe displaced by -rough, estimate the residual.  The outcome
-    # mean is jacobian @ displacement and the covariance does not depend on
-    # it, so the stage-1 model serves.  Stage 2 draws from a derived stream,
-    # since the stage-1 shot count may be odd.
-    residual_true = theta - rough
-    offset2 = jinv @ (model.jacobian @ residual_true) - residual_true
-    sums2 = yield derive_seed(config.seed, 1), n2, transform, offset2
-
-    _, raw_second, raw_se, bias2 = _second_moment_stats(sums2, n2)
-    # covariance about the empirical mean, then scaled to the pooled estimator
-    # (n2 >= 2, as SimConfig asks for at least 4 shots)
-    centered = (raw_second - np.outer(bias2, bias2)) * (n2 / (n2 - 1))
-    pooled_cov = centered / n2
-    final = rough + residual_true + bias2
-
-    return SimResult(
-        mse_sum=float(np.trace(pooled_cov)),
-        mse_matrix=pooled_cov,
-        std_error=raw_se / n2,
-        bias=final - theta,
-        samples=n2,
-        final_estimate=final,
-        rough_estimate=rough,
-    )
+    jobs = []
+    for config in configs:
+        model = outcome_distribution(config.r, config.photons, config.theta_true)
+        jinv = np.linalg.inv(model.jacobian)
+        transform = jinv @ np.linalg.cholesky(model.cov)
+        # each shot's estimate jinv @ outcome is transform @ z + estimate
+        estimate = jinv @ model.mean
+        error = estimate - np.array(config.theta_true)
+        if config.mode == "two_stage":
+            # stage 1 accumulates raw estimates; stage 2 draws from a derived
+            # stream, since the stage-1 shot count may be odd
+            n1 = math.isqrt(config.samples)
+            jobs.append((config.seed, n1, transform, estimate))
+            jobs.append((derive_seed(config.seed, 1), config.samples - n1, transform, error))
+        else:
+            jobs.append((config.seed, config.samples, transform, error))
+    sums = iter(_accumulate(jobs))
+    return [_two_stage_result(next(sums), next(sums), config.samples)
+            if config.mode == "two_stage" else _direct_result(next(sums), config.samples)
+            for config in configs]

@@ -58,7 +58,7 @@ from cvmb.inputs import (
     squeezing_limit,
     two_mode_min_r,
 )
-from cvmb.simulate import SimConfig, derive_seed
+from cvmb.simulate import SimConfig, derive_seed, outcome_distribution
 
 BAD_VALUES = [True, math.nan, math.inf, -math.inf, "0.1", None]
 
@@ -73,6 +73,9 @@ ENTRY_POINTS = [
     ("SimConfig.r", lambda x: SimConfig(r=x, photons=0.0, samples=10), 0.5, 1),
     ("SimConfig.photons", lambda x: SimConfig(r=0.1, photons=x, samples=10), 0.5, 1),
     ("SimConfig.theta_true", lambda x: SimConfig(r=0.1, photons=0.0, theta_true=(0.0, x)), 0.5, 1),
+    ("outcome_distribution.r", lambda x: outcome_distribution(x, 0.1), 0.5, 1),
+    ("outcome_distribution.photons", lambda x: outcome_distribution(0.1, x), 0.5, 1),
+    ("outcome_distribution.theta", lambda x: outcome_distribution(0.1, 0.0, (0.0, x)), 0.5, 1),
     ("SweepSpec.r_min", lambda x: _sweep(r_min=x), 0.5, 1),
     ("SweepSpec.r_max", lambda x: _sweep(r_max=x), 0.5, 1),
     ("SweepSpec.photons", lambda x: _sweep(photons=x), 0.5, 1),
@@ -300,9 +303,13 @@ def test_sim_config_theta_true_is_a_pair_of_reals():
     config = SimConfig(r=0.1, photons=0.0, theta_true=np.array([1.0, np.float32(2.0)]))
     assert config.theta_true == (1.0, 2.0)
     assert all(type(t) is float for t in config.theta_true)
-    for bad in [(1.0, 2.0, 3.0), (1.0,), (), None, "12", 1.0, np.eye(2)]:
-        with pytest.raises(ValueError, match="theta_true"):
+    model = outcome_distribution(0.1, 0.0, np.array([1.0, np.float32(2.0)]))
+    assert bits(model) == bits(outcome_distribution(0.1, 0.0, (1.0, 2.0)))
+    for bad in [(1.0, 2.0, 3.0), (1.0,), (), None, "12", 1.0, 5, np.eye(2)]:
+        with pytest.raises(ValueError, match="^theta_true "):
             SimConfig(r=0.1, photons=0.0, theta_true=bad)
+        with pytest.raises(ValueError, match="^theta "):
+            outcome_distribution(0.1, 0.0, bad)
 
 
 def test_sweep_spec_stores_python_numbers():

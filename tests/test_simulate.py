@@ -224,7 +224,7 @@ class TestTwoStage:
         pooled_sd = np.sqrt(
             dual_homodyne_mse_analytic(0.4, 0.0).value / ts.samples
         )
-        diff = ts.final_estimate - direct.final_estimate
+        diff = ts.bias - direct.bias
         assert np.all(np.abs(diff) < 3 * np.sqrt(2) * pooled_sd)
 
     def test_deterministic(self):
@@ -232,8 +232,23 @@ class TestTwoStage:
                            samples=10_000, seed=75, mode="two_stage")
         a, b = run(config), run(config)
         assert a.mse_sum == b.mse_sum
-        assert np.array_equal(a.final_estimate, b.final_estimate)
+        assert np.array_equal(a.bias, b.bias)
         assert np.array_equal(a.rough_estimate, b.rough_estimate)
+
+    @pytest.mark.parametrize("seed", [1, 2, 17, 39])
+    def test_stage_two_is_the_direct_run_on_its_key(self, seed):
+        # the outcome covariance does not depend on the displacement, so
+        # stage 2 errs exactly as a direct run of its shots on its key, even
+        # far from theta = 0, where re-centring rounds at the ulp of theta
+        theta = (1000.0, -3.0)
+        ts = run(SimConfig(r=0.3, photons=0.1, theta_true=theta, samples=10_000, seed=seed,
+                           mode="two_stage"))
+        n2 = 10_000 - 100
+        direct = run(SimConfig(r=0.3, photons=0.1, theta_true=theta, samples=n2,
+                               seed=cvmb.simulate.derive_seed(seed, 1)))
+        assert ts.samples == n2
+        assert ts.bias.tobytes() == direct.bias.tobytes()
+        assert ts.std_error == direct.std_error / n2
 
     def test_minimum_budget(self):
         # rejected where the config is built, not later inside run()
@@ -301,7 +316,7 @@ class TestWorkerCount:
                 results.append(self.fields(run(config)))
         finally:
             sys.setswitchinterval(interval)
-        # stage 1 of two-stage (316 shots) is one batch and stays on the caller
+        # one pool per multi-worker run: two-stage puts its 1 + 25 batches in one queue
         assert pools == [1, 7]
         for other in results[1:]:
             assert len(other) == len(results[0])
@@ -336,6 +351,19 @@ class TestWorkerCount:
                         assert a.tobytes() == b.tobytes(), n
         finally:
             sys.setswitchinterval(interval)
+
+    def test_run_many_samples_in_one_call(self, monkeypatch):
+        calls = []
+        accumulate = cvmb.simulate._accumulate
+
+        def counting_accumulate(jobs):
+            calls.append(len(jobs))
+            return accumulate(jobs)
+
+        monkeypatch.setattr(cvmb.simulate, "_accumulate", counting_accumulate)
+        run_many(self.MIX)
+        # one job per direct config, two per two-stage config
+        assert calls == [7]
 
     def test_run_many_of_nothing(self):
         assert run_many([]) == []
