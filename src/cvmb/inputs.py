@@ -18,8 +18,8 @@ these rules, and the type rules below them, is written once, in a check
 function here that names the setting, converts the value and raises
 ``ValueError`` otherwise: ``check_real`` (a finite real, not a ``bool``,
 returned as a Python float, so NumPy scalars compute exactly as the equal
-Python number), ``check_real_pair`` (a pair of them, as a tuple),
-``check_integer``, ``check_count`` (an integer at most a
+Python number), ``check_real_pair`` (a pair of them in a sequence or an
+array, as a tuple), ``check_integer``, ``check_count`` (an integer at most a
 cap), ``check_photons`` (``0 <= N <= MAX_PHOTONS``), ``check_squeezing``
 (``|r| <= squeezing_limit(N)``), ``check_two_mode_r``
 (``r >= two_mode_min_r(N)``), ``check_seed`` (64-bit unsigned),
@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -103,10 +104,16 @@ def check_real(name: str, value) -> float:
 
 
 def check_real_pair(name: str, value) -> tuple[float, float]:
-    """``value`` as a pair of Python floats; ``ValueError`` unless it is two finite reals."""
+    """``value`` as a pair of Python floats; ``ValueError`` unless it is two finite reals.
+
+    Only a sequence or a NumPy array gives its two entries in a fixed order,
+    so a set or a dict is rejected, as are ``str`` and ``bytes``.
+    """
+    if isinstance(value, (str, bytes)) or not isinstance(value, (Sequence, np.ndarray)):
+        raise ValueError(f"{name} must be a pair (q, p), got {value!r}")
     try:
         q, p = value
-    except (TypeError, ValueError):
+    except (TypeError, ValueError):  # a 0-d array raises TypeError
         raise ValueError(f"{name} must be a pair (q, p), got {value!r}") from None
     return check_real(name, q), check_real(name, p)
 

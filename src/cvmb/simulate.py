@@ -19,16 +19,16 @@ generated independently.  One call (``run``, or ``run_many`` over several
 configs) puts the batches of all its configs in one queue: threads across
 the usable CPUs take them one at a time as they come free, each reusing
 its own kernel scratch, and go on from one config's last batch to the
-next config's first.  A two-stage config puts both its stages in that
-queue: stage 2 re-centres the probe on the stage-1 estimate, but the
-outcome covariance does not depend on the displacement, so stage 2's
-error does not depend on that estimate and its batches need not wait for
-stage 1's.  Each batch's sums are added to its config's
-compensated total as the batch finishes, in the config's batch-index
-order; a batch that finishes before an earlier one of its config waits
-for it.  Results do not depend on the worker count, on which thread ran
-which batch, or on which other configs shared the call, and the memory
-a call holds does not grow with its shot count.  Batches hold
+next config's first; a call whose shots fit in one batch starts no thread.
+A two-stage config puts both its stages in that queue: stage 2 re-centres
+the probe on the stage-1 estimate, but the outcome covariance does not
+depend on the displacement, so stage 2's error does not depend on that
+estimate and its batches need not wait for stage 1's.  Each batch's sums
+are added to its config's compensated total as the batch finishes, in the
+config's batch-index order; a batch that finishes before an earlier one
+of its config waits for it.  Results do not depend on the worker count,
+on which thread ran which batch, or on which other configs shared the
+call, and the memory a call holds does not grow with its shot count.  Batches hold
 ``BATCH_SIZE`` shots; another batch size would change nothing but the
 grouping of the compensated sums, i.e. results would move at most at the
 level of floating-point rounding.
@@ -394,7 +394,10 @@ def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[lis
     it is added.  So the results depend neither on W nor on which worker ran
     which batch, and no sums are kept per batch: only those waiting for an
     earlier batch still running.  Every batch draws into a fresh array, so a
-    wrapped kernel may keep its ``z``.
+    wrapped kernel may keep its ``z``.  W is the usable CPU count, but at
+    most the number of batches the call's shots would fill if they were one
+    job: a call whose shots fit in one batch starts no thread, however many
+    jobs share them.
     """
     if not jobs:
         return []
@@ -409,7 +412,8 @@ def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[lis
     _scipy_ndtri()
 
     starts = [range(0, count, BATCH_SIZE) for _, count, _, _ in jobs]
-    workers = min(_usable_cpus(), sum(map(len, starts)))
+    shots = sum(count for _, count, _, _ in jobs)
+    workers = min(_usable_cpus(), -(-shots // BATCH_SIZE))
     size = min(BATCH_SIZE, max(count for _, count, _, _ in jobs))
     batches = ((j, b, s) for j, job_starts in enumerate(starts) for b, s in enumerate(job_starts))
     lock = threading.Lock()
@@ -469,11 +473,12 @@ def _direct_result(sums: list[float], n: int) -> SimResult:
     )
 
 
-def _two_stage_result(sums1: list[float], sums2: list[float], samples: int) -> SimResult:
-    """The SimResult of a two-stage run of ``samples`` shots, from the sums of its two stages."""
-    n1 = math.isqrt(samples)
-    n2 = samples - n1
-    stage2 = _direct_result(sums2, n2)
+def _two_stage_result(stage1: tuple[list[float], int],
+                      stage2: tuple[list[float], int]) -> SimResult:
+    """The SimResult of a two-stage run, from the ``(sums, shots)`` of each stage."""
+    sums1, n1 = stage1
+    stage2 = _direct_result(*stage2)
+    n2 = stage2.samples
     # covariance about the empirical mean, then scaled to the pooled estimator
     # (n2 >= 2, as SimConfig asks for at least 4 shots)
     centered = (stage2.mse_matrix - np.outer(stage2.bias, stage2.bias)) * (n2 / (n2 - 1))
@@ -555,7 +560,7 @@ def run_many(configs: list[SimConfig]) -> list[SimResult]:
             jobs.append((derive_seed(config.seed, 1), config.samples - n1, transform, error))
         else:
             jobs.append((config.seed, config.samples, transform, error))
-    sums = iter(_accumulate(jobs))
-    return [_two_stage_result(next(sums), next(sums), config.samples)
-            if config.mode == "two_stage" else _direct_result(next(sums), config.samples)
+    stages = iter(zip(_accumulate(jobs), [count for _, count, _, _ in jobs]))
+    return [_two_stage_result(next(stages), next(stages))
+            if config.mode == "two_stage" else _direct_result(*next(stages))
             for config in configs]

@@ -305,7 +305,9 @@ def test_sim_config_theta_true_is_a_pair_of_reals():
     assert all(type(t) is float for t in config.theta_true)
     model = outcome_distribution(0.1, 0.0, np.array([1.0, np.float32(2.0)]))
     assert bits(model) == bits(outcome_distribution(0.1, 0.0, (1.0, 2.0)))
-    for bad in [(1.0, 2.0, 3.0), (1.0,), (), None, "12", 1.0, 5, np.eye(2)]:
+    # a set or a dict would unpack to two reals, but not in (q, p) order
+    for bad in [(1.0, 2.0, 3.0), (1.0,), (), None, "12", b"12", 1.0, 5, np.eye(2),
+                np.float64(1.0), {3.0, 1.0}, {0: 1.0, 1: 2.0}]:
         with pytest.raises(ValueError, match="^theta_true "):
             SimConfig(r=0.1, photons=0.0, theta_true=bad)
         with pytest.raises(ValueError, match="^theta "):

@@ -406,12 +406,17 @@ class TestWorkerCount:
 
     def test_single_batch_starts_no_thread(self, monkeypatch):
         def no_pool(*args, **kwargs):
-            raise AssertionError("a single batch must not start a thread")
+            raise AssertionError("shots that fit in a single batch must not start a thread")
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         self.force_workers(monkeypatch, 8)
         before = threading.active_count()
+        # one job of a full batch; then two jobs whose shots fit in one batch
+        # between them: a two-stage run (64 + 4032 shots), two half-batch configs
         run(dataclasses.replace(self.CONFIG, samples=self.BATCH))
+        run(dataclasses.replace(self.CONFIG, samples=self.BATCH, mode="two_stage"))
+        run_many([dataclasses.replace(self.CONFIG, samples=self.BATCH // 2, seed=seed)
+                  for seed in (1, 2)])
         assert threading.active_count() == before
 
     def test_out_of_order_completion(self, monkeypatch):
