@@ -175,9 +175,12 @@ def gate_failures(rows: list[BoundSweepRow]) -> list[BoundSweepRow]:
 def figure_series(spec: SweepSpec) -> np.ndarray:
     """Columns (r, C_S, C_R, max(C_S, C_R), V_DH) of the comparison figure.
 
-    The two-mode series over ``spec.r_grid()`` at ``spec.photons``.
+    The two-mode series over ``spec.r_grid()`` at ``spec.photons``; a
+    single-mode ``spec.probe`` raises ``ValueError``.
     """
-    rows = sweep_rows(replace(spec, probe="two_mode", samples=0))
+    if spec.probe != "two_mode":
+        raise ValueError("figure1 plots the two-mode probe; use --probe two-mode")
+    rows = sweep_rows(replace(spec, samples=0))
     return np.array([(row.r, row.c_s, row.c_r, max(row.c_s, row.c_r), row.v_dh) for row in rows])
 
 

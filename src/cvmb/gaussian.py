@@ -144,7 +144,8 @@ class GaussianState:
     semidefinite because N >= 0 (``cvmb.inputs.check_photons`` in
     :func:`make_thermal`) and each S is a product of matrices that passed
     :class:`SymplecticOp`'s check.  Its mean and covariance are still
-    checked to be finite.
+    checked to be finite.  :func:`displace` keeps the covariance, factored
+    or not, so it skips the test too.
     """
 
     mean: np.ndarray
@@ -184,12 +185,15 @@ class GaussianState:
         return self.mean.size // 2
 
 
-def _factored(mean: np.ndarray, cov: np.ndarray, williamson: Williamson) -> GaussianState:
+def _factored(mean: np.ndarray, cov: np.ndarray,
+              williamson: Williamson | None) -> GaussianState:
     """A state from moments the package built, with their Williamson factors.
 
     ``mean`` and ``cov`` are fresh or read-only arrays of matching shape and
-    ``cov`` is symmetric by construction; only finiteness is checked here,
-    see :class:`GaussianState` for why the uncertainty relation holds.
+    ``cov`` is symmetric by construction; only finiteness is checked here.
+    With factors, see :class:`GaussianState` for why the uncertainty
+    relation holds; ``williamson`` is ``None`` only for the covariance of
+    a state that passed :class:`GaussianState`'s full check.
     """
     _finite("mean", mean)
     if not np.isfinite(cov).all():
@@ -408,8 +412,6 @@ def displace(state: GaussianState, q: float, p: float, mode: int = 0) -> Gaussia
     mean = state.mean.copy()
     mean[2 * mode] += check_real("q", q)
     mean[2 * mode + 1] += check_real("p", p)
-    if state.williamson is None:
-        return GaussianState(mean, state.cov)
     return _factored(mean, state.cov, state.williamson)
 
 

@@ -20,10 +20,10 @@ configs) puts the batches of all its configs in one queue: threads across
 the usable CPUs take them one at a time as they come free, each reusing
 its own kernel scratch, and go on from one config's last batch to the
 next config's first; a call whose shots fit in one batch starts no thread.
-A two-stage config puts both its stages in that queue: stage 2 re-centres
-the probe on the stage-1 estimate, but the outcome covariance does not
-depend on the displacement, so stage 2's error does not depend on that
-estimate and its batches need not wait for stage 1's.  Each batch's sums
+A two-stage config puts only its stage-2 shots in that queue: stage 2
+re-centres the probe on the stage-1 estimate, but the outcome covariance
+does not depend on the displacement, so no reported number depends on
+that estimate, and stage 1 is not drawn.  Each batch's sums
 are added to its config's compensated total as the batch finishes, in the
 config's batch-index order; a batch that finishes before an earlier one
 of its config waits for it.  Results do not depend on the worker count,
@@ -51,6 +51,7 @@ import os
 import sys
 import threading
 import types
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +131,8 @@ class SimConfig:
     ``|r|`` is at most ``SIMULATE_MAX_SQUEEZING``, ``photons`` at most
     ``cvmb.inputs.MAX_PHOTONS`` and ``samples`` at most
     ``cvmb.inputs.MAX_SAMPLES``; ``theta_true`` is a pair of finite reals;
-    ``mode="two_stage"`` needs at least 4 samples.  The numbers are checked
+    ``mode="two_stage"`` needs at least 4 samples, of which :func:`run`
+    draws the ``samples - isqrt(samples)`` of stage 2.  The numbers are checked
     and converted by the check functions of :mod:`cvmb.inputs`, so they are
     stored as Python floats and ints.
     """
@@ -165,8 +167,7 @@ class SimResult:
     pooled final estimator (so the value scales like 1/n).  ``mse_sum`` is
     its trace and ``std_error`` the standard error of ``mse_sum``.
     ``bias`` is the mean error of the shots in ``samples``, in two-stage
-    mode the stage-2 shots, whose error does not depend on the stage-1
-    estimate ``rough_estimate`` (None in direct mode).
+    mode the stage-2 shots, the only ones drawn.
     """
 
     mse_sum: float
@@ -174,14 +175,10 @@ class SimResult:
     std_error: float
     bias: np.ndarray
     samples: int
-    rough_estimate: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("mse_matrix", "bias", "rough_estimate"):
-            val = getattr(self, name)
-            if val is None:
-                continue
-            arr = np.asarray(val, dtype=float)
+        for name in ("mse_matrix", "bias"):
+            arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -473,12 +470,9 @@ def _direct_result(sums: list[float], n: int) -> SimResult:
     )
 
 
-def _two_stage_result(stage1: tuple[list[float], int],
-                      stage2: tuple[list[float], int]) -> SimResult:
-    """The SimResult of a two-stage run, from the ``(sums, shots)`` of each stage."""
-    sums1, n1 = stage1
-    stage2 = _direct_result(*stage2)
-    n2 = stage2.samples
+def _two_stage_result(sums: list[float], n2: int) -> SimResult:
+    """The SimResult of a two-stage run, from the ``sums`` of its ``n2`` stage-2 shots."""
+    stage2 = _direct_result(sums, n2)
     # covariance about the empirical mean, then scaled to the pooled estimator
     # (n2 >= 2, as SimConfig asks for at least 4 shots)
     centered = (stage2.mse_matrix - np.outer(stage2.bias, stage2.bias)) * (n2 / (n2 - 1))
@@ -489,7 +483,6 @@ def _two_stage_result(stage1: tuple[list[float], int],
         std_error=stage2.std_error / n2,
         bias=stage2.bias,
         samples=n2,
-        rough_estimate=np.array(sums1[:2]) / n1,
     )
 
 
@@ -502,21 +495,20 @@ def run(config: SimConfig) -> SimResult:
     identical configs give bitwise-identical results.
 
     With ``config.mode == "two_stage"`` the estimation is adaptive: stage 1
-    spends ``n1 = floor(sqrt(samples))`` shots on a rough estimate
-    theta_rough, returned as ``rough_estimate``; stage 2 displaces by
-    -theta_rough (a mean shift) and estimates the residual with the
-    remaining n2 shots, drawn from the stream keyed by
-    ``derive_seed(seed, 1)``.  The outcome covariance does not depend on
-    the displacement, so stage 2's error does not depend on theta_rough:
-    its shots err exactly as those of a direct run of n2 shots at
-    ``theta_true`` on that key, and both stages are sampled together in
-    the call's one batch queue.  ``bias`` is the mean stage-2 error, that
-    of the final estimate theta_rough + pooled residual estimate.
-    ``mse_matrix`` estimates the covariance of that pooled estimator
-    (empirical per-shot covariance about the mean, divided by n2), so
-    ``mse_sum * n2 -> (8N + 4) e^-2r``.  ``std_error`` is the direct run's
-    divided by n2, and neglects the O(1/n) shift from centering, which is
-    below its own resolution.
+    would spend ``n1 = floor(sqrt(samples))`` shots on a rough estimate
+    theta_rough, and stage 2 displaces by -theta_rough (a mean shift) and
+    estimates the residual with the remaining n2 shots, drawn from the
+    stream keyed by ``derive_seed(seed, 1)``.  The outcome covariance does
+    not depend on the displacement, so stage 2's error does not depend on
+    theta_rough: its shots err exactly as those of a direct run of n2 shots
+    at ``theta_true`` on that key.  No reported number depends on stage 1,
+    so stage 1 is not drawn, and only the n2 stage-2 shots are sampled.
+    ``bias`` is the mean stage-2 error, that of the final estimate
+    theta_rough + pooled residual estimate.  ``mse_matrix`` estimates the
+    covariance of that pooled estimator (empirical per-shot covariance
+    about the mean, divided by n2), so ``mse_sum * n2 -> (8N + 4) e^-2r``.
+    ``std_error`` is the direct run's divided by n2, and neglects the
+    O(1/n) shift from centering, which is below its own resolution.
 
     Args:
         config: simulation settings (``theta_true`` is the unknown target)
@@ -527,16 +519,17 @@ def run(config: SimConfig) -> SimResult:
     return run_many([config])[0]
 
 
-def run_many(configs: list[SimConfig]) -> list[SimResult]:
+def run_many(configs: Iterable[SimConfig]) -> list[SimResult]:
     """Run the simulations described by ``configs``, sampling them through one batch queue.
 
-    Each result is bitwise the one ``run`` gives for that config alone.  All
-    outcome models are built first, as one accumulation job per direct
-    config and two per two-stage config (stage 2's error does not depend
-    on the stage-1 estimate, so it need not wait for it); then one
-    ``_accumulate`` call hands out the batches of every job from one
-    queue, so no worker waits at the end of one config while batches of
-    the next are left.
+    ``configs`` is any iterable of :class:`SimConfig`, read once; an entry
+    that is not a ``SimConfig`` raises ``ValueError`` naming its index,
+    before anything is drawn.  Each result is bitwise the one ``run`` gives
+    for that config alone.  All outcome models are built first, as one
+    accumulation job per config (a two-stage config's job is its stage 2;
+    see :func:`run`); then one ``_accumulate`` call hands out the batches
+    of every job from one queue, so no worker waits at the end of one
+    config while batches of the next are left.
 
     Args:
         configs: simulation settings, one per result
@@ -544,23 +537,21 @@ def run_many(configs: list[SimConfig]) -> list[SimResult]:
     Returns:
         list of SimResult, in the order of ``configs``
     """
+    configs = list(configs)
     jobs = []
-    for config in configs:
+    for index, config in enumerate(configs):
+        if not isinstance(config, SimConfig):
+            raise ValueError(f"configs[{index}] must be a SimConfig, got {type(config).__name__}")
         model = outcome_distribution(config.r, config.photons, config.theta_true)
         jinv = np.linalg.inv(model.jacobian)
         transform = jinv @ np.linalg.cholesky(model.cov)
-        # each shot's estimate jinv @ outcome is transform @ z + estimate
-        estimate = jinv @ model.mean
-        error = estimate - np.array(config.theta_true)
+        # each shot's error jinv @ outcome - theta_true is transform @ z + error
+        error = jinv @ model.mean - np.array(config.theta_true)
+        key, count = config.seed, config.samples
         if config.mode == "two_stage":
-            # stage 1 accumulates raw estimates; stage 2 draws from a derived
-            # stream, since the stage-1 shot count may be odd
-            n1 = math.isqrt(config.samples)
-            jobs.append((config.seed, n1, transform, estimate))
-            jobs.append((derive_seed(config.seed, 1), config.samples - n1, transform, error))
-        else:
-            jobs.append((config.seed, config.samples, transform, error))
-    stages = iter(zip(_accumulate(jobs), [count for _, count, _, _ in jobs]))
-    return [_two_stage_result(next(stages), next(stages))
-            if config.mode == "two_stage" else _direct_result(*next(stages))
-            for config in configs]
+            # only stage 2 is drawn, from the stream derived for it
+            key, count = derive_seed(key, 1), count - math.isqrt(count)
+        jobs.append((key, count, transform, error))
+    return [_two_stage_result(sums, count) if config.mode == "two_stage"
+            else _direct_result(sums, count)
+            for config, sums, (_, count, _, _) in zip(configs, _accumulate(jobs), jobs)]

@@ -265,6 +265,14 @@ class TestFigure1Command:
             assert abs(float(row[3]) - max(c_s, c_r)) < 1e-9
             assert abs(float(row[4]) - 4.8 * np.exp(-2 * r)) < 1e-9
 
+    def test_rejects_single_probe(self, tmp_path, capsys):
+        # the figure is the two-mode series; a single probe is an error, not ignored
+        out = tmp_path / "fig.csv"
+        assert cli.main(["figure1", "--probe", "single", "--out", str(out)]) \
+            == cli.USAGE_ERROR
+        assert "--probe" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_dual_homodyne_above_bounds_at_small_r(self, tmp_path):
         out = tmp_path / "fig.csv"
         assert cli.main(["figure1", "--out", str(out)]) == 0

@@ -58,7 +58,7 @@ from cvmb.inputs import (
     squeezing_limit,
     two_mode_min_r,
 )
-from cvmb.simulate import SimConfig, derive_seed, outcome_distribution
+from cvmb.simulate import SimConfig, derive_seed, outcome_distribution, run, run_many
 
 BAD_VALUES = [True, math.nan, math.inf, -math.inf, "0.1", None]
 
@@ -205,6 +205,12 @@ PAST_DOMAIN = [
     # the empty mixed two-mode field keeps the domain of the V_DH field beside it
     ("closed_form_holevo.below_two_mode_min_r",
      lambda: closed_form_holevo(np.nextafter(two_mode_min_r(0.1), -400), 0.1, "two_mode")),
+    # every entry of run_many is a SimConfig, checked before anything is drawn
+    ("run_many.configs[0].int", lambda: run_many([1])),
+    ("run_many.configs[0].None", lambda: run_many([None])),
+    ("run_many.configs[0].str", lambda: run_many("ab")),
+    ("run_many.configs[1].None", lambda: run_many([SimConfig(r=0.1, photons=0.0), None])),
+    ("run.config.None", lambda: run(None)),
 ]
 
 
@@ -245,6 +251,16 @@ def test_array_and_model_errors_name_their_argument():
                             "eliminate_two_mode.")):
             with pytest.raises(ValueError, match=name.split(".")[1]):
                 call()
+
+
+def test_run_many_errors_name_the_index():
+    for name, message in [("run_many.configs[0].int", "configs[0] must be a SimConfig, got int"),
+                          ("run_many.configs[0].str", "configs[0] must be a SimConfig, got str"),
+                          ("run_many.configs[1].None",
+                           "configs[1] must be a SimConfig, got NoneType")]:
+        with pytest.raises(ValueError) as exc:
+            dict(PAST_DOMAIN)[name]()
+        assert str(exc.value) == message
 
 
 def test_count_caps():
