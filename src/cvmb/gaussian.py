@@ -145,7 +145,11 @@ class GaussianState:
     :func:`make_thermal`) and each S is a product of matrices that passed
     :class:`SymplecticOp`'s check.  Its mean and covariance are still
     checked to be finite.  :func:`displace` keeps the covariance, factored
-    or not, so it skips the test too.
+    or not, so it skips the test too, and so does :func:`apply` on a state
+    without factors: that state passed the test, and
+    ``S cov S^T + i Omega = S (cov + i Omega) S^T`` for a symplectic S.  So
+    the package checks a bare covariance once, where it enters, and the
+    states :func:`apply` and :func:`displace` derive from it stay bare.
     """
 
     mean: np.ndarray
@@ -193,7 +197,8 @@ def _factored(mean: np.ndarray, cov: np.ndarray,
     ``cov`` is symmetric by construction; only finiteness is checked here.
     With factors, see :class:`GaussianState` for why the uncertainty
     relation holds; ``williamson`` is ``None`` only for the covariance of
-    a state that passed :class:`GaussianState`'s full check.
+    a state that passed :class:`GaussianState`'s full check, or for its
+    image under symplectic ops, for which the relation holds as well.
     """
     _finite("mean", mean)
     if not np.isfinite(cov).all():
@@ -423,7 +428,9 @@ def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
     halving before adding so that entries near the top of the double range
     do not overflow.  Away from the ends of that range halving is exact, so
     there this equals ``0.5 * (cov + cov.T)`` bit for bit.  A factored state
-    (S', N) maps to the factored state (S S', N).
+    (S', N) maps to the factored state (S S', N), and a bare state to a
+    bare state; neither repeats the uncertainty test (see
+    :class:`GaussianState`), but both are checked to be finite.
     """
     if op.matrix.shape[0] != state.mean.size:
         raise ValueError(
@@ -433,7 +440,7 @@ def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
     cov = op.matrix @ state.cov @ op.matrix.T
     cov = 0.5 * cov + 0.5 * cov.T
     if state.williamson is None:
-        return GaussianState(mean, cov)
+        return _factored(mean, cov, None)
     symplectic = op.matrix @ state.williamson.symplectic
     symplectic.setflags(write=False)
     return _factored(mean, cov, Williamson(symplectic, state.williamson.mean_photons))

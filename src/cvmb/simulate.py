@@ -18,13 +18,13 @@ The draw for shot i therefore depends only on (seed, i), so batches are
 generated independently.  One call (``run``, or ``run_many`` over several
 configs) puts the batches of all its configs in one queue: threads across
 the usable CPUs take them one at a time as they come free, each reusing
-its own kernel scratch, and go on from one config's last batch to the
-next config's first; a call whose shots fit in one batch starts no thread.
-A two-stage config puts only its stage-2 shots in that queue: stage 2
-re-centres the probe on the stage-1 estimate, but the outcome covariance
-does not depend on the displacement, so no reported number depends on
-that estimate, and stage 1 is not drawn.  Each batch's sums
-are added to its config's compensated total as the batch finishes, in the
+one kernel scratch array of its own, and go on from one config's last
+batch to the next config's first; a call whose shots fit in one batch
+starts no thread.  A two-stage config puts only its stage-2 shots in that
+queue: stage 2 re-centres the probe on the stage-1 estimate, but the
+outcome covariance does not depend on the displacement, so no reported
+number depends on that estimate, and stage 1 is not drawn.  Each batch's
+sums are added to its config's compensated total as the batch finishes, in the
 config's batch-index order; a batch that finishes before an earlier one
 of its config waits for it.  Results do not depend on the worker count,
 on which thread ran which batch, or on which other configs shared the
@@ -240,34 +240,31 @@ def _scipy_ndtri():
     package (SciPy's array-API layer reads every attribute of NumPy, which
     loads ``numpy.f2py``, ``numpy.testing``, ``numpy.ma`` and more), while
     the package's ``ndtri`` is the plain ufunc of ``scipy.special._ufuncs``.
-    A package already imported is used as it is.  Otherwise ``_ufuncs`` is
-    imported under a bare stand-in for its package, which its relative
-    imports of its sibling extension modules need, and the stand-in is
-    removed before returning, so a later ``import scipy.special`` runs the
-    real ``__init__``; that reuses the loaded ``_ufuncs``, so its ``ndtri``
-    is this one.  That package binds ``_ufuncs`` as an attribute but not the
-    four sibling extension modules, which stay reachable by import.
-    Another thread importing ``scipy.special`` while the stand-in is in
-    place would get the stand-in.
+    So ``ndtri`` is always imported from ``_ufuncs``, whether the package is
+    loaded or not.  If it is not, a bare stand-in for it goes into
+    ``sys.modules`` first, which the relative imports of ``_ufuncs``'s
+    sibling extension modules need, and is removed before returning, so a
+    later ``import scipy.special`` runs the real ``__init__``; that reuses
+    the loaded ``_ufuncs``, so its ``ndtri`` is this one.  The import system
+    binds a submodule on its parent package only when it loaded the parent
+    itself, so the stand-in is never bound on ``scipy``.  The package binds
+    ``_ufuncs`` as an attribute but not the four sibling extension modules,
+    which stay reachable by import.  Another thread importing
+    ``scipy.special`` while the stand-in is in place would get the stand-in.
     """
     with _ndtri_lock:
-        if "scipy.special" in sys.modules:
-            from scipy.special import ndtri as scipy_ndtri
+        stub = None
+        if "scipy.special" not in sys.modules:
+            import scipy
 
-            return scipy_ndtri
-        import scipy
-
-        stub = types.ModuleType("scipy.special")
-        stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
-        sys.modules["scipy.special"] = stub
+            stub = types.ModuleType("scipy.special")
+            stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
+            sys.modules["scipy.special"] = stub
         try:
             from scipy.special._ufuncs import ndtri as scipy_ndtri
         finally:
-            if sys.modules.get("scipy.special") is stub:
+            if stub is not None and sys.modules.get("scipy.special") is stub:
                 del sys.modules["scipy.special"]
-            # vars, not getattr: SciPy's module __getattr__ would import the package
-            if vars(scipy).get("special") is stub:
-                del scipy.special
         return scipy_ndtri
 
 
@@ -293,9 +290,9 @@ def accumulate_affine_moments(z, a, c, *, scratch):
 
     Reductions use NumPy's pairwise summation; batches are combined with
     compensated sums by the caller.  ``z`` is only read.  The errors are
-    written as two rows, e1 and e2, into the first n columns of the (2, m)
-    scratch and one length-n temporary into the first n entries of the (m,)
-    scratch, so a caller reuses one scratch for all its batches.
+    written as two rows, e1 and e2, into the first n columns of rows 0 and 1
+    of the (3, m) scratch and one length-n temporary into the first n
+    entries of row 2, so a caller reuses one scratch for all its batches.
 
     The sums are bitwise those of ``e = z @ a.T + c`` summed column by
     column: the product is formed as ``a @ z.T``, which hands BLAS
@@ -308,7 +305,7 @@ def accumulate_affine_moments(z, a, c, *, scratch):
         z: (n, k) standard-normal draws
         a: (2, k) affine transform rows
         c: (2,) affine offset
-        scratch: pair of float64 arrays, shapes (2, m) and (m,) with m >= n
+        scratch: C-contiguous float64 array of shape (3, m) with m >= n
 
     Returns:
         tuple: (sum e1, sum e2, sum e1^2, sum e2^2, sum e1*e2,
@@ -328,18 +325,12 @@ def accumulate_affine_moments(z, a, c, *, scratch):
         raise ValueError(f"a must have shape (2, {k}), got {a.shape}")
     if c.shape != (2,):
         raise ValueError(f"c must have shape (2,), got {c.shape}")
-    if not (isinstance(scratch, (tuple, list)) and len(scratch) == 2):
-        raise ValueError("scratch must be a pair of float64 arrays, shapes (2, m) and (m,)")
-    errors, tmp = scratch
-    if not (isinstance(errors, np.ndarray) and errors.dtype == np.float64 and errors.ndim == 2
-            and errors.shape[0] == 2 and errors.shape[1] >= n):
-        raise ValueError(f"scratch[0] must be a float64 (2, m) array with m >= {n}, "
-                         f"got {getattr(errors, 'dtype', type(errors))} {np.shape(errors)}")
-    if not (isinstance(tmp, np.ndarray) and tmp.dtype == np.float64 and tmp.ndim == 1
-            and tmp.shape[0] >= n):
-        raise ValueError(f"scratch[1] must be a float64 (m,) array with m >= {n}, "
-                         f"got {getattr(tmp, 'dtype', type(tmp))} {np.shape(tmp)}")
-    e, tmp = errors[:, :n], tmp[:n]
+    if not (isinstance(scratch, np.ndarray) and scratch.dtype == np.float64 and scratch.ndim == 2
+            and scratch.shape[0] == 3 and scratch.shape[1] >= n and scratch.flags.c_contiguous):
+        raise ValueError(f"scratch must be a float64 (3, m) array, C-contiguous, with m >= {n}, "
+                         f"got {getattr(scratch, 'dtype', type(scratch).__name__)} "
+                         f"{getattr(scratch, 'shape', '')}")
+    e, tmp = scratch[:2, :n], scratch[2, :n]
     np.matmul(a, z.T, out=e)
     e1, e2 = e
     e1 += c[0]
@@ -383,18 +374,18 @@ def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[lis
     A job ``(key, count, transform, offset)`` covers shots [0, count) of the
     stream keyed by ``key``.  W workers (the calling thread and W - 1 pool
     threads) take ``(job, batch)`` pairs one at a time, under a lock, from
-    one shared iterator over all jobs in order, each with one kernel scratch
-    for the whole call, so a worker that finishes one job's last batch goes
-    straight on to the next job.  Under the same lock, a worker adds each
-    batch's sums to its job's total as the batch finishes, in batch-index
-    order: sums that finish before an earlier batch of their job wait until
-    it is added.  So the results depend neither on W nor on which worker ran
-    which batch, and no sums are kept per batch: only those waiting for an
-    earlier batch still running.  Every batch draws into a fresh array, so a
-    wrapped kernel may keep its ``z``.  W is the usable CPU count, but at
-    most the number of batches the call's shots would fill if they were one
-    job: a call whose shots fit in one batch starts no thread, however many
-    jobs share them.
+    one shared iterator over all jobs in order, each with one (3, m) kernel
+    scratch array for the whole call, m the largest batch, so a worker
+    that finishes one job's last batch goes straight on to the next job.
+    Under the same lock, a worker adds each batch's sums to its job's total
+    as the batch finishes, in batch-index order: sums that finish before an
+    earlier batch of their job wait until it is added.  So the results
+    depend neither on W nor on which worker ran which batch, and no sums are
+    kept per batch: only those waiting for an earlier batch still running.
+    Every batch draws into a fresh array, so a wrapped kernel may keep its
+    ``z``.  W is the usable CPU count, but at most the number of batches the
+    call's shots would fill if they were one job: a call whose shots fit in
+    one batch starts no thread, however many jobs share them.
     """
     if not jobs:
         return []
@@ -425,7 +416,7 @@ def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[lis
             added[j] += 1
 
     def work():
-        scratch = (np.empty((2, size)), np.empty(size))
+        scratch = np.empty((3, size))
         done = None
         while True:
             with lock:
@@ -522,9 +513,10 @@ def run(config: SimConfig) -> SimResult:
 def run_many(configs: Iterable[SimConfig]) -> list[SimResult]:
     """Run the simulations described by ``configs``, sampling them through one batch queue.
 
-    ``configs`` is any iterable of :class:`SimConfig`, read once; an entry
-    that is not a ``SimConfig`` raises ``ValueError`` naming its index,
-    before anything is drawn.  Each result is bitwise the one ``run`` gives
+    ``configs`` is any iterable of :class:`SimConfig`, read once; a
+    ``configs`` that is not iterable raises ``ValueError``, and so does an
+    entry that is not a ``SimConfig``, naming its index, before anything is
+    drawn.  Each result is bitwise the one ``run`` gives
     for that config alone.  All outcome models are built first, as one
     accumulation job per config (a two-stage config's job is its stage 2;
     see :func:`run`); then one ``_accumulate`` call hands out the batches
@@ -537,6 +529,11 @@ def run_many(configs: Iterable[SimConfig]) -> list[SimResult]:
     Returns:
         list of SimResult, in the order of ``configs``
     """
+    try:
+        configs = iter(configs)
+    except TypeError:
+        raise ValueError("configs must be an iterable of SimConfig, "
+                         f"got {type(configs).__name__}") from None
     configs = list(configs)
     jobs = []
     for index, config in enumerate(configs):

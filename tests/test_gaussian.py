@@ -337,10 +337,29 @@ class TestInvariants:
         with pytest.raises(TypeError):
             GaussianState(np.zeros(4), state.cov, state.williamson)
 
+    def test_apply_keeps_a_bare_state_unchecked(self, monkeypatch):
+        # a bare covariance is checked where it enters; its image under a
+        # checked symplectic op is not tested again, only for finiteness
+        bare = GaussianState(np.zeros(4), make_thermal(0.25, 2).cov)
+        op = two_mode_squeezer(0.3)
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("apply ran the uncertainty test")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        image = apply(op, bare)
+        cov = op.matrix @ bare.cov @ op.matrix.T
+        assert same_bits(image.cov, 0.5 * cov + 0.5 * cov.T)
+        assert same_bits(image.mean, op.matrix @ bare.mean)
+        assert image.williamson is None
+        assert not (image.cov.flags.writeable or image.mean.flags.writeable)
+
     def test_factored_state_rejects_non_finite_moments(self):
         huge = SymplecticOp(np.diag([1e200, 1e-200]))
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="covariance matrix must be finite"):
-            apply(huge, apply(huge, make_thermal(0.0, 1)))
+        # a bare state's image is checked for finiteness as a factored one's is
+        for state in (make_thermal(0.0, 1), GaussianState(np.zeros(2), np.eye(2))):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="covariance matrix must be finite"):
+                apply(huge, apply(huge, state))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="mean must be finite"):
             apply(SymplecticOp(np.diag([1e150, 1e-150])),
                   displace(vacuum(), 1e200, 0.0))

@@ -211,6 +211,10 @@ PAST_DOMAIN = [
     ("run_many.configs[0].str", lambda: run_many("ab")),
     ("run_many.configs[1].None", lambda: run_many([SimConfig(r=0.1, photons=0.0), None])),
     ("run.config.None", lambda: run(None)),
+    # and configs itself is an iterable
+    ("run_many.configs.int", lambda: run_many(5)),
+    ("run_many.configs.None", lambda: run_many(None)),
+    ("run_many.configs.float", lambda: run_many(1.5)),
 ]
 
 
@@ -257,7 +261,9 @@ def test_run_many_errors_name_the_index():
     for name, message in [("run_many.configs[0].int", "configs[0] must be a SimConfig, got int"),
                           ("run_many.configs[0].str", "configs[0] must be a SimConfig, got str"),
                           ("run_many.configs[1].None",
-                           "configs[1] must be a SimConfig, got NoneType")]:
+                           "configs[1] must be a SimConfig, got NoneType"),
+                          ("run_many.configs.int",
+                           "configs must be an iterable of SimConfig, got int")]:
         with pytest.raises(ValueError) as exc:
             dict(PAST_DOMAIN)[name]()
         assert str(exc.value) == message
