@@ -15,32 +15,35 @@ Reproducibility
 Shots are numbered and each consumes a fixed number of 64-bit words from
 a counter-based Philox stream, with normals produced by inverse-CDF.
 The draw for shot i therefore depends only on (seed, i), so batches are
-generated independently.  One call (``run``, or ``run_many`` over several
-configs) puts the batches of all its configs in one queue: threads across
-the usable CPUs take them one at a time as they come free, each reusing
-one kernel scratch array of its own, and go on from one config's last
-batch to the next config's first; a call whose shots fit in one batch
-starts no thread.  A two-stage config puts only its stage-2 shots in that
-queue: stage 2 re-centres the probe on the stage-1 estimate, but the
-outcome covariance does not depend on the displacement, so no reported
-number depends on that estimate, and stage 1 is not drawn.  Each batch's
-sums are added to its config's compensated total as the batch finishes, in the
-config's batch-index order; a batch that finishes before an earlier one
-of its config waits for it.  Results do not depend on the worker count,
-on which thread ran which batch, or on which other configs shared the
-call, and the memory a call holds does not grow with its shot count.  Batches hold
-``BATCH_SIZE`` shots; another batch size would change nothing but the
-grouping of the compensated sums, i.e. results would move at most at the
-level of floating-point rounding.
+generated independently.  One call (``run``, or ``run_many`` over
+several configs) puts the batches of all its configs in one queue: plain
+``threading`` threads across the usable CPUs, the calling thread among
+them, take them one at a time as they come free, each reusing one kernel
+scratch array of its own, and go on from one config's last batch to the
+next config's first; a call whose shots fit in one batch starts no
+thread.  The first error in any worker, a ``KeyboardInterrupt`` in the
+calling thread among them, stops the queue: the other workers finish
+only the batch each holds, and the error reaches the caller.  A
+two-stage config puts only its stage-2 shots in that queue: stage 2
+re-centres the probe on the stage-1 estimate, but the outcome covariance
+does not depend on the displacement, so no reported number depends on
+that estimate, and stage 1 is not drawn.  Each batch's sums are added to
+its config's compensated total as the batch finishes, in the config's
+batch-index order; a batch that finishes before an earlier one of its
+config waits for it.  Results do not depend on the worker count, on
+which thread ran which batch, or on which other configs shared the call,
+and the memory a call holds does not grow with its shot count.  Batches
+hold ``BATCH_SIZE`` shots; another batch size would change nothing but
+the grouping of the compensated sums, i.e. results would move at most
+at the level of floating-point rounding.
 
-Neither ``numpy.random`` nor SciPy nor the thread pool of
-``concurrent.futures`` is imported with this module: the bit generators
-load on the first sampling call or derived seed, and ``ndtri`` and the
-pool on the first sampling call, so a run that only computes bounds loads
-none of them.  Sampling loads SciPy's compiled ``scipy.special._ufuncs``,
-which defines ``ndtri``, and not the ``scipy.special`` package, whose
-``__init__`` also loads SciPy's array-API layer and with it most of NumPy's
-lazy submodules.
+Neither ``numpy.random`` nor SciPy is imported with this module: the bit
+generators load on the first sampling call or derived seed, and ``ndtri``
+on the first sampling call, so a run that only computes bounds loads
+neither.  Sampling loads no pool module such as ``concurrent.futures``,
+and it loads SciPy's compiled ``scipy.special._ufuncs``, which defines
+``ndtri``, and not the ``scipy.special`` package, whose ``__init__`` also
+loads SciPy's array-API layer and with it most of NumPy's lazy submodules.
 """
 
 from __future__ import annotations
@@ -372,7 +375,7 @@ def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[lis
     """Stream each job's shots through the kernel; one Kahan-combined sum list per job.
 
     A job ``(key, count, transform, offset)`` covers shots [0, count) of the
-    stream keyed by ``key``.  W workers (the calling thread and W - 1 pool
+    stream keyed by ``key``.  W workers (the calling thread and W - 1 plain
     threads) take ``(job, batch)`` pairs one at a time, under a lock, from
     one shared iterator over all jobs in order, each with one (3, m) kernel
     scratch array for the whole call, m the largest batch, so a worker
@@ -385,16 +388,17 @@ def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[lis
     Every batch draws into a fresh array, so a wrapped kernel may keep its
     ``z``.  W is the usable CPU count, but at most the number of batches the
     call's shots would fill if they were one job: a call whose shots fit in
-    one batch starts no thread, however many jobs share them.
+    one batch starts no thread, however many jobs share them.  A worker
+    that raises, the calling thread on a ``KeyboardInterrupt`` among them,
+    keeps the error and stops the queue: each other worker finishes the
+    batch it holds and takes no other.  The calling thread joins every
+    thread it started, then raises the first error.
     """
     if not jobs:
         return []
-    # load NumPy's bit generators, SciPy's ndtri (from the compiled
-    # scipy.special._ufuncs, not the scipy.special package) and the thread
-    # pool here, before any worker starts, so no pool thread imports inside
-    # a draw
-    from concurrent.futures import ThreadPoolExecutor
-
+    # load NumPy's bit generators and SciPy's ndtri (from the compiled
+    # scipy.special._ufuncs, not the scipy.special package) here, before any
+    # worker starts, so no worker thread imports inside a draw
     import numpy.random  # noqa: F401
 
     _scipy_ndtri()
@@ -408,6 +412,8 @@ def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[lis
     totals = [_KahanSums(6) for _ in jobs]
     added = [0] * len(jobs)  # per job, the index of the next batch its total takes
     waiting: dict[tuple[int, int], tuple] = {}  # finished batches whose turn has not come
+    errors = []  # what the workers raised, first error first
+    stop = False  # set on an error, and by the calling thread once it leaves work()
 
     def combine(j, b, batch_sums):
         waiting[j, b] = batch_sums
@@ -416,30 +422,41 @@ def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[lis
             added[j] += 1
 
     def work():
+        nonlocal stop
         scratch = np.empty((3, size))
         done = None
-        while True:
+        try:
+            while True:
+                with lock:
+                    if done is not None:
+                        combine(*done)
+                    j, b, s = (None, None, None) if stop else next(batches, (None, None, None))
+                if j is None:
+                    return
+                key, count, transform, offset = jobs[j]
+                # no reference to the draws outlives the call, so the next
+                # batch's draws can take their freed memory
+                done = j, b, accumulate_affine_moments(
+                    _shot_normals(key, s, min(BATCH_SIZE, count - s)),
+                    transform, offset, scratch=scratch)
+        except BaseException as exc:  # a KeyboardInterrupt in the calling thread too
             with lock:
-                if done is not None:
-                    combine(*done)
-                j, b, s = next(batches, (None, None, None))
-            if j is None:
-                return
-            key, count, transform, offset = jobs[j]
-            # no reference to the draws outlives the call, so the next
-            # batch's draws can take their freed memory
-            done = j, b, accumulate_affine_moments(
-                _shot_normals(key, s, min(BATCH_SIZE, count - s)),
-                transform, offset, scratch=scratch)
+                errors.append(exc)
+                stop = True
 
-    if workers == 1:
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    try:
+        for thread in threads:
+            thread.start()
         work()
-    else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(work) for _ in range(workers - 1)]
-            work()
-            for f in futures:
-                f.result()
+    finally:
+        with lock:
+            stop = True
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    if errors:
+        raise errors[0]
     return [agg.total for agg in totals]
 
 

@@ -583,7 +583,7 @@ class TestLazyOptimizerImport:
             "from cvmb.simulate import SimConfig, run\n"
             "assert not scipy_loaded(), ('loaded at import', scipy_loaded())\n"
             "assert 'numpy.random' not in sys.modules, 'numpy.random loaded at import'\n"
-            "assert 'concurrent.futures' not in sys.modules, 'thread pool loaded at import'\n"
+            "assert 'concurrent.futures' not in sys.modules, 'pool module loaded at import'\n"
             "run(SimConfig(r=0.5, photons=0.0, samples=1000))\n"
             "assert 'scipy.special._ufuncs' in sys.modules, 'ndtri not loaded by run'\n"
             "assert 'numpy.random' in sys.modules, 'numpy.random not loaded by run'\n"
@@ -592,6 +592,15 @@ class TestLazyOptimizerImport:
             "for name in ('scipy.special', 'scipy._lib._array_api', 'numpy.f2py',\n"
             "             'scipy.optimize'):\n"
             "    assert name not in sys.modules, (name, 'loaded by run')\n"
+            # two batches on two workers start one plain thread and load no pool module
+            "import threading, cvmb.simulate\n"
+            "starts = []\n"
+            "start = threading.Thread.start\n"
+            "threading.Thread.start = lambda thread: (starts.append(thread), start(thread))[1]\n"
+            "cvmb.simulate._usable_cpus = lambda: 2\n"
+            "run(SimConfig(r=0.5, photons=0.0, samples=2 * cvmb.simulate.BATCH_SIZE))\n"
+            "assert len(starts) == 1, starts\n"
+            "assert 'concurrent.futures' not in sys.modules, 'pool module loaded by sampling'\n"
         )
 
     def test_scipy_special_imported_before_run_is_used(self):
@@ -646,9 +655,9 @@ class TestLazyOptimizerImport:
 
 class TestLazyRandomImport:
     """NumPy's random module is loaded only by what draws or derives seeds,
-    and the thread pool only by what samples;
+    and ``concurrent.futures`` by nothing: sampling starts plain threads;
     ``test_scipy_special_loaded_on_first_run`` checks that ``run`` loads the
-    random module."""
+    random module and, on two workers, no pool module."""
 
     def test_bounds_never_load_it(self, tmp_path):
         out = str(tmp_path / "out.csv")

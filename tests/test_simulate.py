@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import math
 import sys
@@ -195,6 +194,43 @@ class TestRun:
             SimConfig(r=0.1, photons=np.nextafter(MAX_PHOTONS, np.inf))
 
 
+class TestExactLaw:
+    """The sampler's MSE follows its exact law, not only its mean.
+
+    Each error component has variance ``lam = (4N + 2) e^-2r``, and the two
+    are independent, so ``n * mse_sum / lam`` is chi-squared with 2n degrees
+    of freedom at every n; its upper tail probability is uniform on [0, 1].
+    """
+
+    P_MIN = 1e-5  # KS threshold, fixed before the test was first run
+    SAMPLES = 20_000
+
+    @staticmethod
+    def configs():
+        rng = np.random.default_rng(18)
+        return [SimConfig(r=rng.uniform(-1.5, 1.5), photons=rng.choice([0.0, 0.1, 0.5, 2.0]),
+                          theta_true=tuple(rng.uniform(-1e3, 1e3, 2)),
+                          samples=TestExactLaw.SAMPLES, seed=seed)
+                for seed in range(400)]
+
+    def test_chi_squared_tails_are_uniform(self):
+        from scipy.special import chdtrc
+        from scipy.stats import kstest
+
+        configs = self.configs()
+        n = self.SAMPLES
+        mse = np.array([res.mse_sum for res in run_many(configs)])
+        lam = np.array([(4 * c.photons + 2) * math.exp(-2 * c.r) for c in configs])
+
+        def p_value(scale):
+            return kstest(chdtrc(2 * n, n * mse / (lam * scale)), "uniform").pvalue
+
+        assert p_value(1.0) >= self.P_MIN
+        # the test's power: the same runs reject a reference variance 0.4% off
+        assert p_value(1.004) < self.P_MIN
+        assert p_value(1 / 1.004) < self.P_MIN
+
+
 class TestTwoStage:
     def test_per_shot_mse_matches_direct_formula(self):
         r = 0.5
@@ -302,25 +338,28 @@ class TestWorkerCount:
     @pytest.mark.parametrize("case", ["direct", "two_stage"])
     def test_bitwise_equal_for_any_worker_count(self, monkeypatch, case):
         config = dataclasses.replace(self.CONFIG, mode=case)
-        pools = []
+        starters = []  # the module that started each thread
+        start = threading.Thread.start
 
-        class CountingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
+        def counting_start(thread):
+            starters.append(sys._getframe(1).f_globals["__name__"])
+            start(thread)
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-        results = []
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        results, starts = [], []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
             for n in (1, 2, 8):  # 8 is more workers than most hosts have cores
                 self.force_workers(monkeypatch, n)
+                before = len(starters)
                 results.append(self.fields(run(config)))
+                starts.append(len(starters) - before)
         finally:
             sys.setswitchinterval(interval)
-        # one pool per multi-worker run: two-stage draws only its 25 stage-2 batches
-        assert pools == [1, 7]
+        # W - 1 threads beside the calling one: two-stage draws only its 25 stage-2 batches
+        assert starts == [0, 1, 7]
+        assert set(starters) == {"cvmb.simulate"}
         for other in results[1:]:
             assert len(other) == len(results[0])
             for a, b in zip(results[0], other):
@@ -418,10 +457,10 @@ class TestWorkerCount:
         assert csv[0] == csv[1]
 
     def test_single_batch_starts_no_thread(self, monkeypatch):
-        def no_pool(*args, **kwargs):
+        def no_start(thread):
             raise AssertionError("shots that fit in a single batch must not start a thread")
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
         self.force_workers(monkeypatch, 8)
         before = threading.active_count()
         # one job of a full batch; a two-stage run, which draws only its
@@ -492,6 +531,81 @@ class TestWorkerCount:
         self.force_workers(monkeypatch, 2)
         with pytest.raises(FloatingPointError, match="worker failed"):
             run(self.CONFIG)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("error", [FloatingPointError, KeyboardInterrupt])
+    def test_first_error_stops_the_queue(self, monkeypatch, error, n):
+        # a FloatingPointError in a worker thread, or a KeyboardInterrupt in
+        # the calling thread, while the other workers hold a batch each: the
+        # error reaches the caller, and after it each other worker may finish
+        # only the batch it holds (its draw may start after the error), so no
+        # more than n - 1 of the 25 batches are drawn after the error
+        in_caller = error is KeyboardInterrupt
+        failed, held = threading.Event(), threading.Event()
+        drawn_after = []
+        draw = cvmb.simulate._shot_normals
+        kernel = cvmb.simulate.accumulate_affine_moments
+
+        def counting_draw(key, start, count):
+            if failed.is_set():
+                drawn_after.append(start)
+            return draw(key, start, count)
+
+        def failing_kernel(z, a, c, **kwargs):
+            if (threading.current_thread() is threading.main_thread()) == in_caller:
+                if in_caller:
+                    held.wait(timeout=10)  # until a worker thread holds a batch
+                if not failed.is_set():
+                    failed.set()
+                    raise error("worker failed")
+            else:
+                held.set()
+                failed.wait(timeout=10)
+            return kernel(z, a, c, **kwargs)
+
+        monkeypatch.setattr(cvmb.simulate, "_shot_normals", counting_draw)
+        monkeypatch.setattr(cvmb.simulate, "accumulate_affine_moments", failing_kernel)
+        self.force_workers(monkeypatch, n)
+        before = threading.active_count()
+        with pytest.raises(error, match="worker failed"):
+            run(self.CONFIG)
+        assert failed.is_set()
+        assert len(drawn_after) <= n - 1, f"batches drawn after the error: {drawn_after}"
+        assert threading.active_count() == before
+
+    def test_failed_thread_start_stops_the_queue(self, monkeypatch):
+        # the second of three thread starts fails: the thread already started
+        # finishes the batch it holds, and the start's error reaches the caller
+        start, draw = threading.Thread.start, cvmb.simulate._shot_normals
+        kernel = cvmb.simulate.accumulate_affine_moments
+        refused = threading.Event()
+        starts, drawn_after = [], []
+
+        def refusing_start(thread):
+            starts.append(thread)
+            if len(starts) == 2:
+                refused.set()
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        def counting_draw(key, start, count):
+            if refused.is_set():
+                drawn_after.append(start)
+            return draw(key, start, count)
+
+        def waiting_kernel(z, a, c, **kwargs):
+            refused.wait(timeout=10)
+            return kernel(z, a, c, **kwargs)
+
+        monkeypatch.setattr(threading.Thread, "start", refusing_start)
+        monkeypatch.setattr(cvmb.simulate, "_shot_normals", counting_draw)
+        monkeypatch.setattr(cvmb.simulate, "accumulate_affine_moments", waiting_kernel)
+        self.force_workers(monkeypatch, 4)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            run(self.CONFIG)
+        assert len(drawn_after) <= 1, f"batches drawn after the error: {drawn_after}"
+        assert threading.active_count() == before
 
     def test_memory_does_not_grow_with_batch_count(self, monkeypatch):
         # 20,000 batches on 2 workers: the sums held while they run must not
