@@ -106,6 +106,7 @@ from cvmb.gaussian import (
 from cvmb.inputs import (
     check_mode,
     check_photons,
+    check_probe,
     check_real_array,
     check_squeezing,
     check_two_mode_r,
@@ -338,18 +339,16 @@ def closed_form_bounds(r: float, mean_photons: float, probe_kind: str) -> tuple[
     n = check_photons("mean_photons", mean_photons)
     r = check_squeezing("r", r, n)
     c = np.cosh(2.0 * r)
-    if probe_kind == "single":
+    if check_probe("probe kind", probe_kind) == "single":
         c_s = (2.0 + 4.0 * n) * c
         return float(c_s), float(2.0 + c_s)
-    if probe_kind == "two_mode":
-        c_s = (2.0 + 4.0 * n) / c
-        if n == 0:
-            # numerator 8N(1+N) vanishes; value 0 for every r, extended
-            # to r = 0 by continuity along the N = 0 curve
-            return float(c_s), 0.0
-        c_r = 8.0 * n * (1.0 + n) / (2.0 * n * c + 2.0 * np.sinh(r) ** 2)
-        return float(c_s), float(c_r)
-    raise ValueError(f"unknown probe kind {probe_kind!r}")
+    c_s = (2.0 + 4.0 * n) / c
+    if n == 0:
+        # numerator 8N(1+N) vanishes; value 0 for every r, extended
+        # to r = 0 by continuity along the N = 0 curve
+        return float(c_s), 0.0
+    c_r = 8.0 * n * (1.0 + n) / (2.0 * n * c + 2.0 * np.sinh(r) ** 2)
+    return float(c_s), float(c_r)
 
 
 def closed_form_holevo(r: float, mean_photons: float, probe_kind: str) -> float | None:
@@ -375,12 +374,10 @@ def closed_form_holevo(r: float, mean_photons: float, probe_kind: str) -> float 
     """
     n = check_photons("mean_photons", mean_photons)
     r = check_squeezing("r", r, n)
-    if probe_kind == "single":
+    if check_probe("probe kind", probe_kind) == "single":
         return closed_form_bounds(r, n, "single")[1]
-    if probe_kind == "two_mode":
-        check_two_mode_r("r", r, n)
-        return float(4.0 * np.exp(-2.0 * abs(r))) if n == 0 else None
-    raise ValueError(f"unknown probe kind {probe_kind!r}")
+    check_two_mode_r("r", r, n)
+    return float(4.0 * np.exp(-2.0 * abs(r))) if n == 0 else None
 
 
 def classical_fisher_gaussian(mean_jacobian: np.ndarray, outcome_cov: np.ndarray) -> np.ndarray:

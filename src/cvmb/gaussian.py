@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cvmb.inputs import (
-    check_integer,
+    check_count,
     check_mode,
     check_photons,
     check_real,
@@ -74,7 +74,7 @@ def symplectic_form(num_modes: int) -> np.ndarray:
     covariance matrix V is physical iff ``V + i Omega >= 0``.  The array is
     built once per m and is read-only.
     """
-    return _symplectic_form(_num_modes(num_modes))
+    return _symplectic_form(check_count("num_modes", num_modes, 1))
 
 
 @functools.cache
@@ -91,14 +91,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
-
-
-def _num_modes(num_modes) -> int:
-    """A mode count as an int, checked to be at least 1."""
-    num_modes = check_integer("num_modes", num_modes)
-    if num_modes < 1:
-        raise ValueError("number of modes must be at least 1")
-    return num_modes
 
 
 def _finite(name: str, vector: np.ndarray) -> None:
@@ -273,7 +265,7 @@ def make_thermal(mean_photons: float, num_modes: int = 1) -> GaussianState:
     ``(N, m)`` then comes from a bounded cache (-0.0 counts as 0.0), so
     repeated calls return the same immutable instance.
     """
-    num_modes = _num_modes(num_modes)
+    num_modes = check_count("num_modes", num_modes, 1)
     mean_photons = check_photons("mean_photons", mean_photons)
     return _thermal(mean_photons + 0.0, num_modes)  # + 0.0 maps -0.0 to 0.0
 
@@ -288,7 +280,7 @@ def _thermal(mean_photons: float, num_modes: int) -> GaussianState:
 
 def _check_pair(mode_a, mode_b, num_modes, what: str) -> tuple[int, int, int]:
     """Two distinct mode indices and the mode count of a two-mode op, as ints."""
-    num_modes = _num_modes(num_modes)
+    num_modes = check_count("num_modes", num_modes, 1)
     mode_a = check_mode("mode_a", mode_a, num_modes)
     mode_b = check_mode("mode_b", mode_b, num_modes)
     if mode_a == mode_b:
@@ -321,7 +313,7 @@ def single_mode_squeezer(r: float, mode: int = 0, num_modes: int = 1) -> Symplec
     Returns:
         SymplecticOp
     """
-    num_modes = _num_modes(num_modes)
+    num_modes = check_count("num_modes", num_modes, 1)
     mode = check_mode("mode", mode, num_modes)
     r = check_squeezing("r", r, 0.0)
     matrix = np.eye(2 * num_modes)

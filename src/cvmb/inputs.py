@@ -8,7 +8,10 @@ closed forms accept ``|r| <= squeezing_limit(N)``: the largest of them,
 beyond it.  At N = 0 the limit is ``MAX_SQUEEZING`` (about 354.9).  The
 two-mode dual-homodyne MSE ``(8N + 4) exp(-2r)``, at N = 0 also the Holevo
 bound, is four times larger at negative r and needs
-``r >= two_mode_min_r(N)`` (about -354.2 at N = 0).  A simulation draws at
+``r >= two_mode_min_r(N)`` (about -354.2 at N = 0).  The simulator takes
+``|r| <= SIMULATE_MAX_SQUEEZING`` (4), where its outcome covariance is
+still accurate.  A probe is of kind ``"single"`` or ``"two_mode"``.  A
+simulation draws at
 most ``MAX_SAMPLES`` (2**32) shots per config, 131,072 batches of
 ``cvmb.simulate.BATCH_SIZE`` (32,768) shots whose sums are added as each
 batch finishes, so the memory a run holds does not grow with its shot
@@ -19,14 +22,17 @@ function here that names the setting, converts the value and raises
 ``ValueError`` otherwise: ``check_real`` (a finite real, not a ``bool``,
 returned as a Python float, so NumPy scalars compute exactly as the equal
 Python number), ``check_real_pair`` (a pair of them in a sequence or an
-array, as a tuple), ``check_integer``, ``check_count`` (an integer at most a
-cap), ``check_photons`` (``0 <= N <= MAX_PHOTONS``), ``check_squeezing``
-(``|r| <= squeezing_limit(N)``), ``check_two_mode_r``
-(``r >= two_mode_min_r(N)``), ``check_seed`` (64-bit unsigned),
-``check_mode`` (an index of one of m modes) and ``check_real_array`` (an
-integer or float array, as floats).  Every entry point of the package that
-takes these numbers calls them, and the ``cvmb`` command turns the
-``ValueError`` into exit code 1.
+array, as a tuple), ``check_integer``, ``check_count`` (an integer at least
+a floor and at most a cap, if it has one: a mode count or a sweep's rows at
+least 1, a seed index at least 0, a config's shots at least 1 and a
+sweep's at least 0), ``check_photons`` (``0 <= N <= MAX_PHOTONS``),
+``check_squeezing`` (``|r| <= squeezing_limit(N)``), ``check_two_mode_r``
+(``r >= two_mode_min_r(N)``), ``check_simulate_r``
+(``|r| <= SIMULATE_MAX_SQUEEZING``), ``check_probe`` (a probe kind),
+``check_seed`` (64-bit unsigned), ``check_mode`` (an index of one of m
+modes) and ``check_real_array`` (an integer or float array, as floats).
+Every entry point of the package that takes these values calls them, and
+the ``cvmb`` command turns the ``ValueError`` into exit code 1.
 
 This module imports nothing from the package, so every other module can
 import it at module level.
@@ -46,6 +52,7 @@ __all__ = [
     "MAX_SQUEEZING",
     "MAX_SAMPLES",
     "MAX_R_STEPS",
+    "SIMULATE_MAX_SQUEEZING",
     "squeezing_limit",
     "two_mode_min_r",
     "check_real",
@@ -55,6 +62,8 @@ __all__ = [
     "check_photons",
     "check_squeezing",
     "check_two_mode_r",
+    "check_simulate_r",
+    "check_probe",
     "check_seed",
     "check_mode",
     "check_real_array",
@@ -63,6 +72,13 @@ __all__ = [
 MAX_PHOTONS = 1e100
 MAX_SAMPLES = 2 ** 32
 MAX_R_STEPS = 10 ** 5
+
+# Squeezing accepted by the simulator (34.7 dB).  The outcome covariance
+# (2N + 1) exp(-2|r|) comes out of a cancellation between terms of size
+# exp(2|r|), so its relative error grows like 1e-16 exp(4|r|): 4e-10 at
+# |r| = 4, 8.5e-9 at 4.8 and 1e-3 at 8.  The limit keeps that error far
+# below the standard error of any feasible shot count.
+SIMULATE_MAX_SQUEEZING = 4.0
 
 _LN_DBL_MAX = math.log(sys.float_info.max)
 # keeps the rounding of r, 2r and cosh 2r from overflowing at the very edge
@@ -128,10 +144,13 @@ def check_integer(name: str, value) -> int:
     return int(value)
 
 
-def check_count(name: str, value, limit: int) -> int:
-    """A count as an int, checked for ``count <= limit``."""
+def check_count(name: str, value, floor: int, limit: int | None = None) -> int:
+    """A count as an int, checked for ``floor <= count`` and, given a limit, ``count <= limit``."""
     count = check_integer(name, value)
-    if count > limit:
+    if count < floor:
+        least = "non-negative" if floor == 0 else f"at least {floor}"
+        raise ValueError(f"{name} must be {least}, got {count}")
+    if limit is not None and count > limit:
         raise ValueError(f"{name} = {count} is above the limit {limit}")
     return count
 
@@ -164,6 +183,22 @@ def check_two_mode_r(name: str, value, mean_photons: float) -> float:
         raise ValueError(f"{name} = {r:g} is below the limit {limit:g}, past which "
                          f"(8N + 4) exp(-2r) at N = {mean_photons:g} overflows")
     return r
+
+
+def check_simulate_r(name: str, value) -> float:
+    """A squeezing r as a float, checked for ``|r| <= SIMULATE_MAX_SQUEEZING``."""
+    r = check_real(name, value)
+    if abs(r) > SIMULATE_MAX_SQUEEZING:
+        raise ValueError(f"{name} = {r:g} is outside the simulate limit "
+                         f"|r| <= {SIMULATE_MAX_SQUEEZING:g}")
+    return r
+
+
+def check_probe(name: str, value) -> str:
+    """A probe kind, checked to be ``"single"`` or ``"two_mode"``."""
+    if value not in ("single", "two_mode"):
+        raise ValueError(f"unknown {name} {value!r}")
+    return value
 
 
 def check_seed(name: str, value) -> int:

@@ -42,8 +42,9 @@ generators load on the first sampling call or derived seed, and ``ndtri``
 on the first sampling call, so a run that only computes bounds loads
 neither.  Sampling loads no pool module such as ``concurrent.futures``,
 and it loads SciPy's compiled ``scipy.special._ufuncs``, which defines
-``ndtri``, and not the ``scipy.special`` package, whose ``__init__`` also
-loads SciPy's array-API layer and with it most of NumPy's lazy submodules.
+``ndtri`` and the chi-squared tails of :func:`mse_tails`, and not the
+``scipy.special`` package, whose ``__init__`` also loads SciPy's
+array-API layer and with it most of NumPy's lazy submodules.
 """
 
 from __future__ import annotations
@@ -63,13 +64,14 @@ from cvmb.bounds import two_mode_probe
 from cvmb.gaussian import apply, beam_splitter, displace
 from cvmb.inputs import (
     MAX_SAMPLES,
+    SIMULATE_MAX_SQUEEZING,
     check_count,
-    check_integer,
     check_photons,
     check_real,
     check_real_array,
     check_real_pair,
     check_seed,
+    check_simulate_r,
 )
 
 __all__ = [
@@ -80,6 +82,7 @@ __all__ = [
     "outcome_distribution",
     "accumulate_affine_moments",
     "derive_seed",
+    "mse_tails",
     "run",
     "run_many",
 ]
@@ -88,23 +91,6 @@ _WORDS_PER_TICK = 4  # Philox advances its counter in 4-word blocks
 # each shot draws two standard normals, one per entry of the (Q_out0, P_out1) pair
 _WORDS_PER_SHOT = 2
 _MIN_UNIFORM = 2.0 ** -53  # guard against ndtri(0) = -inf
-
-# Squeezing accepted by SimConfig (34.7 dB).  The outcome covariance
-# (2N + 1) exp(-2|r|) comes out of a cancellation between terms of size
-# exp(2|r|), so its relative error grows like 1e-16 exp(4|r|): 4e-10 at
-# |r| = 4, 8.5e-9 at 4.8 and 1e-3 at 8.  The limit keeps that error far
-# below the standard error of any feasible shot count.
-SIMULATE_MAX_SQUEEZING = 4.0
-
-
-def _check_simulate_r(value) -> float:
-    """A squeezing r as a float, checked for ``|r| <= SIMULATE_MAX_SQUEEZING``."""
-    r = check_real("r", value)
-    if abs(r) > SIMULATE_MAX_SQUEEZING:
-        raise ValueError(f"r = {r:g} is outside the simulate limit "
-                         f"|r| <= {SIMULATE_MAX_SQUEEZING:g}")
-    return r
-
 
 # shots per accumulation batch; even, so that at _WORDS_PER_SHOT = 2 every
 # batch starts on a Philox counter tick
@@ -119,9 +105,7 @@ def derive_seed(seed: int, index: int) -> int:
     and ``index`` a non-negative integer; otherwise ``ValueError``.
     """
     seed = check_seed("seed", seed)
-    index = check_integer("index", index)
-    if index < 0:
-        raise ValueError(f"index must be non-negative, got {index}")
+    index = check_count("index", index, 0)
     from numpy.random import SeedSequence
 
     return int(SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1, np.uint64)[0])
@@ -148,11 +132,9 @@ class SimConfig:
     mode: str = "direct"
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _check_simulate_r(self.r))
+        object.__setattr__(self, "r", check_simulate_r("r", self.r))
         object.__setattr__(self, "photons", check_photons("photons", self.photons))
-        object.__setattr__(self, "samples", check_count("samples", self.samples, MAX_SAMPLES))
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
+        object.__setattr__(self, "samples", check_count("samples", self.samples, 1, MAX_SAMPLES))
         object.__setattr__(self, "seed", check_seed("seed", self.seed))
         if self.mode not in ("direct", "two_stage"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -210,7 +192,7 @@ def outcome_distribution(r: float, photons: float,
     the marginal loses its accuracy to cancellation.  ``theta`` is a pair
     of finite reals, the displacement (q, p) of mode 0.
     """
-    probe = two_mode_probe(_check_simulate_r(r), photons)
+    probe = two_mode_probe(check_simulate_r("r", r), photons)
     q, p = check_real_pair("theta", theta)
     splitter = beam_splitter(0.5)
     state = apply(splitter, displace(probe, q, p, mode=0))
@@ -222,40 +204,58 @@ def outcome_distribution(r: float, photons: float,
 
 
 def ndtri(*args, **kwargs):
-    """SciPy's ``ndtri`` ufunc, loaded on the first call by :func:`_scipy_ndtri`.
+    """SciPy's ``ndtri`` ufunc, loaded on the first call by :func:`_scipy_ufuncs`.
 
     Only sampling needs SciPy, so ``import cvmb`` leaves it out, as it does
     ``numpy.random``; and sampling loads the compiled
     ``scipy.special._ufuncs`` that defines the ufunc, not the
     ``scipy.special`` package.
     """
-    return _scipy_ndtri()(*args, **kwargs)
+    return _scipy_ufuncs().ndtri(*args, **kwargs)
 
 
-_ndtri_lock = threading.Lock()
+def mse_tails(samples: int, ratio: float) -> tuple[float, float]:
+    """Tail probabilities of a direct run's ``mse_sum`` at ``ratio`` times its expectation.
+
+    The two estimator errors of a shot are independent normals, each of
+    variance half the analytic MSE ``V = (8N + 4) e^-2r``, so for ``samples``
+    = n shots ``2n mse_sum / V`` follows chi-squared with 2n degrees of
+    freedom exactly, at every n.  Returns ``(P(X <= x), P(X >= x))`` for
+    that X at ``x = 2n ratio``, from the ``scipy.special._ufuncs`` that
+    :func:`ndtri` comes from.  ``samples`` is a count from 1 to
+    ``cvmb.inputs.MAX_SAMPLES`` and ``ratio`` a finite real.
+    """
+    dof = 2 * check_count("samples", samples, 1, MAX_SAMPLES)
+    x = dof * check_real("ratio", ratio)
+    ufuncs = _scipy_ufuncs()
+    return float(ufuncs.chdtr(dof, x)), float(ufuncs.chdtrc(dof, x))
+
+
+_ufuncs_lock = threading.Lock()
 
 
 @functools.cache
-def _scipy_ndtri():
-    """``scipy.special.ndtri``, loaded without running ``scipy/special/__init__.py``.
+def _scipy_ufuncs():
+    """``scipy.special._ufuncs``, loaded without running ``scipy/special/__init__.py``.
 
     That ``__init__`` takes most of the time and memory of importing the
     package (SciPy's array-API layer reads every attribute of NumPy, which
     loads ``numpy.f2py``, ``numpy.testing``, ``numpy.ma`` and more), while
-    the package's ``ndtri`` is the plain ufunc of ``scipy.special._ufuncs``.
-    So ``ndtri`` is always imported from ``_ufuncs``, whether the package is
-    loaded or not.  If it is not, a bare stand-in for it goes into
-    ``sys.modules`` first, which the relative imports of ``_ufuncs``'s
-    sibling extension modules need, and is removed before returning, so a
-    later ``import scipy.special`` runs the real ``__init__``; that reuses
-    the loaded ``_ufuncs``, so its ``ndtri`` is this one.  The import system
-    binds a submodule on its parent package only when it loaded the parent
-    itself, so the stand-in is never bound on ``scipy``.  The package binds
+    the package's ``ndtri``, ``chdtr`` and ``chdtrc`` are the plain ufuncs
+    of the compiled ``scipy.special._ufuncs``.  So they are always taken
+    from ``_ufuncs``, whether the package is loaded or not.  If it is not,
+    a bare stand-in for it goes into ``sys.modules`` first, which the
+    relative imports of ``_ufuncs``'s sibling extension modules need, and
+    is removed before returning, so a later ``import scipy.special`` runs
+    the real ``__init__``; that reuses the loaded ``_ufuncs``, so its
+    ufuncs are these.  The import system binds a submodule on its parent
+    package only when it loaded the parent itself, so the stand-in is never
+    bound on ``scipy``.  The package binds
     ``_ufuncs`` as an attribute but not the four sibling extension modules,
     which stay reachable by import.  Another thread importing
     ``scipy.special`` while the stand-in is in place would get the stand-in.
     """
-    with _ndtri_lock:
+    with _ufuncs_lock:
         stub = None
         if "scipy.special" not in sys.modules:
             import scipy
@@ -264,11 +264,11 @@ def _scipy_ndtri():
             stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
             sys.modules["scipy.special"] = stub
         try:
-            from scipy.special._ufuncs import ndtri as scipy_ndtri
+            from scipy.special import _ufuncs
         finally:
             if stub is not None and sys.modules.get("scipy.special") is stub:
                 del sys.modules["scipy.special"]
-        return scipy_ndtri
+        return _ufuncs
 
 
 def _shot_normals(key: int, start: int, count: int) -> np.ndarray:
@@ -401,7 +401,7 @@ def _accumulate(jobs: list[tuple[int, int, np.ndarray, np.ndarray]]) -> list[lis
     # worker starts, so no worker thread imports inside a draw
     import numpy.random  # noqa: F401
 
-    _scipy_ndtri()
+    _scipy_ufuncs()
 
     starts = [range(0, count, BATCH_SIZE) for _, count, _, _ in jobs]
     shots = sum(count for _, count, _, _ in jobs)

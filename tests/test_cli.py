@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -148,38 +149,80 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--samples", "0"]) == cli.USAGE_ERROR
 
     def test_single_sample_passes_trivially(self, tmp_path):
-        # one shot gives an infinite standard error, so the gate cannot fire
+        # one shot has an infinite standard error, but the gate reads the
+        # exact law: 2 V_DH_emp / V_DH is chi-squared with 2 degrees of
+        # freedom, so one shot fails below 3.17e-5 V_DH and above 10.36 V_DH
         out = tmp_path / "one.csv"
         rc = cli.main(["simulate", "--r-steps", "2", "--samples", "1",
                        "--out", str(out)])
         assert rc == 0
         _, rows = read_rows(out)
         assert all(row[7] == "inf" for row in rows)
+        rows = [cli.BoundSweepRow(0.0, 0.0, 2.0, 0.0, 4.0, 4.0, 4.0 * ratio, math.inf)
+                for ratio in (3.1e-5, 3.2e-5, 10.3, 10.4)]
+        assert [row for row, _, _ in cli.gate_failures(rows, 1)] == [rows[0], rows[3]]
 
     def test_rejects_single_probe(self):
         assert cli.main(["simulate", "--probe", "single", "--samples", "100"]) \
             == cli.USAGE_ERROR
 
     def test_gate_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        # force a failing row through the gate machinery
+        # force a failing row through the gate machinery; the gate reads the
+        # shot count from --samples
         bad_row = cli.BoundSweepRow(r=0.0, photons=0.0, c_s=2.0, c_r=0.0,
-                                    c_h=4.0, v_dh=4.0, v_dh_emp=5.0, v_dh_se=1e-6)
+                                    c_h=4.0, v_dh=4.0, v_dh_emp=4.4, v_dh_se=0.04)
         monkeypatch.setattr(cli, "sweep_rows", lambda spec: [bad_row])
         out = tmp_path / "gate.csv"
-        rc = cli.main(["simulate", "--samples", "10", "--out", str(out)])
+        rc = cli.main(["simulate", "--samples", "10000", "--out", str(out)])
         assert rc == cli.GATE_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
         assert out.read_text() == cli.rows_to_csv([bad_row])
-        # z = (5 - 4) / 1e-6, next to the gate it failed
-        assert "gate failure at r=0: empirical 5.000000e+00 vs analytic 4.000000e+00 " \
-               "(se 1.000e-06, z = +1000000.00, gate |z| <= 4)" in captured.err
+        # z = (4.4 - 4) / 0.04 and the chi-squared tail P(X >= 22000) at
+        # 20000 degrees of freedom, next to the gate it failed
+        assert "gate failure at r=0: empirical 4.400000e+00 vs analytic 4.000000e+00 " \
+               "(se 4.000e-02, z = +10.00, tail p = 1.693e-22, gate p >= 3.167e-05)" \
+               in captured.err
 
     def test_gate_failures_logic(self):
         good = cli.BoundSweepRow(0.0, 0.0, 1.0, 1.0, None, 4.0, 4.001, 0.01)
         bad = cli.BoundSweepRow(0.0, 0.0, 1.0, 1.0, None, 4.0, 4.5, 0.01)
         no_sim = cli.BoundSweepRow(0.0, 0.0, 1.0, 1.0, None, 4.0)
-        assert cli.gate_failures([good, bad, no_sim]) == [bad]
+        [(row, z, tail)] = cli.gate_failures([good, bad, no_sim], 10000)
+        assert row is bad
+        assert z == pytest.approx(50.0)
+        assert 0.0 < tail < 1e-30
+
+    @pytest.mark.parametrize("samples, low, high", [
+        (20, 0.34137987187115526, 2.153262063871379),
+        (1000000, 0.9960049989989328, 1.0040050009989339),
+    ])
+    def test_gate_band_is_the_exact_law(self, samples, low, high):
+        # the band of V_DH_emp / V_DH that passes: the chi-squared quantiles
+        # at erfc(4 / sqrt(2)) / 2 per side; the 4-SE gate's 1 -+ 4 / sqrt(n)
+        # was [0.106, 1.894] at n = 20 and [0.996, 1.004] at n = 1M
+        ratios = [low * (1 - 1e-9), low * (1 + 1e-9), high * (1 - 1e-9), high * (1 + 1e-9)]
+        rows = [cli.BoundSweepRow(0.0, 0.0, 2.0, 0.0, 4.0, 4.0, 4.0 * ratio, 1.0)
+                for ratio in ratios]
+        assert [row for row, _, _ in cli.gate_failures(rows, samples)] == [rows[0], rows[3]]
+
+    def test_small_shot_count_passes_on_correct_code(self, tmp_path):
+        # the 4-SE gate failed this run at r = 1.1 (z = -6.98): it divided by
+        # a standard error estimated from the same 20 shots, so a low MSE
+        # came with a low SE.  Its exact lower tail is 7.7e-4, inside the band
+        out = tmp_path / "seed13.csv"
+        assert cli.main(["simulate", "--samples", "20", "--seed", "13",
+                         "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        row = next(row for row in rows if float(row[0]) == pytest.approx(1.1))
+        assert (float(row[6]) - float(row[5])) / float(row[7]) == pytest.approx(-6.98, abs=5e-3)
+
+    def test_row_far_outside_the_band_fails(self, tmp_path, monkeypatch):
+        far = cli.BoundSweepRow(r=0.5, photons=0.0, c_s=2.0, c_r=0.0, c_h=4.0, v_dh=4.0,
+                                v_dh_emp=4.0 * 0.05, v_dh_se=0.5)
+        monkeypatch.setattr(cli, "sweep_rows", lambda spec: [far])
+        out = tmp_path / "far.csv"
+        assert cli.main(["simulate", "--samples", "20", "--out", str(out)]) == cli.GATE_ERROR
 
 
 class TestModuleEntry:

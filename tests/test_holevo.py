@@ -25,7 +25,6 @@ from cvmb.holevo import (
     _KKT_MIN_R,
     ConvergenceError,
     HolevoProblem,
-    _check_basis,
     assemble_constraints,
     assemble_x_operators,
     build_problem,
@@ -136,28 +135,26 @@ class TestProblem:
             assert solve_numeric(problem).diagnostics["constraint_residual"] < 1e-12
 
     @pytest.mark.parametrize("kind", ["single", "two_mode"])
-    @pytest.mark.parametrize("r", [5.2, 5.6, 20.0, MAX_SQUEEZING])
+    @pytest.mark.parametrize("r", [0.0, 0.4, 5.2, 5.6, 20.0, MAX_SQUEEZING])
     def test_gram_check_at_large_r(self, kind, r):
-        # the Gram entries grow like exp(2|r|): an absolute tolerance fails
-        # on rounding alone from |r| of about 5.1 (single) and 5.5 (two-mode)
+        # HolevoProblem derives the coordinates from r and does not compare
+        # them with the Gram; this test does, over the whole range of r.
+        # The entries grow like exp(2|r|), so entry (j, k) is held to within
+        # 1e-12 of its Cauchy-Schwarz scale sqrt(G_jj G_kk), the size of the
+        # rounding in the rebuilt entry: an absolute tolerance fails on
+        # rounding alone from |r| of about 5.1 (single) and 5.5 (two-mode)
+        gram_of = gram_single_mode if kind == "single" else gram_two_mode
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for signed in (r, -r):
                 problem = build_problem(kind, signed)
                 assert problem.r == signed
-                assert np.all(np.isfinite(problem.psi_coords))
-
-    @pytest.mark.parametrize("kind", ["single", "two_mode"])
-    @pytest.mark.parametrize("r", [-5.6, 0.4, 20.0])
-    def test_gram_check_catches_a_perturbed_coordinate(self, kind, r):
-        gram = gram_single_mode(r) if kind == "single" else gram_two_mode(r)
-        coords = np.array(build_problem(kind, r).psi_coords)
-        _check_basis(coords, gram)
-        for index in np.ndindex(coords.shape):
-            bad = coords.copy()
-            bad[index] *= 1.0 + 1e-9
-            with pytest.raises(AssertionError, match="do not reproduce the Gram matrix"):
-                _check_basis(bad, gram)
+                coords = problem.psi_coords
+                assert np.all(np.isfinite(coords))
+                target = gram_of(signed)[1:, 1:]
+                root = np.sqrt(np.diag(target).real)
+                error = np.abs(coords.conj() @ coords.T - target)
+                assert np.all(error <= 1e-12 * np.outer(root, root)), (signed, error)
 
 
 class TestConstraints:
@@ -609,7 +606,7 @@ class TestLazyOptimizerImport:
             "package = sys.modules['scipy.special']\n"
             "import cvmb.simulate\n"
             "cvmb.simulate.run(cvmb.simulate.SimConfig(r=0.5, photons=0.0, samples=1000))\n"
-            "assert cvmb.simulate._scipy_ndtri() is package.ndtri\n"
+            "assert cvmb.simulate._scipy_ufuncs().ndtri is package.ndtri\n"
             "assert sys.modules['scipy.special'] is package and scipy.special is package\n"
         )
 
@@ -622,7 +619,7 @@ class TestLazyOptimizerImport:
             "import scipy.special\n"
             "assert scipy.special.__file__.endswith('__init__.py'), scipy.special\n"
             "assert abs(scipy.special.erf(0.5) - 0.5204998778130465) < 1e-15\n"
-            "assert cvmb.simulate._scipy_ndtri() is scipy.special.ndtri\n"
+            "assert cvmb.simulate._scipy_ufuncs().ndtri is scipy.special.ndtri\n"
         )
 
     def test_failed_load_leaves_no_stand_in(self):
@@ -636,7 +633,7 @@ class TestLazyOptimizerImport:
             "refuse = Refuse()\n"
             "sys.meta_path.insert(0, refuse)\n"
             "import scipy\n"
-            "from cvmb.simulate import SimConfig, run, _scipy_ndtri\n"
+            "from cvmb.simulate import SimConfig, run, _scipy_ufuncs\n"
             "config = SimConfig(r=0.5, photons=0.0, samples=1000)\n"
             "try:\n"
             "    run(config)\n"
@@ -649,7 +646,7 @@ class TestLazyOptimizerImport:
             "sys.meta_path.remove(refuse)\n"
             "run(config)\n"
             "assert 'scipy.special._ufuncs' in sys.modules and 'scipy.special' not in sys.modules\n"
-            "assert _scipy_ndtri() is sys.modules['scipy.special._ufuncs'].ndtri\n"
+            "assert _scipy_ufuncs() is sys.modules['scipy.special._ufuncs']\n"
         )
 
 

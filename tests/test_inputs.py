@@ -58,7 +58,14 @@ from cvmb.inputs import (
     squeezing_limit,
     two_mode_min_r,
 )
-from cvmb.simulate import SimConfig, derive_seed, outcome_distribution, run, run_many
+from cvmb.simulate import (
+    SimConfig,
+    derive_seed,
+    mse_tails,
+    outcome_distribution,
+    run,
+    run_many,
+)
 
 BAD_VALUES = [True, math.nan, math.inf, -math.inf, "0.1", None]
 
@@ -76,6 +83,7 @@ ENTRY_POINTS = [
     ("outcome_distribution.r", lambda x: outcome_distribution(x, 0.1), 0.5, 1),
     ("outcome_distribution.photons", lambda x: outcome_distribution(0.1, x), 0.5, 1),
     ("outcome_distribution.theta", lambda x: outcome_distribution(0.1, 0.0, (0.0, x)), 0.5, 1),
+    ("mse_tails.ratio", lambda x: mse_tails(10, x), 0.5, 1),
     ("SweepSpec.r_min", lambda x: _sweep(r_min=x), 0.5, 1),
     ("SweepSpec.r_max", lambda x: _sweep(r_max=x), 0.5, 1),
     ("SweepSpec.photons", lambda x: _sweep(photons=x), 0.5, 1),
@@ -130,6 +138,7 @@ INTEGER_SETTINGS = [
      lambda x: DisplacementModel(two_mode_probe(0.3, 0.1), x), 1),
     ("derive_seed.seed", "seed", lambda x: derive_seed(x, 0), 1),
     ("derive_seed.index", "index", lambda x: derive_seed(1, x), 1),
+    ("mse_tails.samples", "samples", lambda x: mse_tails(x, 1.0), 10),
 ]
 BAD_INTEGERS = [True, 1.5, math.nan, "1", None]
 
@@ -200,6 +209,7 @@ PAST_DOMAIN = [
     ("SimConfig.samples.cap", lambda: SimConfig(r=0.1, photons=0.0, samples=MAX_SAMPLES + 1)),
     ("SweepSpec.samples.cap", lambda: cli.SweepSpec(samples=MAX_SAMPLES + 1).validate()),
     ("SweepSpec.r_steps.cap", lambda: cli.SweepSpec(r_steps=MAX_R_STEPS + 1).validate()),
+    ("mse_tails.samples.cap", lambda: mse_tails(MAX_SAMPLES + 1, 1.0)),
     ("solve_analytic.kind", lambda: solve_analytic("three_mode", 0.1)),
     ("closed_form_holevo.kind", lambda: closed_form_holevo(0.1, 0.0, "three_mode")),
     # the empty mixed two-mode field keeps the domain of the V_DH field beside it
@@ -215,6 +225,36 @@ PAST_DOMAIN = [
     ("run_many.configs.int", lambda: run_many(5)),
     ("run_many.configs.None", lambda: run_many(None)),
     ("run_many.configs.float", lambda: run_many(1.5)),
+]
+
+
+# entry point, call with the probe kind replaced by x, and the error text
+# that names the kind as the entry point's argument is called
+PROBE_KIND_ENTRIES = [
+    ("SweepSpec.probe", lambda x: cli.SweepSpec(probe=x).validate(), "probe"),
+    ("closed_form_bounds", lambda x: closed_form_bounds(0.1, 0.0, x), "probe kind"),
+    ("closed_form_holevo", lambda x: closed_form_holevo(0.1, 0.0, x), "probe kind"),
+    ("HolevoProblem", lambda x: HolevoProblem(x, 0.1), "probe kind"),
+    ("solve_analytic", lambda x: solve_analytic(x, 0.1), "probe kind"),
+]
+
+
+# entry point, call with the count replaced by x, its floor, and the error
+# text below the floor
+COUNT_FLOORS = [
+    ("SimConfig.samples", lambda x: SimConfig(r=0.1, photons=0.0, samples=x), 1,
+     "samples must be at least 1, got 0"),
+    ("SweepSpec.r_steps", lambda x: cli.SweepSpec(r_steps=x).validate(), 1,
+     "r-steps must be at least 1, got 0"),
+    ("SweepSpec.samples", lambda x: cli.SweepSpec(samples=x).validate(), 0,
+     "samples must be non-negative, got -1"),
+    ("derive_seed.index", lambda x: derive_seed(1, x), 0, "index must be non-negative, got -1"),
+    ("mse_tails.samples", lambda x: mse_tails(x, 1.0), 1, "samples must be at least 1, got 0"),
+    ("symplectic_form", symplectic_form, 1, "num_modes must be at least 1, got 0"),
+    ("make_thermal", lambda x: make_thermal(0.1, x), 1, "num_modes must be at least 1, got 0"),
+    ("vacuum", vacuum, 1, "num_modes must be at least 1, got 0"),
+    ("single_mode_squeezer.num_modes", lambda x: single_mode_squeezer(0.1, 0, x), 1,
+     "num_modes must be at least 1, got 0"),
 ]
 
 
@@ -277,9 +317,31 @@ def test_count_caps():
     assert (spec.r_steps, spec.samples) == (MAX_R_STEPS, MAX_SAMPLES)
     for name, setting, cap in [("SimConfig.samples.cap", "samples", MAX_SAMPLES),
                                ("SweepSpec.samples.cap", "samples", MAX_SAMPLES),
-                               ("SweepSpec.r_steps.cap", "r-steps", MAX_R_STEPS)]:
+                               ("SweepSpec.r_steps.cap", "r-steps", MAX_R_STEPS),
+                               ("mse_tails.samples.cap", "samples", MAX_SAMPLES)]:
         with pytest.raises(ValueError, match=f"^{setting} = {cap + 1} is above the limit {cap}$"):
             dict(PAST_DOMAIN)[name]()
+
+
+@pytest.mark.parametrize("name, call, noun", PROBE_KIND_ENTRIES,
+                         ids=[entry[0] for entry in PROBE_KIND_ENTRIES])
+def test_unknown_probe_kind(name, call, noun):
+    call("single")
+    call("two_mode")
+    for bad in ["three_mode", "two-mode", "", None, 2]:
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert str(exc.value) == f"unknown {noun} {bad!r}"
+
+
+@pytest.mark.parametrize("name, call, floor, message", COUNT_FLOORS,
+                         ids=[entry[0] for entry in COUNT_FLOORS])
+def test_count_floors(name, call, floor, message):
+    call(floor)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(floor - 1)
+    with pytest.raises(ValueError, match=" must be "):
+        call(-(10 ** 30))
 
 
 def test_domain_edges_are_accepted():
