@@ -95,7 +95,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from cvmb.gaussian import (
-    SYMMETRY_TOL,
     GaussianState,
     apply,
     make_thermal,
@@ -104,6 +103,8 @@ from cvmb.gaussian import (
     two_mode_squeezer,
 )
 from cvmb.inputs import (
+    check_covariance,
+    check_finite,
     check_mode,
     check_photons,
     check_probe,
@@ -394,21 +395,15 @@ def classical_fisher_gaussian(mean_jacobian: np.ndarray, outcome_cov: np.ndarray
         array: 2x2 Fisher information matrix
 
     A non-finite entry, a mis-shaped argument, or a Sigma that is not
-    symmetric to within ``cvmb.gaussian.SYMMETRY_TOL`` of its largest entry
-    raises ``ValueError`` naming the argument; a Sigma that is not positive
-    definite raises ``DegenerateModelError``.
+    symmetric to within ``cvmb.inputs.SYMMETRY_TOL`` times its largest
+    absolute entry (``cvmb.inputs.check_covariance``) raises ``ValueError``
+    naming the argument; a Sigma that is not positive definite raises
+    ``DegenerateModelError``.
     """
-    d = check_real_array("mean_jacobian", mean_jacobian)
-    sigma = check_real_array("outcome_cov", outcome_cov)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.size == 0:
-        raise ValueError(f"outcome_cov must be a square matrix, got shape {sigma.shape}")
+    d = check_finite("mean_jacobian", check_real_array("mean_jacobian", mean_jacobian))
+    sigma = check_covariance("outcome_cov", outcome_cov)
     if d.shape != (sigma.shape[0], 2):
         raise ValueError(f"mean_jacobian must have shape {(sigma.shape[0], 2)}, got {d.shape}")
-    for name, arr in (("mean_jacobian", d), ("outcome_cov", sigma)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} must be finite")
-    if np.max(np.abs(sigma - sigma.T)) > SYMMETRY_TOL * np.max(np.abs(sigma)):
-        raise ValueError("outcome_cov must be symmetric")
     eigs = np.linalg.eigvalsh(sigma)
     if eigs.min() <= 0:
         raise DegenerateModelError("outcome covariance must be positive definite")

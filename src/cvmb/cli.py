@@ -10,9 +10,9 @@ figure1    emit the comparison series at fixed N (SLD, RLD, max of both,
            dual-homodyne MSE) as plot-ready CSV plus per-series .dat files
 
 Settings resolve as: command-line flags > config file (``key=value``
-lines, ``#`` comments, UTF-8) > ``CVMB_SEED`` environment variable (seed
-only) > built-in defaults.  ``--show-config`` prints the effective
-settings and exits.
+lines, ``#`` comments, UTF-8 with or without a byte-order mark) >
+``CVMB_SEED`` environment variable (seed only) > built-in defaults.
+``--show-config`` prints the effective settings and exits.
 
 Exit codes: 0 success, 1 usage error, 2 statistical gate failure.
 """
@@ -224,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in [
         ("bounds", "sweep (r, N) and emit all bounds as CSV"),
-        ("simulate", "bound sweep plus Monte Carlo columns with a 4-sigma gate"),
+        ("simulate", "bound sweep plus Monte Carlo columns, gated on their exact "
+                     "chi-squared law at 4-sigma size"),
         ("figure1", "emit the fixed-N comparison series as plot data"),
     ]:
         p = sub.add_parser(name, help=doc)
@@ -233,9 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Parse a ``key=value`` settings file; ``#`` starts a comment."""
+    """Parse a ``key=value`` settings file; ``#`` starts a comment.
+
+    The file is UTF-8, and a leading byte-order mark is dropped.
+    """
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

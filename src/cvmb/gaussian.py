@@ -37,6 +37,8 @@ import numpy as np
 
 from cvmb.inputs import (
     check_count,
+    check_covariance,
+    check_finite,
     check_mode,
     check_photons,
     check_real,
@@ -58,7 +60,6 @@ __all__ = [
 ]
 
 # numerical tolerances for the structural invariants
-SYMMETRY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-12
 PHYSICALITY_TOL = 1e-10
 
@@ -93,16 +94,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finite(name: str, vector: np.ndarray) -> None:
-    """``ValueError`` unless every entry of the short vector is finite.
-
-    A Python scan: for the few entries of a mean it is cheaper than a
-    NumPy reduction.
-    """
-    if not all(map(math.isfinite, vector.tolist())):
-        raise ValueError(f"{name} must be finite")
-
-
 class Williamson(NamedTuple):
     """Williamson factors of a covariance: ``V = S diag(1 + 2N) S^T``.
 
@@ -122,8 +113,11 @@ class GaussianState:
         mean (array): length 2m vector of quadrature means
         cov (array): real symmetric 2m x 2m covariance matrix
 
-    Construction validates that ``mean`` is finite and that ``cov`` is
-    finite and symmetric and obeys the uncertainty relation
+    Construction validates that ``mean`` is finite, that ``cov`` passes
+    ``cvmb.inputs.check_covariance`` (real, finite, and symmetric to within
+    ``SYMMETRY_TOL`` times its largest absolute entry, so a strongly
+    squeezed covariance is not rejected for the rounding of its large
+    entries) and that it obeys the uncertainty relation
     ``cov + i Omega >= 0`` (vacuum saturates it with cov = I).
 
     States built by :func:`vacuum` and :func:`make_thermal`, and by
@@ -149,27 +143,20 @@ class GaussianState:
     williamson: Williamson | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(check_real_array("mean", self.mean))
-        cov = check_real_array("cov", self.cov)
+        mean = check_finite("mean", np.atleast_1d(check_real_array("mean", self.mean)))
         if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
             raise ValueError("mean must be a vector of even, positive length")
+        cov = check_covariance("covariance matrix", self.cov)
         if cov.shape != (mean.size, mean.size):
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean of length {mean.size}"
             )
-        _finite("mean", mean)
-        # NaN propagates through the max, so this rejects every non-finite entry
-        cov_max = np.max(np.abs(cov))
-        if not np.isfinite(cov_max):
-            raise ValueError("covariance matrix must be finite")
-        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
-            raise ValueError("covariance matrix is not symmetric")
         omega = _symplectic_form(mean.size // 2)
         eigs = np.linalg.eigvalsh(cov + 1j * omega)
         # tolerance scales with the covariance magnitude so that strongly
         # squeezed states are not rejected for rounding in their large
         # eigenvalues; for unit-scale states this is the absolute -1e-10
-        if eigs.min() < -PHYSICALITY_TOL * max(1.0, cov_max):
+        if eigs.min() < -PHYSICALITY_TOL * max(1.0, np.max(np.abs(cov))):
             raise ValueError(
                 f"covariance violates the uncertainty relation (min eig {eigs.min():.3e})"
             )
@@ -192,9 +179,8 @@ def _factored(mean: np.ndarray, cov: np.ndarray,
     a state that passed :class:`GaussianState`'s full check, or for its
     image under symplectic ops, for which the relation holds as well.
     """
-    _finite("mean", mean)
-    if not np.isfinite(cov).all():
-        raise ValueError("covariance matrix must be finite")
+    check_finite("mean", mean)
+    check_finite("covariance matrix", cov)
     mean.setflags(write=False)
     cov.setflags(write=False)
     state = object.__new__(GaussianState)

@@ -30,7 +30,15 @@ sweep's at least 0), ``check_photons`` (``0 <= N <= MAX_PHOTONS``),
 (``r >= two_mode_min_r(N)``), ``check_simulate_r``
 (``|r| <= SIMULATE_MAX_SQUEEZING``), ``check_probe`` (a probe kind),
 ``check_seed`` (64-bit unsigned), ``check_mode`` (an index of one of m
-modes) and ``check_real_array`` (an integer or float array, as floats).
+modes), ``check_real_array`` (an integer or float array, as floats),
+``check_finite`` (every entry of a float array finite) and
+``check_covariance`` (a real, finite, non-empty square matrix, symmetric
+to within ``SYMMETRY_TOL`` (1e-12) times its largest absolute entry; a
+physical covariance has a diagonal entry of at least 1, so the scaled
+tolerance is never tighter than an absolute 1e-12, and it does not reject
+a strongly squeezed covariance for the rounding of its large entries).
+The physicality of a state's covariance and the positive definiteness of
+an outcome covariance are different rules and stay with their callers.
 Every entry point of the package that takes these values calls them, and
 the ``cvmb`` command turns the ``ValueError`` into exit code 1.
 
@@ -53,6 +61,7 @@ __all__ = [
     "MAX_SAMPLES",
     "MAX_R_STEPS",
     "SIMULATE_MAX_SQUEEZING",
+    "SYMMETRY_TOL",
     "squeezing_limit",
     "two_mode_min_r",
     "check_real",
@@ -67,11 +76,14 @@ __all__ = [
     "check_seed",
     "check_mode",
     "check_real_array",
+    "check_finite",
+    "check_covariance",
 ]
 
 MAX_PHOTONS = 1e100
 MAX_SAMPLES = 2 ** 32
 MAX_R_STEPS = 10 ** 5
+SYMMETRY_TOL = 1e-12
 
 # Squeezing accepted by the simulator (34.7 dB).  The outcome covariance
 # (2N + 1) exp(-2|r|) comes out of a cancellation between terms of size
@@ -227,3 +239,28 @@ def check_real_array(name: str, value) -> np.ndarray:
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be real numbers, got dtype {arr.dtype}")
     return arr.astype(float, copy=False)
+
+
+def check_finite(name: str, array: np.ndarray) -> np.ndarray:
+    """``array``; ``ValueError`` unless every entry of the float array is finite.
+
+    A Python scan over the raveled entries: for the few entries of a mean
+    or a small covariance it is cheaper than a NumPy reduction.
+    """
+    if not all(map(math.isfinite, array.ravel().tolist())):
+        raise ValueError(f"{name} must be finite")
+    return array
+
+
+def check_covariance(name: str, value) -> np.ndarray:
+    """``value`` as a float array; ``ValueError`` unless it is a covariance matrix.
+
+    That is a real, finite, non-empty square matrix whose asymmetry is at
+    most ``SYMMETRY_TOL`` times its largest absolute entry.
+    """
+    cov = check_finite(name, check_real_array(name, value))
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.size == 0:
+        raise ValueError(f"{name} must be a square matrix, got shape {cov.shape}")
+    if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL * np.max(np.abs(cov)):
+        raise ValueError(f"{name} must be symmetric")
+    return cov

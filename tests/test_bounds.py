@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvmb.bounds
 from cvmb.bounds import (
@@ -21,6 +23,7 @@ from cvmb.bounds import (
 )
 from cvmb.gaussian import (
     GaussianState,
+    SymplecticOp,
     apply,
     beam_splitter,
     make_thermal,
@@ -379,6 +382,43 @@ class TestQualitative:
                 found = True
                 break
         assert found
+
+
+# N = 0 or log-uniform over [1e-13, 10]
+PHOTONS = st.one_of(st.just(0.0), st.floats(-13.0, 1.0).map(lambda e: 10.0 ** e))
+
+
+class TestInvariance:
+    """The bounds of the two-mode probe under maps that leave the estimation problem unchanged."""
+
+    @staticmethod
+    def assert_same_bounds(model, reference):
+        for bound in (sld_bound, rld_bound, holevo_bound):
+            got, want = bound(model).value, bound(reference).value
+            assert abs(got - want) <= 1e-12 * want, (bound.__name__, got, want)
+
+    @given(r=st.floats(-5.0, 5.0), n=PHOTONS, phi=st.floats(0.0, 2 * np.pi))
+    @settings(max_examples=100, deadline=None)
+    def test_rotation_of_the_displaced_mode(self, r, n, phi):
+        # a phase rotation of the displaced mode rotates (q, p), and the
+        # summed MSE is the trace of the error matrix, which a rotation keeps
+        c, s = np.cos(phi), np.sin(phi)
+        rotation = SymplecticOp(np.block([[np.array([[c, s], [-s, c]]), np.zeros((2, 2))],
+                                          [np.zeros((2, 2)), np.eye(2)]]))
+        probe = two_mode_probe(r, n)
+        self.assert_same_bounds(DisplacementModel(apply(rotation, probe)),
+                                DisplacementModel(probe))
+
+    @given(r=st.floats(-5.0, 5.0), n=PHOTONS, tau=st.floats(0.0, 1.0),
+           squeezing=st.floats(-2.0, 2.0))
+    @settings(max_examples=100, deadline=None)
+    def test_map_on_the_undisplaced_modes(self, r, n, tau, squeezing):
+        # a third thermal mode, then a squeezer and a beam splitter that act
+        # only on the undisplaced modes 1 and 2: the bounds do not change
+        probe = apply(two_mode_squeezer(r, 0, 1, 3), make_thermal(n, 3))
+        mapped = apply(beam_splitter(tau, 1, 2, 3),
+                       apply(single_mode_squeezer(squeezing, 1, 3), probe))
+        self.assert_same_bounds(DisplacementModel(mapped), DisplacementModel(two_mode_probe(r, n)))
 
 
 class TestResultType:

@@ -437,6 +437,23 @@ class TestConfigResolution:
                      capsys.readouterr().out.strip().split("\n"))
         assert shown["seed"] == "1"
 
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        # Windows Notepad saves UTF-8 with a byte-order mark; it is not part of the first key
+        outputs = []
+        for bom in ("", "\ufeff"):
+            cfg = tmp_path / "settings.cfg"
+            cfg.write_text(f"{bom}seed=5\nr_steps=2\n", encoding="utf-8")
+            out = tmp_path / f"sim{len(bom)}.csv"
+            assert cli.main(["simulate", "--samples", "100", "--config", str(cfg),
+                             "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        # seed=5 was read: another seed gives other bytes
+        other = tmp_path / "other.csv"
+        assert cli.main(["simulate", "--samples", "100", "--r-steps", "2", "--seed", "6",
+                         "--out", str(other)]) == 0
+        assert other.read_bytes() != outputs[0]
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("banana=1\n")

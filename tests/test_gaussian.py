@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cvmb import gaussian
+from cvmb.bounds import DisplacementModel, holevo_bound, sld_bound
 from cvmb.gaussian import (
     GaussianState,
     SymplecticOp,
@@ -372,10 +373,26 @@ class TestInvariants:
         assert np.array_equal(omega[:2, :2], [[0.0, 1.0], [-1.0, 0.0]])
 
     def test_invalid_covariance_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianState(np.zeros(2), 0.5 * np.eye(2))  # violates uncertainty
-        with pytest.raises(ValueError):
-            GaussianState(np.zeros(2), np.array([[1.0, 0.1], [0.0, 1.0]]))  # asymmetric
+        with pytest.raises(ValueError, match="uncertainty relation"):
+            GaussianState(np.zeros(2), 0.5 * np.eye(2))
+        for asymmetric in ([[1.0, 0.1], [0.0, 1.0]], [[2.0, 1e-9], [0.0, 2.0]]):
+            with pytest.raises(ValueError, match="covariance matrix must be symmetric"):
+                GaussianState(np.zeros(2), np.array(asymmetric))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="covariance matrix must be finite"):
+                GaussianState(np.zeros(2), np.array([[1.0, 0.0], [0.0, bad]]))
+
+    @pytest.mark.parametrize("r", [5.5, 6.0, 6.25, 6.75])
+    def test_strongly_squeezed_covariance_accepted(self, r):
+        # the rounding of S diag(1.4) S^T leaves an asymmetry of 3.6e-12 to
+        # 2.9e-11, above an absolute 1e-12 but below 1e-16 of its largest entry
+        s = (beam_splitter(0.3).matrix @ two_mode_squeezer(r).matrix
+             @ beam_splitter(0.7).matrix @ single_mode_squeezer(0.4, 0, 2).matrix)
+        cov = s @ np.diag([1.4] * 4) @ s.T
+        assert np.max(np.abs(cov - cov.T)) > 1e-12
+        model = DisplacementModel(GaussianState(np.zeros(4), cov))
+        assert math.isfinite(sld_bound(model).value)
+        assert math.isfinite(holevo_bound(model).value)
 
     def test_non_symplectic_rejected(self):
         with pytest.raises(ValueError):

@@ -54,6 +54,8 @@ from cvmb.inputs import (
     MAX_R_STEPS,
     MAX_SAMPLES,
     MAX_SQUEEZING,
+    check_covariance,
+    check_finite,
     check_real,
     squeezing_limit,
     two_mode_min_r,
@@ -183,6 +185,23 @@ PAST_DOMAIN = [
     ("GaussianState.mean.inf", lambda: GaussianState([0.0, math.inf], np.eye(2))),
     ("GaussianState.mean.odd", lambda: GaussianState(np.zeros(3), np.eye(3))),
     ("GaussianState.cov.shape", lambda: GaussianState(np.zeros(2), np.eye(4))),
+    ("GaussianState.cov.nan",
+     lambda: GaussianState(np.zeros(2), [[1.0, math.nan], [math.nan, 1.0]])),
+    ("GaussianState.cov.asymmetric",
+     lambda: GaussianState(np.zeros(2), [[1.0, 0.1], [0.0, 1.0]])),
+    # each matrix rule is one check of cvmb.inputs: a covariance is a real,
+    # finite, non-empty square matrix, symmetric to 1e-12 of its largest entry
+    ("check_covariance.sigma.asymmetric",
+     lambda: check_covariance("sigma", [[2.0, 1e-9], [0.0, 2.0]])),
+    ("check_covariance.sigma.nan",
+     lambda: check_covariance("sigma", [[1.0, math.nan], [math.nan, 1.0]])),
+    ("check_covariance.sigma.inf", lambda: check_covariance("sigma", [[math.inf, 0.0], [0.0, 1.0]])),
+    ("check_covariance.sigma.non_square", lambda: check_covariance("sigma", np.ones((2, 3)))),
+    ("check_covariance.sigma.vector", lambda: check_covariance("sigma", np.ones(4))),
+    ("check_covariance.sigma.empty", lambda: check_covariance("sigma", np.zeros((0, 0)))),
+    ("check_covariance.sigma.complex", lambda: check_covariance("sigma", np.eye(2, dtype=complex))),
+    ("check_finite.array.nan", lambda: check_finite("array", np.array([0.0, math.nan]))),
+    ("check_finite.array.inf", lambda: check_finite("array", np.array([[1.0, 0.0], [0.0, -math.inf]]))),
     ("SymplecticOp.matrix.odd", lambda: SymplecticOp(np.eye(3))),
     ("HolevoSolution.method", lambda: HolevoSolution(1.0, [], np.eye(2), "guess")),
     ("components_to_w.size", lambda: components_to_w(np.zeros(3), 2)),
@@ -292,7 +311,7 @@ def test_array_and_model_errors_name_their_argument():
     for name, call in PAST_DOMAIN:
         if name.startswith(("classical_fisher_gaussian.", "DisplacementModel.probe.",
                             "holevo_value.", "solve_numeric.", "components_to_w.x.",
-                            "eliminate_two_mode.")):
+                            "eliminate_two_mode.", "check_covariance.", "check_finite.")):
             with pytest.raises(ValueError, match=name.split(".")[1]):
                 call()
 
@@ -307,6 +326,31 @@ def test_run_many_errors_name_the_index():
         with pytest.raises(ValueError) as exc:
             dict(PAST_DOMAIN)[name]()
         assert str(exc.value) == message
+
+
+def test_covariance_errors():
+    # a state's covariance is named as a covariance matrix in every message
+    for name, message in [("GaussianState.cov.nan", "covariance matrix must be finite"),
+                          ("GaussianState.cov.asymmetric", "covariance matrix must be symmetric"),
+                          ("check_covariance.sigma.empty",
+                           "sigma must be a square matrix, got shape (0, 0)"),
+                          ("check_covariance.sigma.complex",
+                           "sigma must be real numbers, got dtype complex128")]:
+        with pytest.raises(ValueError) as exc:
+            dict(PAST_DOMAIN)[name]()
+        assert str(exc.value) == message
+    with pytest.raises(ValueError, match="^covariance matrix must be real numbers"):
+        GaussianState(np.zeros(2), np.eye(2, dtype=complex))
+    # symmetry is relative to the largest entry, the scale of the rounding
+    # of a strongly squeezed covariance, and the check returns floats
+    big = np.array([[1e6, 1e6 + 1e-7], [1e6, 1e6]])
+    assert np.array_equal(check_covariance("sigma", big), big)
+    with pytest.raises(ValueError, match="sigma must be symmetric"):
+        check_covariance("sigma", big + [[0.0, 1e-5], [0.0, 0.0]])
+    ints = check_covariance("sigma", [[2, 1], [1, 2]])
+    assert ints.dtype == float and np.array_equal(ints, [[2.0, 1.0], [1.0, 2.0]])
+    arr = np.array([[1.0, 0.0], [0.0, 1.0]])
+    assert check_finite("array", arr) is arr
 
 
 def test_count_caps():
