@@ -21,21 +21,24 @@ Suzuki, J. Math. Phys. 57, 042201 (2016)): over them the bound is
 Displacement leaves the covariance constant, so rho is independent of the
 true parameter value.
 
-``V + i Omega`` is singular exactly for pure probes; rho(1) is then defined
-as the N -> 0 limit of the mixed-probe value.  A single-mode model, whose
-J is the identity, gives ``G_1 = V + i Omega`` directly, which continues
-the formula across the singularity.  A non-square J gives 0 (vacuous): the
-limit when the inverse information vanishes, as for the two-mode probe at
-r != 0, but not for every pure probe, as a squeezed mode beside an
-uncoupled vacuum mode keeps its single-mode value in the limit.  At the
-unsqueezed pure two-mode probe (r, N) = (0, 0) the RLD bound is therefore
-0, the limit along N = 0; along r = 0 the limit is 4, the value
-``4 (1 + N)`` at every N > 0.  ``holevo_bound`` does not inherit this
-rule: its search approaches t = 1 from below, so it returns the limit from
-below, 4 at the origin and the single-mode value beside a vacuum mode.  A
-solve that fails, as for a singular V, which no state has, raises
-``DegenerateModelError`` from every bound; at t = 1 such a V is never
-solved, since ``V + i Omega`` is then indefinite.
+One mode.  Its J is the identity, so ``G_t = V + i t Omega`` and
+``rho(t) = trace V + 2t`` at every t, for every one-mode state, pure or
+mixed, factored or given by its covariance.  Nothing is solved, so the
+formula holds across the singularity of ``V + i Omega`` at pure probes.
+
+More modes.  ``V + i Omega`` is singular exactly for pure probes; rho(1) is
+then defined as the N -> 0 limit of the mixed-probe value.  A non-square J
+gives 0 (vacuous): the limit when the inverse information vanishes, as for
+the two-mode probe at r != 0, but not for every pure probe, as a squeezed
+mode beside an uncoupled vacuum mode keeps its single-mode value in the
+limit.  So at N = 0 the two-mode RLD bound is 0 for every r, and at the
+origin (r, N) = (0, 0) it is 0, the limit along N = 0; along r = 0 the
+limit is 4, the value ``4 (1 + N)`` at every N > 0.  ``holevo_bound`` does
+not inherit this rule: its search approaches t = 1 from below, so it
+returns the limit from below, 4 at the origin and the single-mode value
+beside a vacuum mode.  A solve that fails, as for a singular V, which no
+state has, raises ``DegenerateModelError`` from every bound; at t = 1 such
+a V is never solved, since ``V + i Omega`` is then indefinite.
 
 Thermal frame.  The probes the package builds carry their Williamson
 factors, ``V = S diag(nu) S^T`` with ``nu = 1 + 2N`` (see
@@ -44,24 +47,22 @@ that of the thermal state ``diag(nu)`` with the Jacobian ``J' = S^-1 J``,
 which is read off two rows of S exactly (``S^-1 = -Omega S^T Omega``).  Per
 mode, ``diag(nu) + i t Omega`` has the eigenvalues ``nu +- t``, taken as
 ``2 (N + (1 +- t) / 2)`` so that ``nu - 1`` is never formed, on the vectors
-``(1, -+i) / sqrt(2)``:
+``(1, -+i) / sqrt(2)``.  G_t comes from a QR of the rows of J' in that
+eigenbasis, each divided by the square root of its eigenvalue; at t = 1
+and N = 0 the bound is 0, as above.
 
-* one mode: ``J' = S^-1``, so ``G_t = V + i t Omega`` and
-  ``rho(t) = nu ||S||_F^2 + 2t``;
-* more modes: G_t from a QR of the rows of J' in that eigenbasis, each
-  divided by the square root of its eigenvalue; at t = 1 and N = 0 the
-  bound is 0, as above.
-
-Nothing here cancels, so for the factored probes the test suite requires
-the three bounds to agree with the closed forms below to a relative 1e-12
-over the whole domain: ``|r|`` up to 340 and N from 0 through 1e-13 up to
-1e6, for both probes.  A probe given only by its covariance is solved from
-``V + i t Omega``, whose entries are of size ``cosh 2r`` while the smallest
-eigenvalue of V is about ``e^-2|r|``: that path loses about
-``eps e^(4|r|)`` relative (1e-12 at |r| = 3, 1e-3 at 8), fails from |r| of
-about 20, and its RLD counts a mixed multi-mode probe as pure, and returns
-0, once the smallest eigenvalue of ``V + i Omega`` falls below 1e-12 of the
-largest (at r = 3 for every N up to 1e-8).
+Neither the one-mode formula nor the frame cancels anything, so the test
+suite requires the three bounds to agree with the closed forms below to a
+relative 1e-12 over the whole domain: ``|r|`` up to 340 and N from 0
+through 1e-13 up to 1e6 for the factored probes, and ``|r|`` up to 300
+for one-mode probes given by their covariance.  A multi-mode probe given
+only by its covariance is solved from ``V + i t Omega``, whose entries are
+of size ``cosh 2r`` while the smallest eigenvalue of V is about
+``e^-2|r|``: that path loses about ``eps e^(4|r|)`` relative (1e-12 at
+|r| = 3, 1e-3 at 8), fails from |r| of about 20, and its RLD counts a
+mixed probe as pure, and returns 0, once the smallest eigenvalue of
+``V + i Omega`` falls below 1e-12 of the largest (at r = 3 for every N up
+to 1e-8).
 
 Closed forms for squeezed thermal probes of squeezing r and thermal
 occupation N (``c = cosh 2r``):
@@ -77,10 +78,6 @@ N, and ``4 exp(-2|r|)`` for the pure two-mode probe; the mixed two-mode
 C_H has no closed form here, and ``holevo_bound`` computes it.  The test
 suite checks it against ``(8N + 4) e^-2|r|`` for ``|r| >= ln(1 + 2N) / 2``
 and C_R below that.
-
-At N = 0 the two-mode RLD bound is vacuous: zero for every r.  At the
-origin (r, N) = (0, 0) it is pinned to 0, the limit along N = 0; the
-limit along r = 0 is 4, the value ``4 (1 + N)`` at every N > 0.
 
 Domain.  The bounds accept the inputs of :mod:`cvmb.inputs`, which states
 each rule once: ``0 <= N <= MAX_PHOTONS``, ``|r| <= squeezing_limit(N)``,
@@ -224,27 +221,27 @@ def _inverse_gram_traces(rows: list[tuple[complex, complex]]) -> tuple[float, fl
 def _moment_bound(model: DisplacementModel, t: float) -> float:
     """``rho(t) = trace(Re G_t) + trabs(Im G_t)`` for 0 <= t <= 1; see the module docstring.
 
-    A factored probe is read in its thermal frame.  There mode j has the
-    rows ``Q = (b[2j + 1], -a[2j + 1])`` and ``P = (-b[2j], a[2j])`` of J',
-    with a and b the rows of S of the displaced mode, and G_t is ``Ginv``
-    of :func:`_inverse_gram_traces` for the rows ``(Q + iP) w+`` and
+    One mode gives ``trace V + 2t``.  A factored probe of more modes is
+    read in its thermal frame.  There mode j has the rows
+    ``Q = (b[2j + 1], -a[2j + 1])`` and ``P = (-b[2j], a[2j])`` of J', with
+    a and b the rows of S of the displaced mode, and G_t is ``Ginv`` of
+    :func:`_inverse_gram_traces` for the rows ``(Q + iP) w+`` and
     ``(Q - iP) w-``, with ``w+- = 0.5 / sqrt(N + (1 +- t) / 2)``.
 
-    A bare covariance is solved from ``A = V + i t Omega``.  At t = 1 a
-    one-mode model, whose J is the identity, takes ``G_1 = A``, and a
-    model of more modes counts A as pure, and gives 0, when its smallest
-    eigenvalue is below ``1e-12`` of its largest.  A solve that fails
-    raises ``DegenerateModelError``.
+    A bare covariance of more modes is solved from ``A = V + i t Omega``.
+    At t = 1 it counts A as pure, and gives 0, when its smallest eigenvalue
+    is below ``1e-12`` of its largest.  A solve that fails raises
+    ``DegenerateModelError``.
     """
+    if model.probe.num_modes == 1:
+        # J is the identity, so G_t = V + i t Omega; trace V is indexed, as
+        # np.trace costs more than the rest of the call
+        return float(model.probe.cov[0, 0] + model.probe.cov[1, 1]) + 2.0 * t
     frame = model.probe.williamson
     if frame is not None:
         n = frame.mean_photons
         k = model.displaced_mode
         a, b = frame.symplectic[2 * k : 2 * k + 2].tolist()
-        if len(a) == 2:
-            # ||S||_F^2, its four squares summed in NumPy's order
-            frobenius = a[0] * a[0] + a[1] * a[1] + b[0] * b[0] + b[1] * b[1]
-            return (1.0 + 2.0 * n) * frobenius + 2.0 * t
         if n + (1.0 - t) / 2 == 0:
             return 0.0
         plus, minus = 0.5 / math.sqrt(n + (1.0 + t) / 2), 0.5 / math.sqrt(n + (1.0 - t) / 2)
@@ -257,17 +254,14 @@ def _moment_bound(model: DisplacementModel, t: float) -> float:
         return re + im
     jac = model.mean_jacobian
     a = model.probe.cov + 1j * t * symplectic_form(model.probe.num_modes)
-    if t == 1 and model.probe.num_modes == 1:
-        ginv = a
-    else:
-        if t == 1:
-            eigs = np.linalg.eigvalsh(a)
-            if eigs.min() < _PURE_EIG_TOL * eigs.max():
-                return 0.0
-        try:
-            ginv = np.linalg.inv(jac.T @ np.linalg.solve(a, jac))
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateModelError("probe covariance is singular") from exc
+    if t == 1:
+        eigs = np.linalg.eigvalsh(a)
+        if eigs.min() < _PURE_EIG_TOL * eigs.max():
+            return 0.0
+    try:
+        ginv = np.linalg.inv(jac.T @ np.linalg.solve(a, jac))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateModelError("probe covariance is singular") from exc
     # Im G_t is 2 x 2 antisymmetric, so trabs(Im G_t) = |Im G_01 - Im G_10|
     return float(np.trace(ginv.real) + abs(ginv.imag[0, 1] - ginv.imag[1, 0]))
 
@@ -364,8 +358,8 @@ def closed_form_holevo(r: float, mean_photons: float, probe_kind: str) -> float 
         float or None: the Holevo bound where a closed form is known
 
     * single: the closed-form C_R at every N.  For one mode
-      ``rho(t) = nu ||S||_F^2 + 2t`` rises with t, so its maximum over
-      [0, 1] is ``rho(1)``; the dual homodyne attains it.
+      ``rho(t) = trace V + 2t`` rises with t, so its maximum over [0, 1]
+      is ``rho(1)``; the dual homodyne attains it.
     * two_mode at N = 0: ``4 exp(-2|r|)``, the paper's bound.
     * two_mode at N > 0: None; the mixed two-mode bound has no closed form here.
 

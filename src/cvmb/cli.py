@@ -100,8 +100,6 @@ class SweepSpec:
                        samples=samples, seed=check_seed("seed", self.seed))
 
     def r_grid(self) -> np.ndarray:
-        if self.r_steps == 1:
-            return np.array([self.r_min])
         return np.linspace(self.r_min, self.r_max, self.r_steps)
 
 
@@ -127,13 +125,17 @@ def sweep_rows(spec: SweepSpec) -> list[BoundSweepRow]:
     independent) and a per-row seed derived from ``spec.seed``.  All rows
     are sampled by one ``run_many`` call, so their batches share one queue;
     each row's result is still the one ``run`` gives for its config alone.
-    Rows are emitted in grid order.
+    The sampler models the two-mode dual homodyne, so a spec with samples
+    and the single probe raises ``ValueError``.  Rows are emitted in grid
+    order.
     """
     spec = spec.validate()
     grid = spec.r_grid()
     # every row's config is built, and so checked, before the first row is sampled
     configs = []
     if spec.samples > 0:
+        if spec.probe != "two_mode":
+            raise ValueError("simulate models the two-mode dual homodyne; use --probe two-mode")
         configs = [SimConfig(r=r, photons=spec.photons, samples=spec.samples,
                              seed=derive_seed(spec.seed, i)) for i, r in enumerate(grid)]
     results = run_many(configs) or [None] * len(grid)
@@ -301,8 +303,6 @@ def cmd_bounds(spec: SweepSpec) -> int:
 
 
 def cmd_simulate(spec: SweepSpec) -> int:
-    if spec.probe != "two_mode":
-        raise ValueError("simulate models the two-mode dual homodyne; use --probe two-mode")
     if spec.samples < 1:
         raise ValueError("simulate requires --samples >= 1")
     rows = sweep_rows(spec)

@@ -69,17 +69,17 @@ class TestSLD:
 
     def test_singular_covariance_rejected(self):
         # a valid state whose covariance is singular cannot exist, so feed
-        # the matrix factory directly; the SLD bound solves V on both paths
-        # (the RLD bound never solves a singular V: V + i Omega is indefinite)
-        for modes in (1, 2):
-            state = GaussianState.__new__(GaussianState)
-            object.__setattr__(state, "mean", np.zeros(2 * modes))
-            object.__setattr__(state, "cov", np.zeros((2 * modes, 2 * modes)))
-            bad = DisplacementModel.__new__(DisplacementModel)
-            object.__setattr__(bad, "probe", state)
-            object.__setattr__(bad, "displaced_mode", 0)
-            with pytest.raises(DegenerateModelError):
-                sld_bound(bad)
+        # the matrix factory directly; the SLD bound of a bare two-mode
+        # covariance solves V (the RLD bound never solves a singular V:
+        # V + i Omega is indefinite, and one mode solves nothing)
+        state = GaussianState.__new__(GaussianState)
+        object.__setattr__(state, "mean", np.zeros(4))
+        object.__setattr__(state, "cov", np.zeros((4, 4)))
+        bad = DisplacementModel.__new__(DisplacementModel)
+        object.__setattr__(bad, "probe", state)
+        object.__setattr__(bad, "displaced_mode", 0)
+        with pytest.raises(DegenerateModelError):
+            sld_bound(bad)
 
 
 class TestRLD:
@@ -102,7 +102,7 @@ class TestRLD:
 
 
 class TestThermalFrame:
-    """The moment bounds of factored probes, read in the thermal frame."""
+    """The moment bounds of factored probes: one mode by ``trace V + 2t``, more in the thermal frame."""
 
     @pytest.mark.parametrize("n", DOMAIN_N)
     @pytest.mark.parametrize("kind", ["single", "two_mode"])
@@ -166,6 +166,31 @@ class TestThermalFrame:
             assert factored.probe.williamson is not None and bare.probe.williamson is None
             for bound in (sld_bound, rld_bound, holevo_bound):
                 assert bound(factored).value == pytest.approx(bound(bare).value, rel=1e-10)
+
+
+class TestOneMode:
+    """Every one-mode probe has ``rho(t) = trace V + 2t``; TestThermalFrame holds the factored ones."""
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7, 2.0])
+    @pytest.mark.parametrize("n", [0.0, 1e-13, 0.1, 0.3])
+    def test_bare_rotated_probe_matches_closed_forms(self, n, phi):
+        # the entries of V are of size cosh 2r and its smallest eigenvalue
+        # is about e^-2|r|, so a solve of V + i t Omega would lose about
+        # eps e^(4|r|) relative; one mode solves nothing
+        c, s = np.cos(phi), np.sin(phi)
+        rotation = SymplecticOp(np.array([[c, -s], [s, c]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in [r for r in DOMAIN_R if r <= 300.0]:
+                for signed in (r, -r):
+                    probe = apply(rotation, single_mode_probe(signed, n))
+                    m = DisplacementModel(GaussianState(probe.mean, probe.cov))
+                    assert m.probe.williamson is None
+                    c_s = (2.0 + 4.0 * n) * np.cosh(2.0 * signed)
+                    assert sld_bound(m).value == pytest.approx(c_s, rel=1e-12, abs=0), (signed, n)
+                    for bound in (rld_bound, holevo_bound):
+                        assert bound(m).value == pytest.approx(c_s + 2.0, rel=1e-12, abs=0), \
+                            (bound.__name__, signed, n)
 
 
 def piecewise_holevo(r, n):
@@ -443,7 +468,7 @@ class TestResultType:
         def reference_rho(m, t):
             jac = m.mean_jacobian
             a = m.probe.cov + 1j * t * symplectic_form(m.probe.num_modes)
-            if t == 1 and jac.shape[0] == jac.shape[1]:
+            if jac.shape[0] == jac.shape[1]:
                 jinv = np.linalg.inv(jac)
                 return svd_value(jinv @ a @ jinv.T)
             if t == 1:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +40,18 @@ class TestBoundsCommand:
         assert first[6] == "" and first[7] == ""
 
     def test_pure_two_mode_holevo_equals_dual_homodyne(self, tmp_path):
-        out = tmp_path / "pure.csv"
-        assert cli.main(["bounds", "--r-min", "0.5", "--r-max", "0.5",
-                         "--r-steps", "1", "--out", str(out)]) == 0
-        _, rows = read_rows(out)
-        c_h, v_dh = float(rows[0][4]), float(rows[0][5])
-        assert abs(c_h - v_dh) < 1e-9
-        assert abs(c_h - 4 * np.exp(-1.0)) < 1e-12
+        written = {}
+        for r in ("0.5", "0", "-0"):
+            out = tmp_path / f"pure{r}.csv"
+            assert cli.main(["bounds", f"--r-min={r}", "--r-max", "0.5",
+                             "--r-steps", "1", "--out", str(out)]) == 0
+            _, rows = read_rows(out)
+            c_h, v_dh = float(rows[0][4]), float(rows[0][5])
+            assert abs(c_h - v_dh) < 1e-9
+            assert abs(c_h - 4 * np.exp(-2 * float(r))) < 1e-12
+            written[r] = out.read_bytes()
+        # a one-step grid writes -0 as 0, as a grid of more steps does
+        assert written["-0"] == written["0"]
 
     def test_pure_two_mode_holevo_at_negative_r(self, tmp_path):
         out = tmp_path / "negative.csv"
@@ -165,6 +171,19 @@ class TestSimulateCommand:
     def test_rejects_single_probe(self):
         assert cli.main(["simulate", "--probe", "single", "--samples", "100"]) \
             == cli.USAGE_ERROR
+
+    def test_sweep_rows_rejects_sampling_the_single_probe(self, monkeypatch):
+        # the sampler draws the two-mode dual homodyne, so its MSE would sit
+        # beside the single-mode V_DH of the same row
+        spec = cli.SweepSpec(probe="single", samples=2000, r_steps=3, r_max=1.0)
+        assert len(cli.sweep_rows(replace(spec, samples=0))) == 3
+
+        def no_run(configs):
+            raise AssertionError(f"{len(configs)} rows sampled")
+
+        monkeypatch.setattr(cli, "run_many", no_run)
+        with pytest.raises(ValueError, match="simulate models the two-mode dual homodyne"):
+            cli.sweep_rows(spec)
 
     def test_gate_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         # force a failing row through the gate machinery; the gate reads the
